@@ -69,6 +69,7 @@ from .enumeration import (
     exact_evidence,
     exact_free_energy,
     exact_guided_profile,
+    guided_paths,
 )
 from .guideopt import (
     PointGuideFamily,

@@ -31,7 +31,6 @@ from .enumeration import (
     enumerate_paths,
     exact_conditional_expectation,
     exact_evidence,
-    exact_free_energy,
     exact_guided_profile,
 )
 from .estimators import (
@@ -270,11 +269,10 @@ def _cmd_oracle(args) -> dict:
         )
     if args.guide is not None:
         guide = build_guide(entry, args.guide, cfg)
-        report = exact_free_energy(pe, guide)
         profile = exact_guided_profile(pe, guide)
         results["guide"] = {
-            "free_energy": report.free_energy,
-            "kl": report.kl,
+            "free_energy": profile.free_energy,
+            "kl": profile.kl,
             "acceptance_rate": profile.acceptance_rate,
             "adjusted_fe": profile.adjusted_fe,
             "mean_events_per_run": profile.mean_events_per_run,

@@ -1,22 +1,32 @@
 """Exact enumeration of finite discrete models.
 
-Replay-based: the model is re-executed repeatedly with a forced prefix of
-choices, branching over each prior's support at the first unforced site.
-This needs nothing from the host language beyond the determinism contract
-the runtime already imposes, and yields ground-truth evidence
-probabilities, conditional expectations, free energies, and KL
-divergences at desk scale.  Guides that insert extra choices are outside
-exact treatment and are rejected.
+`enumerate_paths` runs the model once per terminating path and keeps the
+execution as a prefix tree.  Each run replays a forced prefix of choices,
+then takes the first value, in sorted order, at every later site and sets
+the siblings aside as prefixes for later runs; so every run ends at a new
+leaf, and leaves come out in sorted order.  An internal node holds the
+log evidence declared since its parent choice, the choice site and one
+child per prior value; a leaf holds its trailing log evidence and the
+path's `PathEntry`.  This needs nothing from the host language beyond
+the determinism contract the runtime already imposes.
+
+Guides are scored without running the model again: one depth-first walk
+of the tree calls ``guide.begin`` once, then ``guide.propose`` once at
+each site the guide can reach, and carries log G(x), the running free
+energy and the ceiling trigger down each edge.  That yields ground-truth
+evidence probabilities, conditional expectations, free energies, KL
+divergences, acceptance rates and run costs at desk scale.  Guides that
+insert extra choices are outside exact treatment and are rejected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Union
 
-from .dists import Dist, Value, NEG_INF
-from .runtime import ChoiceSite, Guide, ModelContext
+from .dists import Dist, Value, NEG_INF, log_nonneg
+from .runtime import ChoiceSite, Guide, ModelContext, finite_nonneg
 
 DEFAULT_MAX_PATHS = 1_000_000
 DEFAULT_MAX_EVENTS = 10_000
@@ -43,40 +53,70 @@ class PathEntry:
     n_events: int  # choose + evidence calls on this path
 
 
+class _Leaf:
+    __slots__ = ("log_evidence", "entry")
+
+    def __init__(self, log_evidence: tuple[float, ...], entry: PathEntry):
+        self.log_evidence = log_evidence  # evidence after the last choice
+        self.entry = entry
+
+
+class _Node:
+    """A choice site: the log evidence declared since the parent choice,
+    the site, and one child per prior value, in `_value_key` order."""
+
+    __slots__ = ("log_evidence", "index", "label", "prior", "history", "values", "children")
+
+    def __init__(self, log_evidence, index, label, prior, history, values):
+        self.log_evidence: tuple[float, ...] = log_evidence
+        self.index: int = index
+        self.label: Optional[str] = label
+        self.prior: Dist = prior
+        self.history: tuple[Value, ...] = history  # values chosen before this site
+        self.values: list[Value] = values
+        self.children: list[Union[_Node, _Leaf, None]] = [None] * len(values)
+
+
 @dataclass(slots=True)
 class PathEnumeration:
-    """Every terminating execution path of a model, with caps used."""
+    """Every terminating execution path of a model, with caps used, and
+    the prefix tree of its execution."""
 
     model: Callable[[ModelContext], None]
     entries: tuple[PathEntry, ...]
     max_paths: int
     max_events: int
+    root: Union[_Node, _Leaf]
 
     def prior_mass(self) -> float:
         return math.fsum(math.exp(e.log_prior) for e in self.entries)
-
-
-class _Branch(Exception):
-    def __init__(self, prior: Dist):
-        self.prior = prior
 
 
 class _EventCap(Exception):
     pass
 
 
-class _ForcedRun:
-    """Model context that replays a forced choice prefix and stops at the
-    first unforced site (raising _Branch with that site's prior)."""
+def _value_key(v: Value):
+    return (type(v).__name__, v)
 
-    def __init__(self, forced: tuple[Value, ...], max_events: int):
-        self.forced = forced
+
+class _ForcedRun:
+    """Model context that replays a forced choice prefix, then grows the
+    tree to a new leaf: at each later site it adds a node, takes the first
+    sorted value and pushes the siblings' prefixes onto `stack`."""
+
+    def __init__(self, forced: tuple[Value, ...], slot: tuple[list, int], stack: list, max_events: int):
+        self.choices = list(forced)
+        self.n_forced = len(forced)
         self.pos = 0
         self.log_prior = 0.0
         self.log_evidence = 0.0
         self.hypothesis = 1.0
         self.n_events = 0
         self.max_events = max_events
+        self.slot = slot  # (children list, index) the next new node or leaf fills
+        self.stack = stack
+        self.pending: list[float] = []  # log evidence since the last choice, past the forced prefix
 
     def _bump(self):
         self.n_events += 1
@@ -85,9 +125,20 @@ class _ForcedRun:
 
     def choose(self, prior: Dist, label: Optional[str] = None) -> Value:
         self._bump()
-        if self.pos >= len(self.forced):
-            raise _Branch(prior)
-        v = self.forced[self.pos]
+        if self.pos < self.n_forced:
+            v = self.choices[self.pos]
+        else:
+            history = tuple(self.choices)
+            values = sorted(prior.values, key=_value_key)
+            node = _Node(tuple(self.pending), self.pos, label, prior, history, values)
+            children, i = self.slot
+            children[i] = node
+            self.pending = []
+            for j in range(len(values) - 1, 0, -1):
+                self.stack.append((history + (values[j],), (node.children, j)))
+            self.slot = (node.children, 0)
+            v = values[0]
+            self.choices.append(v)
         self.pos += 1
         lp = prior.log_prob(v)
         if lp == NEG_INF:
@@ -99,21 +150,13 @@ class _ForcedRun:
 
     def evidence(self, p) -> None:
         self._bump()
-        if isinstance(p, bool):
-            p = 1.0 if p else 0.0
-        p = float(p)
-        if math.isnan(p) or math.isinf(p) or p < 0.0:
-            raise ValueError(f"evidence({p}) is not a finite nonnegative number")
-        self.log_evidence += NEG_INF if p == 0.0 else math.log(p)
+        lp = log_nonneg(finite_nonneg(p, "evidence({})"))
+        self.log_evidence += lp
+        if self.pos >= self.n_forced:
+            self.pending.append(lp)
 
     def set_hypothesis(self, v) -> None:
-        if isinstance(v, bool):
-            v = 1.0 if v else 0.0
-        self.hypothesis = float(v)
-
-
-def _sort_key(choices: tuple[Value, ...]):
-    return tuple((type(v).__name__, v) for v in choices)
+        self.hypothesis = finite_nonneg(v, "hypothesis {}")
 
 
 def enumerate_paths(
@@ -121,34 +164,31 @@ def enumerate_paths(
     max_paths: int = DEFAULT_MAX_PATHS,
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> PathEnumeration:
-    """Depth-first replay enumeration of every terminating path."""
+    """Depth-first enumeration of every terminating path, one model run
+    per path; entries are sorted by choice sequence."""
     entries: list[PathEntry] = []
-    stack: list[tuple[Value, ...]] = [()]
+    top: list = [None]
+    stack: list = [((), (top, 0))]
     while stack:
-        prefix = stack.pop()
-        run = _ForcedRun(prefix, max_events)
+        prefix, slot = stack.pop()
+        run = _ForcedRun(prefix, slot, stack, max_events)
         try:
             model(run)  # type: ignore[arg-type]  # duck-typed ModelContext
-        except _Branch as b:
-            # Reverse push so support order is explored first.
-            for v in reversed(b.prior.values):
-                stack.append(prefix + (v,))
-            continue
         except _EventCap:
             raise EnumerationCapError(
                 f"a path exceeded {max_events} events; model too large for exact treatment"
             ) from None
-        if run.pos != len(prefix):
+        if run.pos < run.n_forced:
             raise RuntimeError("model is not deterministic: fewer choices on replay")
-        entries.append(
-            PathEntry(prefix, run.log_prior, run.log_evidence, run.hypothesis, run.n_events)
-        )
+        entry = PathEntry(tuple(run.choices), run.log_prior, run.log_evidence, run.hypothesis, run.n_events)
+        children, i = run.slot
+        children[i] = _Leaf(tuple(run.pending), entry)
+        entries.append(entry)
         if len(entries) > max_paths:
             raise EnumerationCapError(
                 f"more than {max_paths} paths; model too large for exact treatment"
             )
-    entries.sort(key=lambda e: _sort_key(e.choices))
-    return PathEnumeration(model, tuple(entries), max_paths, max_events)
+    return PathEnumeration(model, tuple(entries), max_paths, max_events, top[0])
 
 
 def exact_evidence(pe: PathEnumeration) -> float:
@@ -165,77 +205,6 @@ def exact_conditional_expectation(pe: PathEnumeration) -> float:
     return num / den
 
 
-class _GuideReplay:
-    """Replay one full path while querying the guide at each site,
-    tracking log G(x), the per-event running free energy, the ceiling
-    trigger, and leakage of guide mass onto prior-impossible values."""
-
-    def __init__(self, guide: Guide, forced: tuple[Value, ...]):
-        self.guide = guide
-        self.forced = forced
-        self.pos = 0
-        self.history: list[Value] = []
-        self.log_guide = 0.0
-        self.fe = 0.0
-        self.events = 0
-        self.rejected = False
-        self.events_observed: Optional[int] = None
-        self.leaks = False  # guide mass on a prior-impossible value at a reachable site
-        # (prefix, guide mass leaked there, events executed when it leaks);
-        # shared prefixes repeat across paths and are deduplicated by callers.
-        self.leak_events: list[tuple[tuple[Value, ...], float, int]] = []
-
-    def _event(self, contribution: float):
-        self.events += 1
-        if self.rejected or self.log_guide == NEG_INF:
-            return
-        self.fe += contribution
-        ceiling = self.guide.ceiling
-        if ceiling is not None and self.fe > ceiling:
-            self.rejected = True
-            self.events_observed = self.events
-
-    def choose(self, prior: Dist, label: Optional[str] = None) -> Value:
-        v = self.forced[self.pos]
-        self.pos += 1
-        if self.log_guide == NEG_INF:
-            # G never reaches this site; its behavior here is irrelevant
-            # (and the guide need not even be defined for the prefix).
-            self.history.append(v)
-            self.events += 1
-            return v
-        site = ChoiceSite(self.pos - 1, label, prior, tuple(self.history), ())
-        g = self.guide.propose(site)
-        if g is None:
-            g = prior
-        if not self.rejected:
-            leaked = math.fsum(gm for gv, gm in g if prior.prob(gv) == 0.0)
-            if leaked > 0.0:
-                self.leaks = True
-                self.leak_events.append(
-                    (tuple(self.history), math.exp(self.log_guide) * leaked, self.events + 1)
-                )
-        lg = g.log_prob(v)
-        lp = prior.log_prob(v)
-        self.history.append(v)
-        if lg == NEG_INF:
-            self.log_guide = NEG_INF
-            self.events += 1
-            return v
-        self.log_guide += lg
-        self._event(lg - lp)
-        return v
-
-    def evidence(self, p) -> None:
-        if isinstance(p, bool):
-            p = 1.0 if p else 0.0
-        p = float(p)
-        self._event(math.inf if p == 0.0 else -math.log(p))
-
-    def set_hypothesis(self, v) -> None:
-        pass
-
-
 class _NoExtraGuideContext:
     def extra_choice(self, guide_dist, conditional):
         raise ExtraChoicesUnsupportedError(
@@ -243,13 +212,59 @@ class _NoExtraGuideContext:
         )
 
 
-def _replay_guide(pe: PathEnumeration, guide: Guide, entry: PathEntry) -> _GuideReplay:
-    replay = _GuideReplay(guide, entry.choices)
+def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> Iterator[tuple]:
+    """Depth-first walk of the tree under `guide`.
+
+    Yields ``(entry, log_guide, fe, events_observed, rejected)`` for each
+    path G can sample, in entry order: fe is the running free energy, a
+    partial sum when the ceiling rejected the run, and events_observed
+    counts events up to the rejection.  Each site where G puts mass on a
+    prior-impossible value before any rejection appends (G-mass leaked
+    there, events executed when it leaks) to `leaks`.
+    """
     guide.begin(_NoExtraGuideContext())  # type: ignore[arg-type]
-    pe.model(replay)  # type: ignore[arg-type]
-    if replay.events_observed is None:
-        replay.events_observed = replay.events
-    return replay
+    ceiling = guide.ceiling
+    # (node, log G of the prefix, fe, events, rejected, events at rejection)
+    stack: list = [(pe.root, 0.0, 0.0, 0, False, None)]
+    while stack:
+        node, log_guide, fe, events, rejected, observed = stack.pop()
+        for lp in node.log_evidence:
+            events += 1
+            if not rejected:
+                fe += -lp
+                if ceiling is not None and fe > ceiling:
+                    rejected = True
+                    observed = events
+        if type(node) is _Leaf:
+            yield node.entry, log_guide, fe, events if observed is None else observed, rejected
+            continue
+        prior = node.prior
+        g = guide.propose(ChoiceSite(node.index, node.label, prior, node.history, ()))
+        if g is None:
+            g = prior
+        events += 1
+        if not rejected:
+            leaked = math.fsum(gm for gv, gm in g if prior.prob(gv) == 0.0)
+            if leaked > 0.0:
+                leaks.append((math.exp(log_guide) * leaked, events))
+        for j in range(len(node.values) - 1, -1, -1):
+            v = node.values[j]
+            lg = g.log_prob(v)
+            if lg == NEG_INF:
+                continue  # G never samples this subtree
+            child_fe, child_rejected, child_observed = fe, rejected, observed
+            if not rejected:
+                child_fe = fe + (lg - prior.log_prob(v))
+                if ceiling is not None and child_fe > ceiling:
+                    child_rejected = True
+                    child_observed = events
+            stack.append((node.children[j], log_guide + lg, child_fe, events, child_rejected, child_observed))
+
+
+def guided_paths(pe: PathEnumeration, guide: Guide) -> Iterator[tuple[PathEntry, float]]:
+    """Yield ``(entry, log G(x))`` for every path the guide can sample."""
+    for entry, log_guide, *_ in _walk(pe, guide, []):
+        yield entry, log_guide
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,29 +279,8 @@ def exact_free_energy(pe: PathEnumeration, guide: Guide) -> ExactGuideReport:
     Without rejection this is +inf whenever the guide gives positive mass
     to a prior-impossible value or to a path with zero evidence.
     """
-    total = 0.0
-    leak = False
-    for entry in pe.entries:
-        replay = _replay_guide(pe, guide, entry)
-        if replay.leaks:
-            leak = True
-        lg = replay.log_guide
-        if lg == NEG_INF:
-            continue  # G never samples this path
-        g = math.exp(lg)
-        if entry.log_evidence == NEG_INF:
-            total = math.inf
-        else:
-            total += g * (lg - entry.log_prior - entry.log_evidence)
-        if total == math.inf:
-            break
-    fe = math.inf if leak else total
-    evidence = exact_evidence(pe)
-    if not math.isfinite(fe) or evidence == 0.0:
-        kl = math.inf
-    else:
-        kl = fe + math.log(evidence)
-    return ExactGuideReport(fe, kl)
+    profile = exact_guided_profile(pe, guide)
+    return ExactGuideReport(profile.free_energy, profile.kl)
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,21 +312,11 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
     acc_fe = 0.0
     mean_events = 0.0
     total = 0.0
-    leak = False
-    leak_seen: dict[tuple[Value, ...], tuple[float, int]] = {}
-    for entry in pe.entries:
-        replay = _replay_guide(pe, guide, entry)
-        if replay.leaks:
-            leak = True
-        for prefix, mass, at_event in replay.leak_events:
-            leak_seen.setdefault(prefix, (mass, at_event))
-        lg = replay.log_guide
-        if lg == NEG_INF:
-            continue
+    leaks: list[tuple[float, int]] = []
+    for entry, lg, fe, events, rejected in _walk(pe, guide, leaks):
         g = math.exp(lg)
-        fe = replay.fe  # full-path fe when accepted; partial sum otherwise
-        mean_events += g * replay.events_observed
-        if not replay.rejected:
+        mean_events += g * events
+        if not rejected:
             acc_mass += g
             acc_fe += g * fe
             if fe == math.inf:
@@ -341,8 +325,9 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
             total = math.inf
         elif total != math.inf:
             total += g * (lg - entry.log_prior - entry.log_evidence)
-    leak_mass = math.fsum(m for m, _ in leak_seen.values())
-    mean_events += math.fsum(m * ev for m, ev in leak_seen.values())
+    leak = bool(leaks)
+    leak_mass = math.fsum(m for m, _ in leaks)
+    mean_events += math.fsum(m * ev for m, ev in leaks)
     free_energy = math.inf if leak else total
     evidence = exact_evidence(pe)
     kl = math.inf if (not math.isfinite(free_energy) or evidence == 0.0) else free_energy + math.log(evidence)

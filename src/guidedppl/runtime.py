@@ -153,6 +153,21 @@ class FunctionGuide(Guide):
         return self._fn(site)
 
 
+def finite_nonneg(v, what: str, error: type[Exception] = ValueError) -> float:
+    """Coerce an evidence probability or a hypothesis value to a float
+    (booleans to 0 or 1) and check that it is finite and nonnegative.
+
+    `what` is a format string naming the value, e.g. ``"evidence({})"``;
+    a bad value raises `error` with that name in the message.
+    """
+    if isinstance(v, (bool, np.bool_)):
+        v = 1.0 if v else 0.0
+    v = float(v)
+    if math.isnan(v) or math.isinf(v) or v < 0.0:
+        raise error(f"{what.format(v)} is not a finite nonnegative number")
+    return v
+
+
 class _Abort(Exception):
     """Internal: running free energy exceeded the guide's ceiling."""
 
@@ -234,24 +249,14 @@ class _RunState:
         return chosen
 
     def evidence(self, p) -> None:
-        if isinstance(p, (bool, np.bool_)):
-            p = 1.0 if p else 0.0
-        p = float(p)
-        if math.isnan(p) or math.isinf(p) or p < 0.0:
-            raise _ContractError(f"evidence({p}) is not a finite nonnegative number")
-        log_p = log_nonneg(p)
+        log_p = log_nonneg(finite_nonneg(p, "evidence({})", _ContractError))
         self.log_evidence += log_p
         index = self.n_evidence
         self.n_evidence += 1
         self._bump_fe("evidence", index, None, -log_p)
 
     def set_hypothesis(self, v) -> None:
-        if isinstance(v, (bool, np.bool_)):
-            v = 1.0 if v else 0.0
-        v = float(v)
-        if math.isnan(v) or math.isinf(v) or v < 0.0:
-            raise _ContractError(f"hypothesis {v} is not a finite nonnegative number")
-        self.hypothesis = v  # last write wins
+        self.hypothesis = finite_nonneg(v, "hypothesis {}", _ContractError)  # last write wins
 
     def extra_choice(self, guide_dist: Dist, conditional: Callable[[Trace], Dist]) -> Value:
         if not isinstance(guide_dist, Dist):

@@ -1,8 +1,12 @@
 import math
+import zlib
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guidedppl import (
     ConditioningOnNullError,
@@ -11,19 +15,24 @@ from guidedppl import (
     FunctionGuide,
     Guide,
     PriorGuide,
+    RunStatus,
+    dist_from_weights,
     enumerate_paths,
     exact_conditional_expectation,
     exact_evidence,
     exact_free_energy,
     exact_guided_profile,
+    guided_paths,
     point_mass,
+    run_trace,
     uniform_range,
 )
-from guidedppl.models import DicePosteriorGuide, three_dice
+from guidedppl.models import DicePosteriorGuide, expr_tabular_family, three_dice
 
 from helpers import (
     DICE_FE_TARGET,
     always_false_model,
+    make_hashed_model,
     no_choice_model,
     no_evidence_model,
     random_structured_dice_guide,
@@ -92,6 +101,59 @@ class TestEnumerateEdges:
         with pytest.raises(EnumerationCapError):
             enumerate_paths(deep, max_events=10)
 
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, math.inf])
+    def test_bad_hypothesis_is_an_error_as_in_run_trace(self, bad):
+        def model(ctx):
+            ctx.choose(uniform_range(1, 2))
+            ctx.set_hypothesis(bad)
+
+        assert run_trace(model, PriorGuide(), 0).status is RunStatus.REJECTED_CRASH
+        with pytest.raises(ValueError, match="hypothesis"):
+            enumerate_paths(model)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, math.inf])
+    def test_bad_evidence_is_an_error_as_in_run_trace(self, bad):
+        def model(ctx):
+            ctx.choose(uniform_range(1, 2))
+            ctx.evidence(bad)
+
+        assert run_trace(model, PriorGuide(), 0).status is RunStatus.REJECTED_CRASH
+        with pytest.raises(ValueError, match="evidence"):
+            enumerate_paths(model)
+
+    def test_fewer_choices_on_replay(self):
+        runs = []
+
+        def model(ctx):
+            runs.append(None)
+            ctx.choose(uniform_range(1, 2))
+            if len(runs) == 1:
+                ctx.choose(uniform_range(1, 2))
+
+        with pytest.raises(RuntimeError, match="fewer choices"):
+            enumerate_paths(model)
+
+    def test_forced_value_leaving_the_prior_support(self):
+        runs = []
+
+        def model(ctx):
+            runs.append(None)
+            ctx.choose(uniform_range(1, 2) if len(runs) == 1 else point_mass(1))
+
+        with pytest.raises(RuntimeError, match="left the prior support"):
+            enumerate_paths(model)
+
+    def test_one_model_run_per_path(self, dice_pe):
+        runs = []
+
+        def model(ctx):
+            runs.append(None)
+            three_dice(ctx)
+
+        pe = enumerate_paths(model)
+        assert len(runs) == len(pe.entries) == 216
+        assert pe.entries == dice_pe.entries
+
 
 class TestExactFreeEnergy:
     def test_posterior_guide_hits_the_floor(self, dice_pe):
@@ -155,14 +217,8 @@ class TestGuidedProfile:
 
     def test_guide_mass_normalizes_over_paths(self, dice_pe):
         # G(x) summed over enumerated paths is a probability distribution.
-        from guidedppl.enumeration import _replay_guide
-
         for guide in (PriorGuide(), DicePosteriorGuide()):
-            total = math.fsum(
-                math.exp(_replay_guide(dice_pe, guide, e).log_guide)
-                for e in dice_pe.entries
-                if _replay_guide(dice_pe, guide, e).log_guide > -math.inf
-            )
+            total = math.fsum(math.exp(lg) for _, lg in guided_paths(dice_pe, guide))
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_no_ceiling_profile_matches_plain_free_energy(self, dice_pe):
@@ -180,3 +236,130 @@ def test_sampling_floor_holds_for_random_full_tables(dice_pe):
         rep = exact_free_energy(dice_pe, random_table_dice_guide(seed))
         assert rep.free_energy >= DICE_FE_TARGET - 1e-9
         assert rep.kl >= 0.0
+
+
+class _CountingGuide(Guide):
+    def __init__(self, inner):
+        self.inner = inner
+        self.ceiling = inner.ceiling
+        self.begin_calls = 0
+        self.propose_calls = 0
+
+    def begin(self, ctx):
+        self.begin_calls += 1
+        self.inner.begin(ctx)
+
+    def propose(self, site):
+        self.propose_calls += 1
+        return self.inner.propose(site)
+
+
+def _reachable_internal_nodes(pe, guide):
+    """Distinct proper prefixes of the paths a guide can sample."""
+    return {e.choices[:k] for e, _ in guided_paths(pe, guide) for k in range(len(e.choices))}
+
+
+@pytest.mark.parametrize("inner, nodes", [(PriorGuide(), 43), (DicePosteriorGuide(), 21)])
+def test_one_propose_per_reachable_site(dice_pe, inner, nodes):
+    assert len(_reachable_internal_nodes(dice_pe, inner)) == nodes
+    for score in (exact_guided_profile, exact_free_energy):
+        guide = _CountingGuide(inner)
+        score(dice_pe, guide)
+        assert guide.begin_calls == 1
+        assert guide.propose_calls == nodes
+
+
+# Recorded from the per-path replay implementation that the tree walk
+# replaced: repr of (acceptance_rate, adjusted_fe, mean_events_per_run,
+# free_energy, kl) of exact_guided_profile.  Its exact_free_energy gave
+# the last two values in every case.
+GOLDEN = {
+    "dice_prior_500": ("0.06944444444444442", "2.6672282065819553", "4.0000000000000115", "inf", "inf"),
+    "dice_posterior": ("0.9999999999999999", "2.6672282065819557", "3.9999999999999996", "2.6672282065819553", "0.0"),
+    "dice_posterior_2": ("0.0", "inf", "3.0000000000000004", "2.6672282065819553", "0.0"),
+    "dice_leaky": ("0.9999999999999978", "inf", "3.2215743440233147", "inf", "inf"),
+    "dice_leaky_5": ("0.04373177842565596", "2.667228206581955", "3.2215743440233147", "inf", "inf"),
+    "dice_table_0": ("1.0000000000000007", "inf", "4.000000000000003", "inf", "inf"),
+    "dice_table_1": ("1.0", "inf", "4.0", "inf", "inf"),
+    "dice_table_2": ("0.9999999999999999", "inf", "3.9999999999999996", "inf", "inf"),
+    "dice_table_3": ("0.9999999999999996", "inf", "3.9999999999999982", "inf", "inf"),
+    "dice_table_4": ("1.0000000000000009", "inf", "4.0000000000000036", "inf", "inf"),
+    "dice_table_0_3": ("0.08456832539254644", "3.01848524282251", "4.000000000000003", "inf", "inf"),
+    "expr2_prior": ("0.9999999999999944", "inf", "4.499999999999979", "inf", "inf"),
+    "expr2_prior_10": ("0.05000000000000001", "2.995732273553991", "3.6065000000000076", "inf", "inf"),
+    "expr2_tabular": ("0.05000000000000001", "2.995732273553991", "3.6065000000000076", "inf", "inf"),
+    "hashed3_prior": ("1.0", "0.35907272697615633", "5.5423557083347745", "0.35907272697615633", "0.11585347244200986"),
+    "hashed3_prior_1": ("0.9131998053821326", "0.2946482847644372", "5.391203603535465", "0.35907272697615633", "0.11585347244200986"),
+    "hashed3_random_1": ("1.0000000000000002", "1.609252532358809", "5.514259111023763", "1.6092525323588096", "1.366033277824663"),
+    "hashed3_random_1_05": ("0.26401128680631397", "0.6044699357126163", "2.6456774805550056", "1.6092525323588096", "1.366033277824663"),
+}
+
+
+def _leaky_guide(ceiling=None):
+    return FunctionGuide(lambda site: uniform_range(1, 7), ceiling=ceiling)
+
+
+def _posterior_guide(ceiling):
+    guide = DicePosteriorGuide()
+    guide.ceiling = ceiling  # rejects at die3, a choice
+    return guide
+
+
+def _random_full_support_guide(seed, ceiling=None):
+    def fn(site):
+        h = zlib.crc32(repr((seed, site.index, site.history)).encode())
+        weights = np.random.default_rng(h).random(len(site.prior)) + 0.05
+        return dist_from_weights(list(zip(site.prior.values, weights)))
+
+    return FunctionGuide(fn, ceiling=ceiling)
+
+
+GOLDEN_CASES = {
+    "dice_prior_500": ("dice", lambda: PriorGuide(ceiling=500.0)),
+    "dice_posterior": ("dice", DicePosteriorGuide),
+    "dice_posterior_2": ("dice", lambda: _posterior_guide(2.0)),
+    "dice_leaky": ("dice", _leaky_guide),
+    "dice_leaky_5": ("dice", lambda: _leaky_guide(5.0)),
+    **{f"dice_table_{s}": ("dice", lambda s=s: random_table_dice_guide(s)) for s in range(5)},
+    "dice_table_0_3": ("dice", lambda: random_table_dice_guide(0, ceiling=3.0)),
+    "expr2_prior": ("expr2", PriorGuide),
+    "expr2_prior_10": ("expr2", lambda: PriorGuide(ceiling=10.0)),
+    "expr2_tabular": ("expr2", lambda: expr_tabular_family().bind({})),
+    "hashed3_prior": ("hashed3", PriorGuide),
+    "hashed3_prior_1": ("hashed3", lambda: PriorGuide(ceiling=1.0)),
+    "hashed3_random_1": ("hashed3", lambda: _random_full_support_guide(1)),
+    "hashed3_random_1_05": ("hashed3", lambda: _random_full_support_guide(1, ceiling=0.5)),
+}
+
+
+@pytest.fixture(scope="module")
+def hashed3_pe():
+    return enumerate_paths(make_hashed_model(3))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_values_are_bit_identical(name, request):
+    model, make_guide = GOLDEN_CASES[name]
+    pe = request.getfixturevalue(f"{model}_pe")
+    prof = exact_guided_profile(pe, make_guide())
+    got = (prof.acceptance_rate, prof.adjusted_fe, prof.mean_events_per_run, prof.free_energy, prof.kl)
+    assert tuple(map(repr, got)) == GOLDEN[name]
+    rep = exact_free_energy(pe, make_guide())
+    assert (repr(rep.free_energy), repr(rep.kl)) == GOLDEN[name][3:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(structure_seed=st.integers(0, 10_000), guide_seed=st.integers(0, 10_000))
+def test_walk_identities_on_hashed_models(structure_seed, guide_seed):
+    # Evidence values interleave with the choices and may exceed 1.
+    pe = enumerate_paths(make_hashed_model(structure_seed))
+    p_x = [math.exp(e.log_prior) for e in pe.entries]
+    prof = exact_guided_profile(pe, PriorGuide())
+    want_fe = -math.fsum(p * e.log_evidence for p, e in zip(p_x, pe.entries))
+    assert prof.free_energy == pytest.approx(want_fe, rel=1e-12, abs=1e-12)
+    want_events = math.fsum(p * e.n_events for p, e in zip(p_x, pe.entries))
+    assert prof.mean_events_per_run == pytest.approx(want_events, rel=1e-12)
+    assert prof.acceptance_rate == pytest.approx(1.0, abs=1e-12)
+    paths = list(guided_paths(pe, _random_full_support_guide(guide_seed)))
+    assert len(paths) == len(pe.entries)
+    assert math.fsum(math.exp(lg) for _, lg in paths) == pytest.approx(1.0, abs=1e-12)

@@ -20,6 +20,7 @@ from guidedppl import (
     evidence_functional,
     evidence_lower_bound,
     exact_evidence,
+    guided_paths,
     hypothesis_estimate,
     importance_weight,
     lower_confidence_bound,
@@ -29,7 +30,6 @@ from guidedppl import (
     run_trace,
     uniform_range,
 )
-from guidedppl.enumeration import _replay_guide
 from guidedppl.estimators import merge_batch_stats
 from guidedppl.models import DicePosteriorGuide, three_dice
 
@@ -158,18 +158,14 @@ class TestImportanceWeights:
         # the guide covers the support of f * P.
         guide = DicePosteriorGuide()
         covered = math.fsum(
-            math.exp(e.log_prior + e.log_evidence)
-            for e in dice_pe.entries
-            if _replay_guide(dice_pe, guide, e).log_guide > -math.inf
+            math.exp(e.log_prior + e.log_evidence) for e, _ in guided_paths(dice_pe, guide)
         )
         assert covered == pytest.approx(exact_evidence(dice_pe), abs=1e-12)
 
     def test_incomplete_coverage_underestimates(self, dice_pe):
         point = FunctionGuide(lambda site: point_mass((5, 1, 1)[site.index]))
         covered = math.fsum(
-            math.exp(e.log_prior + e.log_evidence)
-            for e in dice_pe.entries
-            if _replay_guide(dice_pe, point, e).log_guide > -math.inf
+            math.exp(e.log_prior + e.log_evidence) for e, _ in guided_paths(dice_pe, point)
         )
         assert covered == pytest.approx(1 / 216, abs=1e-12)
         assert covered < exact_evidence(dice_pe)
