@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -165,6 +165,47 @@ class BatchStats:
     hypothesis: np.ndarray
 
 
+class TraceSummary(NamedTuple):
+    """What a batch keeps of one trace: one row of `BatchStats`."""
+
+    events: int
+    accepted: bool
+    fe: float  # NaN for rejected runs
+    weight_evidence: float
+    weight_hyp_evidence: float
+    hypothesis: float
+
+
+_REJECTED_FE = float("nan")
+
+
+def summarize_trace(t: Trace) -> TraceSummary:
+    """The batch row of one trace; rejected runs weigh zero."""
+    if t.status is RunStatus.COMPLETED:
+        return TraceSummary(
+            t.n_events,
+            True,
+            t.fe_total,
+            importance_weight(t, evidence_functional).weight,
+            importance_weight(t, hypothesis_evidence_functional).weight,
+            t.hypothesis,
+        )
+    return TraceSummary(t.n_events, False, _REJECTED_FE, 0.0, 0.0, 0.0)
+
+
+def stats_from_summaries(seeds, rows: Sequence[TraceSummary]) -> BatchStats:
+    """Stack per-trace rows, in seed order, into batch arrays."""
+    return BatchStats(
+        np.asarray(seeds, dtype=np.uint64),
+        np.array([r.accepted for r in rows], dtype=bool),
+        np.array([r.fe for r in rows], dtype=float),
+        np.array([r.events for r in rows], dtype=np.int64),
+        np.array([r.weight_evidence for r in rows], dtype=float),
+        np.array([r.weight_hyp_evidence for r in rows], dtype=float),
+        np.array([r.hypothesis for r in rows], dtype=float),
+    )
+
+
 def batch_stats(
     model: ModelProgram,
     guide: Guide,
@@ -173,23 +214,8 @@ def batch_stats(
 ) -> BatchStats:
     """Run one trace per seed and summarize; traces are not retained."""
     seeds = np.asarray(seeds, dtype=np.uint64)
-    n = len(seeds)
-    accepted = np.zeros(n, dtype=bool)
-    fe = np.full(n, np.nan)
-    events = np.zeros(n, dtype=np.int64)
-    w_e = np.zeros(n)
-    w_he = np.zeros(n)
-    hyp = np.zeros(n)
-    for i, seed in enumerate(seeds):
-        t = run_trace(model, guide, int(seed), max_events=max_events)
-        events[i] = t.n_events
-        if t.status is RunStatus.COMPLETED:
-            accepted[i] = True
-            fe[i] = t.fe_total
-            w_e[i] = importance_weight(t, evidence_functional).weight
-            w_he[i] = importance_weight(t, hypothesis_evidence_functional).weight
-            hyp[i] = t.hypothesis
-    return BatchStats(seeds, accepted, fe, events, w_e, w_he, hyp)
+    rows = [summarize_trace(run_trace(model, guide, int(s), max_events=max_events)) for s in seeds]
+    return stats_from_summaries(seeds, rows)
 
 
 def estimate_from_batch(stats: BatchStats) -> FreeEnergyEstimate:

@@ -24,15 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .dists import Dist, Value, point_mass
 from .estimators import (
     NoAcceptedRunsError,
-    batch_stats,
+    TraceSummary,
     estimate_from_batch,
+    stats_from_summaries,
+    summarize_trace,
 )
 from .runtime import (
     ChoiceSite,
@@ -85,9 +87,13 @@ class TabularGuide(Guide):
         self.family = family
         self.params = dict(params)
         self.ceiling = family.ceiling
-        self.visited: dict[str, Dist] = {}  # site key -> prior, for discovery
+        self.visited: dict[str, Dist] = {}  # site key -> prior, over all runs
+        self.run_keys: dict[str, Dist] = {}  # site key -> prior, this run only
         self._dist_cache: dict[str, tuple[Dist, Dist]] = {}
         self._point_cache: dict[Value, Dist] = {}
+
+    def begin(self, ctx) -> None:
+        self.run_keys = {}
 
     def propose(self, site: ChoiceSite) -> Optional[Dist]:
         family = self.family
@@ -102,6 +108,8 @@ class TabularGuide(Guide):
         key = family.site_key(site.index, site.label, site.history)
         if key not in self.visited:
             self.visited[key] = site.prior
+        if key not in self.run_keys:
+            self.run_keys[key] = site.prior
         logits = self.params.get(key)
         if logits is None:
             return None  # unknown cell: keep the prior
@@ -165,12 +173,18 @@ class PointGuide(Guide):
         self.params = dict(params)
         self.ceiling = family.ceiling
         self.visited: dict[str, Dist] = {}
+        self.run_keys: dict[str, Dist] = {}
         self._point_cache: dict[Value, Dist] = {}
+
+    def begin(self, ctx) -> None:
+        self.run_keys = {}
 
     def propose(self, site: ChoiceSite) -> Optional[Dist]:
         key = self.family.site_key(site.index, site.label, site.history)
         if key not in self.visited:
             self.visited[key] = site.prior
+        if key not in self.run_keys:
+            self.run_keys[key] = site.prior
         v = self.params.get(key)
         if v is None:
             v = self.family.cell_init(site.prior)
@@ -203,14 +217,25 @@ class PointGuideFamily:
         return support[int(rng.integers(len(support)))]
 
 
-def _utility_on_seeds(
-    model: ModelProgram,
-    guide: Guide,
-    seeds: np.ndarray,
-    cfg: UtilityConfig,
-    max_events: int,
-) -> float:
-    stats = batch_stats(model, guide, seeds, max_events=max_events)
+class _Run(NamedTuple):
+    """One CRN run under a bound guide: its batch row and the cells it
+    looked up (key -> prior at the first lookup, in lookup order)."""
+
+    row: TraceSummary
+    keys: dict
+
+
+def _run_all(model: ModelProgram, guide: Guide, seeds, max_events: int) -> list[_Run]:
+    runs = []
+    for s in seeds:
+        row = summarize_trace(run_trace(model, guide, int(s), max_events=max_events))
+        runs.append(_Run(row, guide.run_keys))  # begin() gives each run a fresh dict
+    return runs
+
+
+def _utility(seeds: np.ndarray, runs: Sequence[_Run], cfg: UtilityConfig) -> float:
+    """Fold seed-ordered runs into U; +inf when no run is accepted."""
+    stats = stats_from_summaries(seeds, [r.row for r in runs])
     try:
         est = estimate_from_batch(stats)
     except NoAcceptedRunsError:
@@ -218,6 +243,16 @@ def _utility_on_seeds(
     if not math.isfinite(est.adjusted_fe):
         return math.inf
     return est.adjusted_fe + cfg.k * (est.total_events / est.n_accepted)
+
+
+def _utility_on_seeds(
+    model: ModelProgram,
+    guide: Guide,
+    seeds: np.ndarray,
+    cfg: UtilityConfig,
+    max_events: int,
+) -> float:
+    return _utility(seeds, _run_all(model, guide, seeds, max_events), cfg)
 
 
 def guide_utility(
@@ -234,6 +269,15 @@ def guide_utility(
     if n < 1:
         raise ValueError("need at least one run")
     return _utility_on_seeds(model, family.bind(params), derive_seeds(seed, n), cfg, max_events)
+
+
+def _key_index(runs: Sequence[_Run]) -> dict[str, list[int]]:
+    """Cell key -> positions of the runs that looked it up, ascending."""
+    index: dict[str, list[int]] = {}
+    for i, run in enumerate(runs):
+        for key in run.keys:
+            index.setdefault(key, []).append(i)
+    return index
 
 
 def optimize_guide(
@@ -260,9 +304,20 @@ def optimize_guide(
     reported).  With `restart_after`, a stretch of that many rejected
     proposals resets the climb to the initial table (the best accepted
     table is kept).
+
+    Evaluation is incremental.  The family's bound guides must propose
+    at a site from the site and that site's cell alone, so a run is a
+    function of its seed and the cells it looks up.  A candidate differs
+    from the incumbent in one cell, so only the CRN runs that looked up
+    that cell are run again; the others keep their recorded rows, and
+    the utility is folded from all n rows in seed order.
     """
     if budget < 1:
         raise ValueError("need at least one evaluation")
+    if n < 1:
+        raise ValueError("need at least one run")
+    if not sigma >= 0.0:
+        raise ValueError("mutation scale sigma must be nonnegative")
     if accept_margin < 0.0:
         raise ValueError("accept margin must be nonnegative")
     crn = derive_seeds(seed, n, stream=3)
@@ -270,17 +325,19 @@ def optimize_guide(
 
     cells: dict[str, tuple] = {}  # key -> (init cell, support values)
 
-    def evaluate(params: Mapping) -> float:
-        guide = family.bind(params)
-        u = _utility_on_seeds(model, guide, crn, cfg, max_events)
-        for key, prior in guide.visited.items():
-            if key not in cells:
-                cells[key] = (family.cell_init(prior), prior.values)
-        return u
+    def discover(runs: Sequence[_Run]) -> None:
+        # Seed order, so each cell takes the prior of its first lookup.
+        for run in runs:
+            for key, prior in run.keys.items():
+                if key not in cells:
+                    cells[key] = (family.cell_init(prior), prior.values)
 
     initial: dict = {}
-    initial_u = evaluate(initial)
-    current, current_u = initial, initial_u
+    initial_runs = _run_all(model, family.bind(initial), crn, max_events)
+    discover(initial_runs)
+    initial_u = _utility(crn, initial_runs, cfg)
+    initial_index = _key_index(initial_runs)
+    current, current_u, current_runs, current_index = initial, initial_u, initial_runs, initial_index
     best, best_u = initial, initial_u
     evaluations = 1
     trace = [(1, best_u)]
@@ -292,10 +349,16 @@ def optimize_guide(
         init_cell, support = cells[key]
         cand = dict(current)
         cand[key] = family.mutate_cell(cand.get(key, init_cell), support, rng, sigma)
-        u = evaluate(cand)
+        affected = current_index.get(key, [])
+        rerun = _run_all(model, family.bind(cand), [crn[i] for i in affected], max_events)
+        discover(rerun)
+        runs = list(current_runs)
+        for i, run in zip(affected, rerun):
+            runs[i] = run
+        u = _utility(crn, runs, cfg)
         evaluations += 1
         if u < current_u - accept_margin:
-            current, current_u = cand, u
+            current, current_u, current_runs, current_index = cand, u, runs, _key_index(runs)
             stall = 0
             if u < best_u:
                 best, best_u = cand, u
@@ -303,7 +366,7 @@ def optimize_guide(
         else:
             stall += 1
         if restart_after is not None and stall >= restart_after:
-            current, current_u = initial, initial_u
+            current, current_u, current_runs, current_index = initial, initial_u, initial_runs, initial_index
             stall = 0
 
     return SearchReport(

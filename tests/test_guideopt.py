@@ -1,23 +1,39 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guidedppl import (
+    ChoiceSite,
+    NoAcceptedRunsError,
+    PointGuideFamily,
     PriorGuide,
+    RunStatus,
+    SearchReport,
+    TabularGuideFamily,
+    batch_stats,
+    derive_seeds,
     estimate_free_energy,
     exact_guided_profile,
     guide_utility,
     optimize_guide,
+    run_trace,
+    uniform_range,
 )
+from guidedppl.estimators import estimate_from_batch
 from guidedppl.guideopt import UtilityConfig
 from guidedppl.models import (
     dice_point_family,
     dice_tabular_family,
+    expr_tabular_family,
     make_expr_model,
     three_dice,
 )
 
-from helpers import DICE_FE_TARGET, always_false_model
+from helpers import DICE_FE_TARGET, always_false_model, make_hashed_model
 
 LN_216 = 3 * math.log(6)
 
@@ -104,6 +120,22 @@ class TestOptimizeGuide:
             optimize_guide(
                 three_dice, dice_tabular_family(), UtilityConfig(), budget=5, seed=1, accept_margin=-1.0
             )
+
+    def test_zero_runs_rejected_before_any_evaluation(self):
+        # n = 0 used to report best_utility inf after one empty evaluation.
+        model = CountingModel(three_dice)
+        with pytest.raises(ValueError, match="at least one run"):
+            optimize_guide(model, dice_tabular_family(), UtilityConfig(), budget=5, seed=1, n=0)
+        assert model.calls == 0
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan])
+    def test_bad_sigma_rejected_before_any_evaluation(self, sigma):
+        # A negative sigma used to fail only at the first mutation, after
+        # a full evaluation of the initial table.
+        model = CountingModel(three_dice)
+        with pytest.raises(ValueError, match="sigma"):
+            optimize_guide(model, dice_tabular_family(), UtilityConfig(), budget=5, seed=1, sigma=sigma)
+        assert model.calls == 0
 
     def test_empty_dice_table_already_samples_the_posterior(self, dice_pe):
         # Uniform front sites with the forced completion accept exactly the
@@ -195,3 +227,317 @@ class TestExprSearch:
         u_prior = guide_utility(model, family, {}, cfg, 1500, 99)
         u_best = guide_utility(model, family, report.best_params, cfg, 1500, 99)
         assert u_best < u_prior
+
+
+class CountingModel:
+    """Counts the model runs it is asked for."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = 0
+
+    def __call__(self, ctx):
+        self.calls += 1
+        self.model(ctx)
+
+
+class LoggingFamily:
+    """Wraps a guide family and logs, for each `bind`, the table and the
+    number of model runs made before it, and each mutated cell's output."""
+
+    def __init__(self, inner, model: CountingModel):
+        self.inner = inner
+        self.model = model
+        self.binds: list[tuple[dict, int]] = []
+        self.mutations: list = []
+
+    def bind(self, params):
+        self.binds.append((dict(params), self.model.calls))
+        return self.inner.bind(params)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def mutate_cell(self, cell, support, rng, sigma):
+        out = self.inner.mutate_cell(cell, support, rng, sigma)
+        self.mutations.append(out)
+        return out
+
+
+def _plain(report: SearchReport) -> str:
+    """repr of the report with numpy scalars as Python numbers, so the
+    text does not depend on numpy's scalar repr."""
+    params = {
+        k: [x.item() if isinstance(x, np.generic) else x for x in v] if isinstance(v, list) else v
+        for k, v in report.best_params.items()
+    }
+    return repr(dataclasses.replace(report, best_params=params))
+
+
+# Recorded before evaluation became incremental, when every candidate
+# re-ran all n CRN runs.
+GOLDEN_CONFIGS = {
+    "dice": (three_dice, dice_tabular_family, UtilityConfig(), dict(budget=60, seed=5, n=120)),
+    "dice_restart": (
+        three_dice, dice_tabular_family, UtilityConfig(),
+        dict(budget=120, seed=13, n=120, accept_margin=0.05, restart_after=20),
+    ),
+    "dice_restart_k1": (
+        three_dice, dice_tabular_family, UtilityConfig(k=1.0),
+        dict(budget=120, seed=13, n=120, accept_margin=0.05, restart_after=10),
+    ),
+    "dice_point": (
+        three_dice, dice_point_family, UtilityConfig(k=1.0),
+        dict(budget=80, seed=5, n=100, accept_margin=0.02),
+    ),
+    "dice_k1": (
+        three_dice, dice_tabular_family, UtilityConfig(k=1.0),
+        dict(budget=100, seed=11, n=150, accept_margin=0.1),
+    ),
+    "expr3": (
+        make_expr_model(3), expr_tabular_family, UtilityConfig(k=0.02),
+        dict(budget=60, seed=3, n=100, accept_margin=0.05),
+    ),
+}
+
+GOLDEN_REPORTS = {
+    "dice": (
+        "SearchReport(best_params={'die2|5': [-2.2642126284032478, -3.48424903983396, "
+        "-2.7278604996533855, -2.664853758683239, -1.8304163971585348, -1.206211181274776], "
+        "'die2|4': [0.8911295177093885, -1.274885653415459, 1.0824165874130873, "
+        "-1.66153567193038, -2.303852351614545, -0.6576210162820627], 'die2|1': "
+        "[-0.6384876149201526, -0.8650406666619511, -1.5837532637074414, -2.116139962362393, "
+        "-1.0581419774471779, -2.866554145097794]}, best_utility=2.615431019064022, "
+        "utility_trace=((1, 2.667228206581955), (6, 2.656214222536748), (10, 2.6282141067345948),"
+        " (20, 2.619829754449514), (27, 2.6155979980321846), (52, 2.615431019064022)), "
+        "evaluations=60, cell_mean_fe={'die1': 0.0, 'die2|1': 0.9660697112784542, 'die2|2': "
+        "0.8958797346140275, 'die2|3': 0.8958797346140274, 'die2|4': 0.9805750850463971, "
+        "'die2|5': 0.8183815053761456})"
+    ),
+    "dice_restart": (
+        "SearchReport(best_params={}, best_utility=2.6874309138994743, utility_trace=((1, "
+        "2.6874309138994743),), evaluations=120, cell_mean_fe={'die1': 0.0, 'die2|1': "
+        "0.8958797346140274, 'die2|2': 0.8958797346140274, 'die2|3': 0.8958797346140275, "
+        "'die2|4': 0.8958797346140275, 'die2|5': 0.8958797346140275})"
+    ),
+    "dice_restart_k1": (
+        "SearchReport(best_params={'die1': [0.6109832923967679, -0.24661484533774908, "
+        "-1.689629296192324, -3.0222419971806334, -2.225084740764073, -3.193560106803625], "
+        "'die2|2': [-0.8626226679853516, -1.3916335881774857, -2.0241946406047617, "
+        "0.3293709885553522, -2.4893535139749083, -4.594481528068929], 'die2|1': "
+        "[-4.783931660358279, -1.9635213196858898, -2.031147819661346, -1.5546530678441968, "
+        "-2.807114725991607, -3.9734578524438797], 'die2|4': [-1.909951509662743, "
+        "0.38033253897004293, -1.5314880447250916, -1.6291831249618618, -0.6529865980048561, "
+        "-0.8550211259490896], 'die2|5': [-0.8267476446052164, -2.6613385159101504, "
+        "-0.5864778823070242, -1.3139829827723755, -2.3316511718959334, -2.4803847343646837]}, "
+        "best_utility=7.820694120477944, utility_trace=((1, 11.034369689409678), (14, "
+        "10.913577537476865), (25, 9.749906556561472), (28, 9.476225575128684), (30, "
+        "9.090140195656696), (33, 8.96469387354343), (82, 8.567546376807204), (86, "
+        "8.448537320398358), (90, 8.357939622096197), (91, 8.13181764886945), (92, "
+        "8.072733198501766), (100, 8.014674154197278), (107, 7.8837925848211015), (114, "
+        "7.820694120477944)), evaluations=120, cell_mean_fe={'die1': 0.8648985887653637, "
+        "'die2|1': 1.0574590532750725, 'die2|2': 1.1989739581567311, 'die2|3': "
+        "0.8958797346140275, 'die2|4': 0.3042558211103106, 'die2|5': 1.169149895107529})"
+    ),
+    "dice_point": (
+        "SearchReport(best_params={'2|1,1': 5}, best_utility=9.375278407684164, "
+        "utility_trace=((1, inf), (12, 9.375278407684164)), evaluations=80, cell_mean_fe={'0|': "
+        "1.7917594692280547, '1|1': 1.7917594692280547, '2|1,1': 1.7917594692280547})"
+    ),
+    "dice_k1": (
+        "SearchReport(best_params={'die2|2': [-3.4968581996167165, -0.047055860453378284, "
+        "-4.847273648510848, 0.7770719501832917, -1.650304193490551, -3.304393370575965], "
+        "'die2|3': [0.11974202166139558, -1.060093864795636, -2.0599548907657166, "
+        "-2.0521309410694406, -2.260905567369367, -1.8322549390143583], 'die1': "
+        "[-1.9262511265490743, -2.859645971961208, -0.6969887569598527, -2.4055344365821743, "
+        "-2.1868560355098476, -2.7420298816345903], 'die2|4': [0.9865841382036173, "
+        "-0.9051174461025726, -3.815431730467734, -3.763870933382357, -1.9747993462238222, "
+        "-5.943254270607337], 'die2|5': [-1.113907796049915, -2.953100870458817, "
+        "-2.133205629363431, -3.4972769609677776, -2.158838563736553, -1.856334625371185]}, "
+        "best_utility=8.007706028199117, utility_trace=((1, 10.314120054381107), (6, "
+        "10.076209853191632), (9, 9.304252955930588), (13, 8.887047575413586), (14, "
+        "8.656814755380463), (19, 8.546053800260198), (58, 8.24731818826503), (86, "
+        "8.11478747443636), (99, 8.007706028199117)), evaluations=100, cell_mean_fe={'die1': "
+        "0.4223110058000093, 'die2|1': 0.8958797346140274, 'die2|2': 1.5066590855132544, "
+        "'die2|3': 1.257684293926698, 'die2|4': 1.5775692842730027, 'die2|5': 1.342844795483794})"
+    ),
+    "expr3": (
+        "SearchReport(best_params={'prod@elr': [-0.05712977231215011, -0.42177986674623297], "
+        "'prod@ell': [-2.941656539173674, -2.2823327725967952], 'const@el': [-0.6305927427799662,"
+        " -2.5740488980240857, -4.107297523141687, -2.2549602995955187, -1.7160249132961423, "
+        "-2.098059575219598, -3.98499118797736, -3.448207768392579, -2.6448848873025517, "
+        "-2.8319204509275746], 'prod@e': [-1.0493786641309895, -2.52660882836574, "
+        "-1.1433513538880322, -1.4227138511738946]}, best_utility=6.325706368615672, "
+        "utility_trace=((1, 12.32517018598809), (3, 12.205170185988091), (6, 8.120016649581205), "
+        "(18, 8.021087628315803), (22, 6.743088274246006), (54, 6.325706368615672)), "
+        "evaluations=60, cell_mean_fe={'const@el': 1.471461885002761, 'const@ell': 0.0, 'prod@e':"
+        " 0.26443276105295205, 'prod@el': 0.0, 'prod@ell': 0.2738631002322598, 'prod@elr': "
+        "0.1642661455430524, 'prod@er': 0.0, 'prod@erl': 0.0, 'prod@err': 0.0})"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_golden_search_reports(name):
+    model, family, cfg, kwargs = GOLDEN_CONFIGS[name]
+    assert _plain(optimize_guide(model, family(), cfg, **kwargs)) == GOLDEN_REPORTS[name]
+
+
+def _reference_search(model, family, cfg, budget, seed, n, sigma=1.0, accept_margin=0.0, restart_after=None):
+    """The hill climb with every candidate scored on all n CRN runs."""
+    crn = derive_seeds(seed, n, stream=3)
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(4,)))
+    cells = {}
+
+    def evaluate(params):
+        guide = family.bind(params)
+        stats = batch_stats(model, guide, crn)
+        for key, prior in guide.visited.items():
+            if key not in cells:
+                cells[key] = (family.cell_init(prior), prior.values)
+        try:
+            est = estimate_from_batch(stats)
+        except NoAcceptedRunsError:
+            return math.inf
+        if not math.isfinite(est.adjusted_fe):
+            return math.inf
+        return est.adjusted_fe + cfg.k * (est.total_events / est.n_accepted)
+
+    initial = {}
+    current = best = initial
+    current_u = best_u = initial_u = evaluate(initial)
+    evaluations, trace, stall = 1, [(1, best_u)], 0
+    while evaluations < budget and cells:
+        keys = sorted(cells)
+        key = keys[int(rng.integers(len(keys)))]
+        init_cell, support = cells[key]
+        cand = dict(current)
+        cand[key] = family.mutate_cell(cand.get(key, init_cell), support, rng, sigma)
+        u = evaluate(cand)
+        evaluations += 1
+        if u < current_u - accept_margin:
+            current, current_u, stall = cand, u, 0
+            if u < best_u:
+                best, best_u = cand, u
+                trace.append((evaluations, u))
+        else:
+            stall += 1
+        if restart_after is not None and stall >= restart_after:
+            current, current_u, stall = initial, initial_u, 0
+
+    # Credit each choose event of an accepted run to the cell it read;
+    # forced sites read no cell.
+    sums, counts = {}, {}
+    for s in crn:
+        t = run_trace(model, family.bind(best), int(s))
+        if t.status is not RunStatus.COMPLETED:
+            continue
+        values = [c.chosen for c in t.choices]
+        for event in t.per_event_fe:
+            if event.kind != "choose":
+                continue
+            rec = t.choices[event.index]
+            history = tuple(values[: rec.index])
+            force = getattr(family, "force", None)
+            if force is not None and force(ChoiceSite(rec.index, rec.label, rec.prior, history, ())) is not None:
+                continue
+            key = family.site_key(rec.index, rec.label, history)
+            sums[key] = sums.get(key, 0.0) + event.fe
+            counts[key] = counts.get(key, 0) + 1
+    profile = {k: sums[k] / counts[k] for k in sorted(sums)}
+    return SearchReport(dict(best), best_u, tuple(trace), evaluations, profile)
+
+
+def _label_key(index, label, history):
+    return label
+
+
+def _history_key(index, label, history):
+    return f"{index}|{history}"
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    structure_seed=st.integers(0, 10_000),
+    keyed_by=st.sampled_from(["label", "history"]),
+    ceiling=st.sampled_from([None, 2.5]),
+    k=st.sampled_from([0.0, 0.1]),
+    accept_margin=st.sampled_from([0.0, 0.02, 0.2]),
+    restart_after=st.sampled_from([None, 1, 4]),
+    budget=st.integers(1, 20),
+    n=st.integers(1, 25),
+    seed=st.integers(0, 2**31),
+)
+def test_incremental_search_matches_full_reevaluation(
+    structure_seed, keyed_by, ceiling, k, accept_margin, restart_after, budget, n, seed
+):
+    # Label keys share a cell between sites whose priors differ in support
+    # size, so some runs crash; history keys give every prefix its own cell.
+    model = make_hashed_model(structure_seed)
+    site_key = _label_key if keyed_by == "label" else _history_key
+    family = TabularGuideFamily(site_key, ceiling=ceiling)
+    kwargs = dict(budget=budget, seed=seed, n=n, accept_margin=accept_margin, restart_after=restart_after)
+    got = optimize_guide(model, family, UtilityConfig(k=k), **kwargs)
+    want = _reference_search(model, family, UtilityConfig(k=k), **kwargs)
+    assert repr(got) == repr(want)
+
+
+def _runs_per_evaluation(family: LoggingFamily, evaluations: int) -> list[int]:
+    marks = [calls for _, calls in family.binds[:evaluations]]
+    end = family.binds[evaluations][1] if len(family.binds) > evaluations else family.model.calls
+    return [b - a for a, b in zip(marks, marks[1:] + [end])]
+
+
+@pytest.mark.parametrize(
+    "make_model, make_family, cfg, kwargs",
+    [
+        (lambda: three_dice, dice_tabular_family, UtilityConfig(k=1.0),
+         dict(budget=40, seed=2, n=60, accept_margin=0.05)),
+        (lambda: make_expr_model(2), expr_tabular_family, UtilityConfig(k=0.02),
+         dict(budget=40, seed=4, n=60, accept_margin=0.05)),
+    ],
+)
+def test_candidate_reruns_only_runs_that_read_the_mutated_cell(make_model, make_family, cfg, kwargs):
+    model = CountingModel(make_model())
+    inner = make_family()
+    family = LoggingFamily(inner, model)
+    report = optimize_guide(model, family, cfg, **kwargs)
+    runs = _runs_per_evaluation(family, report.evaluations)
+    assert runs[0] == kwargs["n"]
+    crn = derive_seeds(kwargs["seed"], kwargs["n"], stream=3)
+    saved = 0
+    for j in range(1, report.evaluations):
+        params = family.binds[j][0]
+        (key,) = [k for k, v in params.items() if v is family.mutations[j - 1]]
+        # A run takes the same path under the candidate as under the
+        # incumbent up to its first read of the mutated cell, so the runs
+        # that read it are the same under both tables.
+        reads = 0
+        for s in crn:
+            guide = inner.bind(params)
+            run_trace(model.model, guide, int(s))
+            reads += key in guide.visited
+        assert runs[j] == reads, (j, key)
+        saved += kwargs["n"] - reads
+    assert saved > 0
+
+
+def test_rejected_candidate_cells_join_the_pool():
+    # Site "b" is reached only when "a" is 1, which the evidence punishes:
+    # the one table that reaches it is rejected, yet "b" must enter the
+    # pool and get mutated later, with no run to redo.
+    def model(ctx):
+        if ctx.choose(uniform_range(0, 1), label="a") == 1:
+            ctx.choose(uniform_range(0, 1), label="b")
+            ctx.evidence(0.1)
+
+    counting = CountingModel(model)
+    family = LoggingFamily(PointGuideFamily(_label_key), counting)
+    report = optimize_guide(counting, family, UtilityConfig(), budget=30, seed=1, n=10)
+    assert report.best_params == {}
+    runs = _runs_per_evaluation(family, report.evaluations)
+    tables = [params for params, _ in family.binds[: report.evaluations]]
+    reached_b = [j for j, params in enumerate(tables) if params.get("a") == 1]
+    mutated_b = [j for j, params in enumerate(tables) if "b" in params]
+    assert reached_b and mutated_b and reached_b[0] < mutated_b[0]
+    assert all(runs[j] == 0 for j in mutated_b)
