@@ -41,7 +41,6 @@ from .runtime import (
     DEFAULT_MAX_EVENTS,
     Guide,
     ModelProgram,
-    RunStatus,
     derive_seeds,
     run_trace,
 )
@@ -70,7 +69,7 @@ class SearchReport:
     best_utility: float
     utility_trace: tuple[tuple[int, float], ...]  # (evaluation index, best so far)
     evaluations: int
-    cell_mean_fe: dict  # mean per-choose free-energy contribution by site key
+    cell_mean_fe: dict  # mean per-choose free-energy contribution by cell key
 
 
 def _softmax(logits: Sequence[float]) -> list[float]:
@@ -87,13 +86,13 @@ class TabularGuide(Guide):
         self.family = family
         self.params = dict(params)
         self.ceiling = family.ceiling
-        self.visited: dict[str, Dist] = {}  # site key -> prior, over all runs
-        self.run_keys: dict[str, Dist] = {}  # site key -> prior, this run only
+        self.visited: dict[str, Dist] = {}  # site key -> prior, for discovery
+        self.lookups: list[tuple[int, str]] = []  # (site index, site key), this run
         self._dist_cache: dict[str, tuple[Dist, Dist]] = {}
         self._point_cache: dict[Value, Dist] = {}
 
     def begin(self, ctx) -> None:
-        self.run_keys = {}
+        self.lookups = []
 
     def propose(self, site: ChoiceSite) -> Optional[Dist]:
         family = self.family
@@ -108,8 +107,7 @@ class TabularGuide(Guide):
         key = family.site_key(site.index, site.label, site.history)
         if key not in self.visited:
             self.visited[key] = site.prior
-        if key not in self.run_keys:
-            self.run_keys[key] = site.prior
+        self.lookups.append((site.index, key))
         logits = self.params.get(key)
         if logits is None:
             return None  # unknown cell: keep the prior
@@ -173,18 +171,17 @@ class PointGuide(Guide):
         self.params = dict(params)
         self.ceiling = family.ceiling
         self.visited: dict[str, Dist] = {}
-        self.run_keys: dict[str, Dist] = {}
+        self.lookups: list[tuple[int, str]] = []
         self._point_cache: dict[Value, Dist] = {}
 
     def begin(self, ctx) -> None:
-        self.run_keys = {}
+        self.lookups = []
 
     def propose(self, site: ChoiceSite) -> Optional[Dist]:
         key = self.family.site_key(site.index, site.label, site.history)
         if key not in self.visited:
             self.visited[key] = site.prior
-        if key not in self.run_keys:
-            self.run_keys[key] = site.prior
+        self.lookups.append((site.index, key))
         v = self.params.get(key)
         if v is None:
             v = self.family.cell_init(site.prior)
@@ -218,18 +215,26 @@ class PointGuideFamily:
 
 
 class _Run(NamedTuple):
-    """One CRN run under a bound guide: its batch row and the cells it
-    looked up (key -> prior at the first lookup, in lookup order)."""
+    """One CRN run under a bound guide: its batch row, the cells it looked
+    up in event order, and, if accepted, the free-energy contribution of
+    each of those choices."""
 
     row: TraceSummary
-    keys: dict
+    keys: tuple[str, ...]
+    fes: tuple[float, ...]  # empty for rejected runs
 
 
 def _run_all(model: ModelProgram, guide: Guide, seeds, max_events: int) -> list[_Run]:
     runs = []
     for s in seeds:
-        row = summarize_trace(run_trace(model, guide, int(s), max_events=max_events))
-        runs.append(_Run(row, guide.run_keys))  # begin() gives each run a fresh dict
+        t = run_trace(model, guide, int(s), max_events=max_events)
+        row = summarize_trace(t)
+        lookups = guide.lookups  # begin() started a fresh list for this run
+        fes: tuple[float, ...] = ()
+        if row.accepted:
+            choose_fe = [e.fe for e in t.per_event_fe if e.kind == "choose"]
+            fes = tuple(choose_fe[i] for i, _ in lookups)
+        runs.append(_Run(row, tuple(key for _, key in lookups), fes))
     return runs
 
 
@@ -276,7 +281,9 @@ def _key_index(runs: Sequence[_Run]) -> dict[str, list[int]]:
     index: dict[str, list[int]] = {}
     for i, run in enumerate(runs):
         for key in run.keys:
-            index.setdefault(key, []).append(i)
+            readers = index.setdefault(key, [])
+            if not readers or readers[-1] != i:
+                readers.append(i)
     return index
 
 
@@ -325,20 +332,21 @@ def optimize_guide(
 
     cells: dict[str, tuple] = {}  # key -> (init cell, support values)
 
-    def discover(runs: Sequence[_Run]) -> None:
-        # Seed order, so each cell takes the prior of its first lookup.
-        for run in runs:
-            for key, prior in run.keys.items():
-                if key not in cells:
-                    cells[key] = (family.cell_init(prior), prior.values)
+    def discover(guide) -> None:
+        # A guide runs its seeds in order, so each new cell takes the
+        # prior of its first lookup.
+        for key, prior in guide.visited.items():
+            if key not in cells:
+                cells[key] = (family.cell_init(prior), prior.values)
 
     initial: dict = {}
-    initial_runs = _run_all(model, family.bind(initial), crn, max_events)
-    discover(initial_runs)
+    guide = family.bind(initial)
+    initial_runs = _run_all(model, guide, crn, max_events)
+    discover(guide)
     initial_u = _utility(crn, initial_runs, cfg)
     initial_index = _key_index(initial_runs)
     current, current_u, current_runs, current_index = initial, initial_u, initial_runs, initial_index
-    best, best_u = initial, initial_u
+    best, best_u, best_runs = initial, initial_u, initial_runs
     evaluations = 1
     trace = [(1, best_u)]
     stall = 0
@@ -350,8 +358,9 @@ def optimize_guide(
         cand = dict(current)
         cand[key] = family.mutate_cell(cand.get(key, init_cell), support, rng, sigma)
         affected = current_index.get(key, [])
-        rerun = _run_all(model, family.bind(cand), [crn[i] for i in affected], max_events)
-        discover(rerun)
+        guide = family.bind(cand)
+        rerun = _run_all(model, guide, [crn[i] for i in affected], max_events)
+        discover(guide)
         runs = list(current_runs)
         for i, run in zip(affected, rerun):
             runs[i] = run
@@ -361,7 +370,7 @@ def optimize_guide(
             current, current_u, current_runs, current_index = cand, u, runs, _key_index(runs)
             stall = 0
             if u < best_u:
-                best, best_u = cand, u
+                best, best_u, best_runs = cand, u, runs
                 trace.append((evaluations, u))
         else:
             stall += 1
@@ -374,25 +383,19 @@ def optimize_guide(
         best_utility=best_u,
         utility_trace=tuple(trace),
         evaluations=evaluations,
-        cell_mean_fe=_cell_fe_profile(model, family, best, crn, max_events),
+        cell_mean_fe=_cell_fe_profile(best_runs),
     )
 
 
-def _cell_fe_profile(model, family, params, seeds, max_events) -> dict:
-    """Mean per-choose free-energy contribution by site key over accepted
-    runs at the given table: credit and blame for the search's result."""
+def _cell_fe_profile(runs: Sequence[_Run]) -> dict:
+    """Mean per-choose free-energy contribution by cell over the accepted
+    runs of a table: credit and blame for the search's result.  Only
+    choices at sites that looked up a cell are credited (a forced site
+    reads no cell), summed in seed order and then event order."""
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
-    for s in seeds:
-        t = run_trace(model, family.bind(params), int(s), max_events=max_events)
-        if t.status is not RunStatus.COMPLETED:
-            continue
-        values = [c.chosen for c in t.choices]
-        for event in t.per_event_fe:
-            if event.kind != "choose":
-                continue
-            rec = t.choices[event.index]
-            key = family.site_key(rec.index, rec.label, tuple(values[: rec.index]))
-            sums[key] = sums.get(key, 0.0) + event.fe
+    for run in runs:
+        for key, fe in zip(run.keys, run.fes):
+            sums[key] = sums.get(key, 0.0) + fe
             counts[key] = counts.get(key, 0) + 1
     return {k: sums[k] / counts[k] for k in sorted(sums)}

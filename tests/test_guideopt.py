@@ -167,6 +167,13 @@ class TestOptimizeGuide:
         cost = lambda p: p.mean_events_per_run / p.acceptance_rate
         assert learned.adjusted_fe + cost(learned) < initial.adjusted_fe + cost(initial)
 
+    def test_forced_sites_are_not_credited_to_cells(self):
+        # The initial table proposes the prior at die1 and die2, so every
+        # cell's mean contribution is 0; the forced die3 costs log 6 but
+        # reads no cell.
+        report = optimize_guide(three_dice, dice_tabular_family(), UtilityConfig(), budget=1, seed=2, n=120)
+        assert report.cell_mean_fe == {"die1": 0.0, **{f"die2|{d}": 0.0 for d in range(1, 6)}}
+
     def test_cell_fe_profile_present(self):
         family = dice_tabular_family()
         report = optimize_guide(three_dice, family, UtilityConfig(), budget=40, seed=2, n=120)
@@ -275,7 +282,9 @@ def _plain(report: SearchReport) -> str:
 
 
 # Recorded before evaluation became incremental, when every candidate
-# re-ran all n CRN runs.
+# re-ran all n CRN runs.  The die2 cells of the dice tabular reports'
+# cell_mean_fe were recorded again once the forced die3 stopped being
+# credited to them; nothing else changed.
 GOLDEN_CONFIGS = {
     "dice": (three_dice, dice_tabular_family, UtilityConfig(), dict(budget=60, seed=5, n=120)),
     "dice_restart": (
@@ -310,15 +319,13 @@ GOLDEN_REPORTS = {
         "-1.0581419774471779, -2.866554145097794]}, best_utility=2.615431019064022, "
         "utility_trace=((1, 2.667228206581955), (6, 2.656214222536748), (10, 2.6282141067345948),"
         " (20, 2.619829754449514), (27, 2.6155979980321846), (52, 2.615431019064022)), "
-        "evaluations=60, cell_mean_fe={'die1': 0.0, 'die2|1': 0.9660697112784542, 'die2|2': "
-        "0.8958797346140275, 'die2|3': 0.8958797346140274, 'die2|4': 0.9805750850463971, "
-        "'die2|5': 0.8183815053761456})"
+        "evaluations=60, cell_mean_fe={'die1': 0.0, 'die2|1': 0.1403799533288534, 'die2|2': 0.0, "
+        "'die2|3': 0.0, 'die2|4': 0.16939070086473906, 'die2|5': -0.1549964584757637})"
     ),
     "dice_restart": (
         "SearchReport(best_params={}, best_utility=2.6874309138994743, utility_trace=((1, "
-        "2.6874309138994743),), evaluations=120, cell_mean_fe={'die1': 0.0, 'die2|1': "
-        "0.8958797346140274, 'die2|2': 0.8958797346140274, 'die2|3': 0.8958797346140275, "
-        "'die2|4': 0.8958797346140275, 'die2|5': 0.8958797346140275})"
+        "2.6874309138994743),), evaluations=120, cell_mean_fe={'die1': 0.0, 'die2|1': 0.0, "
+        "'die2|2': 0.0, 'die2|3': 0.0, 'die2|4': 0.0, 'die2|5': 0.0})"
     ),
     "dice_restart_k1": (
         "SearchReport(best_params={'die1': [0.6109832923967679, -0.24661484533774908, "
@@ -336,8 +343,8 @@ GOLDEN_REPORTS = {
         "8.448537320398358), (90, 8.357939622096197), (91, 8.13181764886945), (92, "
         "8.072733198501766), (100, 8.014674154197278), (107, 7.8837925848211015), (114, "
         "7.820694120477944)), evaluations=120, cell_mean_fe={'die1': 0.8648985887653637, "
-        "'die2|1': 1.0574590532750725, 'die2|2': 1.1989739581567311, 'die2|3': "
-        "0.8958797346140275, 'die2|4': 0.3042558211103106, 'die2|5': 1.169149895107529})"
+        "'die2|1': 0.32315863732209055, 'die2|2': 0.6061884470854079, 'die2|3': 0.0, 'die2|4': "
+        "-1.1832478270074338, 'die2|5': 0.5465403209870032})"
     ),
     "dice_point": (
         "SearchReport(best_params={'2|1,1': 5}, best_utility=9.375278407684164, "
@@ -358,8 +365,8 @@ GOLDEN_REPORTS = {
         "10.076209853191632), (9, 9.304252955930588), (13, 8.887047575413586), (14, "
         "8.656814755380463), (19, 8.546053800260198), (58, 8.24731818826503), (86, "
         "8.11478747443636), (99, 8.007706028199117)), evaluations=100, cell_mean_fe={'die1': "
-        "0.4223110058000093, 'die2|1': 0.8958797346140274, 'die2|2': 1.5066590855132544, "
-        "'die2|3': 1.257684293926698, 'die2|4': 1.5775692842730027, 'die2|5': 1.342844795483794})"
+        "0.4223110058000093, 'die2|1': 0.0, 'die2|2': 1.2215587017984544, 'die2|3': "
+        "0.7236091186253434, 'die2|4': 1.3633790993179513, 'die2|5': 0.8939301217395336})"
     ),
     "expr3": (
         "SearchReport(best_params={'prod@elr': [-0.05712977231215011, -0.42177986674623297], "
@@ -483,9 +490,11 @@ def test_incremental_search_matches_full_reevaluation(
 
 
 def _runs_per_evaluation(family: LoggingFamily, evaluations: int) -> list[int]:
-    marks = [calls for _, calls in family.binds[:evaluations]]
-    end = family.binds[evaluations][1] if len(family.binds) > evaluations else family.model.calls
-    return [b - a for a, b in zip(marks, marks[1:] + [end])]
+    # One bind per evaluation and no runs after the last one: the cell
+    # profile comes from the records.
+    assert len(family.binds) == evaluations
+    marks = [calls for _, calls in family.binds]
+    return [b - a for a, b in zip(marks, marks[1:] + [family.model.calls])]
 
 
 @pytest.mark.parametrize(
