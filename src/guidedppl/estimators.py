@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -165,24 +165,15 @@ class BatchStats:
     hypothesis: np.ndarray
 
 
-class TraceSummary(NamedTuple):
-    """What a batch keeps of one trace: one row of `BatchStats`."""
-
-    events: int
-    accepted: bool
-    fe: float  # NaN for rejected runs
-    weight_evidence: float
-    weight_hyp_evidence: float
-    hypothesis: float
-
-
-_REJECTED_FE = float("nan")
+# One trace's row of a batch: (events, accepted, fe, weight_evidence,
+# weight_hyp_evidence, hypothesis), with the BatchStats field meanings.
+TraceSummary = tuple[int, bool, float, float, float, float]
 
 
 def summarize_trace(t: Trace) -> TraceSummary:
     """The batch row of one trace; rejected runs weigh zero."""
     if t.status is RunStatus.COMPLETED:
-        return TraceSummary(
+        return (
             t.n_events,
             True,
             t.fe_total,
@@ -190,20 +181,29 @@ def summarize_trace(t: Trace) -> TraceSummary:
             importance_weight(t, hypothesis_evidence_functional).weight,
             t.hypothesis,
         )
-    return TraceSummary(t.n_events, False, _REJECTED_FE, 0.0, 0.0, 0.0)
+    return (t.n_events, False, math.nan, 0.0, 0.0, 0.0)
 
 
-def stats_from_summaries(seeds, rows: Sequence[TraceSummary]) -> BatchStats:
-    """Stack per-trace rows, in seed order, into batch arrays."""
-    return BatchStats(
-        np.asarray(seeds, dtype=np.uint64),
-        np.array([r.accepted for r in rows], dtype=bool),
-        np.array([r.fe for r in rows], dtype=float),
-        np.array([r.events for r in rows], dtype=np.int64),
-        np.array([r.weight_evidence for r in rows], dtype=float),
-        np.array([r.weight_hyp_evidence for r in rows], dtype=float),
-        np.array([r.hypothesis for r in rows], dtype=float),
-    )
+def stats_from_summaries(seeds, rows: Iterable[TraceSummary]) -> BatchStats:
+    """Write per-trace rows, one per seed in seed order, into batch
+    arrays; `rows` may be a generator, so no row outlives its trace."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    n = len(seeds)
+    accepted = np.zeros(n, dtype=bool)
+    fe = np.full(n, np.nan)
+    events = np.zeros(n, dtype=np.int64)
+    w_e = np.zeros(n)
+    w_he = np.zeros(n)
+    hyp = np.zeros(n)
+    for i, (n_events, ok, run_fe, we, whe, h) in enumerate(rows):
+        events[i] = n_events
+        if ok:
+            accepted[i] = True
+            fe[i] = run_fe
+            w_e[i] = we
+            w_he[i] = whe
+            hyp[i] = h
+    return BatchStats(seeds, accepted, fe, events, w_e, w_he, hyp)
 
 
 def batch_stats(
@@ -214,7 +214,7 @@ def batch_stats(
 ) -> BatchStats:
     """Run one trace per seed and summarize; traces are not retained."""
     seeds = np.asarray(seeds, dtype=np.uint64)
-    rows = [summarize_trace(run_trace(model, guide, int(s), max_events=max_events)) for s in seeds]
+    rows = (summarize_trace(run_trace(model, guide, int(s), max_events=max_events)) for s in seeds)
     return stats_from_summaries(seeds, rows)
 
 

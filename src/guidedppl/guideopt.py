@@ -17,7 +17,9 @@ events (choose + evidence calls) so that utilities are machine
 independent.  `optimize_guide` is stochastic hill climbing over single
 cells with common random numbers: every candidate is evaluated on the
 same fixed seed set, so two evaluations differ only through the guides'
-distributions and comparisons are repeatable.
+distributions and comparisons are repeatable.  A candidate differs from
+the incumbent in one cell, so only the runs that read that cell are run
+again.
 """
 
 from __future__ import annotations
@@ -231,7 +233,7 @@ def _run_all(model: ModelProgram, guide: Guide, seeds, max_events: int) -> list[
         row = summarize_trace(t)
         lookups = guide.lookups  # begin() started a fresh list for this run
         fes: tuple[float, ...] = ()
-        if row.accepted:
+        if t.completed:
             choose_fe = [e.fe for e in t.per_event_fe if e.kind == "choose"]
             fes = tuple(choose_fe[i] for i, _ in lookups)
         runs.append(_Run(row, tuple(key for _, key in lookups), fes))
@@ -240,7 +242,7 @@ def _run_all(model: ModelProgram, guide: Guide, seeds, max_events: int) -> list[
 
 def _utility(seeds: np.ndarray, runs: Sequence[_Run], cfg: UtilityConfig) -> float:
     """Fold seed-ordered runs into U; +inf when no run is accepted."""
-    stats = stats_from_summaries(seeds, [r.row for r in runs])
+    stats = stats_from_summaries(seeds, (r.row for r in runs))
     try:
         est = estimate_from_batch(stats)
     except NoAcceptedRunsError:
@@ -314,10 +316,12 @@ def optimize_guide(
 
     Evaluation is incremental.  The family's bound guides must propose
     at a site from the site and that site's cell alone, so a run is a
-    function of its seed and the cells it looks up.  A candidate differs
-    from the incumbent in one cell, so only the CRN runs that looked up
-    that cell are run again; the others keep their recorded rows, and
-    the utility is folded from all n rows in seed order.
+    function of its seed and the cells it looks up; they list a run's
+    lookups in `lookups` (cleared by `begin`) and each key's first prior
+    in `visited`.  A candidate differs from the incumbent in one cell, so
+    only the CRN runs that looked up that cell are run again; the others
+    keep their recorded rows, and the utility is folded from all n rows
+    in seed order.
     """
     if budget < 1:
         raise ValueError("need at least one evaluation")
