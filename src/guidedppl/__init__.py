@@ -59,7 +59,6 @@ from .estimators import (
 from .enumeration import (
     ConditioningOnNullError,
     EnumerationCapError,
-    ExactGuideReport,
     ExtraChoicesUnsupportedError,
     GuidedSamplingProfile,
     PathEntry,

@@ -292,19 +292,21 @@ def _bound_dict(b) -> dict:
 
 def _cmd_bound(args, notes: list) -> dict:
     den_stats = _collect_stats(args, stream=2 if args.hypothesis else 0)
-    results = {"evidence_bound": _bound_dict(lower_confidence_bound(den_stats.weight_evidence, args.delta))}
-    if args.hypothesis:
-        num_stats = _collect_stats(args, stream=1, guide_name=args.guide_num or args.guide)
-        est = hypothesis_estimate_from_stats(num_stats, den_stats, args.delta)
-        notes.append("ratio_of_bounds is an estimate of the conditional expectation, not a bound")
-        results["hypothesis"] = {
+    if not args.hypothesis:
+        return {"evidence_bound": _bound_dict(lower_confidence_bound(den_stats.weight_evidence, args.delta))}
+    num_stats = _collect_stats(args, stream=1, guide_name=args.guide_num or args.guide)
+    est = hypothesis_estimate_from_stats(num_stats, den_stats, args.delta)
+    notes.append("ratio_of_bounds is an estimate of the conditional expectation, not a bound")
+    return {
+        "evidence_bound": _bound_dict(est.denominator_bound),
+        "hypothesis": {
             "numerator_bound": _bound_dict(est.numerator_bound),
             "denominator_bound": _bound_dict(est.denominator_bound),
             "ratio_of_bounds": est.ratio_of_bounds,
             "self_normalized": est.self_normalized,
             "self_normalized_se": est.self_normalized_se,
-        }
-    return results
+        },
+    }
 
 
 def _cmd_optimize(args) -> dict:
@@ -388,7 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, default=1000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--ceiling", type=float, default=None)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="processes to split the seeds across (run and bound only; "
+                            "oracle, optimize and trace run in one process)")
         p.add_argument("--depth-cap", dest="depth_cap", type=int, default=3)
         p.add_argument("--alphabet", type=int, default=2)
         p.add_argument("--length", type=int, default=12)

@@ -79,13 +79,11 @@ class _Node:
 
 @dataclass(slots=True)
 class PathEnumeration:
-    """Every terminating execution path of a model, with caps used, and
-    the prefix tree of its execution."""
+    """Every terminating execution path of a model and the prefix tree of
+    its execution."""
 
     model: Callable[[ModelContext], None]
     entries: tuple[PathEntry, ...]
-    max_paths: int
-    max_events: int
     root: Union[_Node, _Leaf]
 
     def prior_mass(self) -> float:
@@ -188,7 +186,7 @@ def enumerate_paths(
             raise EnumerationCapError(
                 f"more than {max_paths} paths; model too large for exact treatment"
             )
-    return PathEnumeration(model, tuple(entries), max_paths, max_events, top[0])
+    return PathEnumeration(model, tuple(entries), top[0])
 
 
 def exact_evidence(pe: PathEnumeration) -> float:
@@ -267,20 +265,14 @@ def guided_paths(pe: PathEnumeration, guide: Guide) -> Iterator[tuple[PathEntry,
         yield entry, log_guide
 
 
-@dataclass(frozen=True, slots=True)
-class ExactGuideReport:
-    free_energy: float  # nats; +inf when G reaches zero-prior or zero-evidence paths
-    kl: float  # D(G_x || P_x|e) = free_energy + log P(e)
-
-
-def exact_free_energy(pe: PathEnumeration, guide: Guide) -> ExactGuideReport:
-    """Exact F(G) = sum over G-reachable paths of G(x) (log(G(x)/P(x)) - log P(e|x)).
+def exact_free_energy(pe: PathEnumeration, guide: Guide) -> GuidedSamplingProfile:
+    """Exact F(G) = sum over G-reachable paths of G(x) (log(G(x)/P(x)) - log P(e|x)),
+    read from the profile's `free_energy` and `kl` fields.
 
     Without rejection this is +inf whenever the guide gives positive mass
     to a prior-impossible value or to a path with zero evidence.
     """
-    profile = exact_guided_profile(pe, guide)
-    return ExactGuideReport(profile.free_energy, profile.kl)
+    return exact_guided_profile(pe, guide)
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,8 +282,8 @@ class GuidedSamplingProfile:
     acceptance_rate: float  # A(G): G-mass of runs that are never rejected
     adjusted_fe: float  # E[fe | accepted] - log A(G)
     mean_events_per_run: float  # expected choose+evidence events, truncation included
-    free_energy: float  # unrejected F(G), as exact_free_energy
-    kl: float
+    free_energy: float  # unrejected F(G); +inf when G reaches zero-prior or zero-evidence paths
+    kl: float  # D(G_x || P_x|e) = free_energy + log P(e)
 
 
 def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingProfile:

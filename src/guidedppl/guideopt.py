@@ -1,12 +1,14 @@
 """Parameterized guide families and utility-driven guide search.
 
 A guide family maps choice sites to table cells through a `site_key`
-function; each cell holds unnormalized logits over the site's prior
-support.  The bound guide blends the softmax of the cell with the prior
-(`mixing` weight toward the prior keeps every prior-possible value
-reachable), and unknown cells fall back to the prior unchanged.  Sites
-can also be structurally forced to a computed value, which removes them
-from the search space.
+function and binds a parameter table (cell key -> cell) to a
+`TableGuide`.  The family turns a site's prior and its cell into the
+proposal: a tabular cell holds unnormalized logits over the prior's
+support, and the bound guide blends their softmax with the prior (a
+fixed `MIXING` weight toward the prior keeps every prior-possible value
+reachable; unknown cells fall back to the prior unchanged); a point cell
+holds the single value to propose.  Sites can also be structurally
+forced to a computed value, which removes them from the search space.
 
 Guides are scored by
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, ClassVar, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -49,20 +51,18 @@ from .runtime import (
 
 SiteKey = Callable[[int, Optional[str], tuple[Value, ...]], str]
 
+MIXING = 0.01  # weight of the prior in every tabular proposal
+
 
 @dataclass(frozen=True, slots=True)
 class UtilityConfig:
-    """Impatience constant k and the unit in which sampling cost is
-    measured (only abstract runtime events are supported)."""
+    """Impatience constant k; sampling cost is counted in runtime events."""
 
     k: float = 0.0
-    time_unit: str = "events"
 
     def __post_init__(self):
         if self.k < 0.0:
             raise ValueError("impatience constant k must be nonnegative")
-        if self.time_unit != "events":
-            raise ValueError(f"unsupported time unit {self.time_unit!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,17 +81,23 @@ def _softmax(logits: Sequence[float]) -> list[float]:
     return [e / total for e in exps]
 
 
-class TabularGuide(Guide):
-    """A guide family bound to a concrete parameter table."""
+class TableGuide(Guide):
+    """A guide family bound to a concrete parameter table.
 
-    def __init__(self, family: "TabularGuideFamily", params: Mapping[str, Sequence[float]]):
+    A proposal depends only on the site's prior and its cell, so each
+    key's distribution is cached with the prior it was built for.  The
+    guide lists a run's `(site index, key)` lookups in `lookups` (cleared
+    by `begin`; forced sites read no cell) and keeps each key's first
+    prior in `visited`, which `optimize_guide` needs."""
+
+    def __init__(self, family, params: Mapping):
         self.family = family
         self.params = dict(params)
         self.ceiling = family.ceiling
-        self.visited: dict[str, Dist] = {}  # site key -> prior, for discovery
-        self.lookups: list[tuple[int, str]] = []  # (site index, site key), this run
-        self._dist_cache: dict[str, tuple[Dist, Dist]] = {}
-        self._point_cache: dict[Value, Dist] = {}
+        self.visited: dict[str, Dist] = {}
+        self.lookups: list[tuple[int, str]] = []
+        self._cache: dict[str, tuple[Dist, Optional[Dist]]] = {}
+        self._forced: dict[Value, Dist] = {}
 
     def begin(self, ctx) -> None:
         self.lookups = []
@@ -101,57 +107,47 @@ class TabularGuide(Guide):
         if family.force is not None:
             forced = family.force(site)
             if forced is not None:
-                d = self._point_cache.get(forced)
+                d = self._forced.get(forced)
                 if d is None:
-                    d = point_mass(forced)
-                    self._point_cache[forced] = d
+                    d = self._forced[forced] = point_mass(forced)
                 return d
         key = family.site_key(site.index, site.label, site.history)
+        prior = site.prior
         if key not in self.visited:
-            self.visited[key] = site.prior
+            self.visited[key] = prior
         self.lookups.append((site.index, key))
-        logits = self.params.get(key)
-        if logits is None:
-            return None  # unknown cell: keep the prior
-        cached = self._dist_cache.get(key)
-        if cached is not None and (cached[0] is site.prior or cached[0] == site.prior):
+        cached = self._cache.get(key)
+        if cached is not None and (cached[0] is prior or cached[0] == prior):
             return cached[1]
-        d = self._mixed(site.prior, logits)
-        self._dist_cache[key] = (site.prior, d)
+        d = family.cell_dist(prior, self.params.get(key))
+        self._cache[key] = (prior, d)
         return d
-
-    def _mixed(self, prior: Dist, logits: Sequence[float]) -> Dist:
-        if len(logits) != len(prior):
-            raise ValueError(
-                f"cell has {len(logits)} logits for a support of {len(prior)}"
-            )
-        mix = self.family.mixing
-        soft = _softmax(logits)
-        masses = [mix * pm + (1.0 - mix) * sm for pm, sm in zip(prior.masses, soft)]
-        return Dist(prior.values, masses)
 
 
 @dataclass
 class TabularGuideFamily:
     """Softmax tables over prior supports, keyed by choice site.
 
-    `mixing` blends each table cell toward the prior, guaranteeing
-    absolute continuity with respect to the prior while still allowing
-    near-point-mass cells.  `force` (optional) returns a value to pin a
-    site to, or None to leave the site to the table.
+    Each cell is blended toward the prior with weight `MIXING`,
+    guaranteeing absolute continuity with respect to the prior while
+    still allowing near-point-mass cells.  `force` (optional) returns a
+    value to pin a site to, or None to leave the site to the table.
     """
 
     site_key: SiteKey
-    mixing: float = 0.01
     ceiling: Optional[float] = None
     force: Optional[Callable[[ChoiceSite], Optional[Value]]] = None
 
-    def __post_init__(self):
-        if not 0.0 <= self.mixing <= 1.0:
-            raise ValueError("mixing must be in [0, 1]")
+    def bind(self, params: Mapping[str, Sequence[float]]) -> TableGuide:
+        return TableGuide(self, params)
 
-    def bind(self, params: Mapping[str, Sequence[float]]) -> TabularGuide:
-        return TabularGuide(self, params)
+    def cell_dist(self, prior: Dist, cell: Optional[Sequence[float]]) -> Optional[Dist]:
+        if cell is None:
+            return None  # unknown cell: keep the prior
+        if len(cell) != len(prior):
+            raise ValueError(f"cell has {len(cell)} logits for a support of {len(prior)}")
+        soft = _softmax(cell)
+        return Dist(prior.values, [MIXING * pm + (1.0 - MIXING) * sm for pm, sm in zip(prior.masses, soft)])
 
     def cell_init(self, prior: Dist) -> list[float]:
         # Log-prior logits make the initial cell reproduce the prior
@@ -164,39 +160,10 @@ class TabularGuideFamily:
         return [c + z for c, z in zip(cell, noise)]
 
 
-class PointGuide(Guide):
-    """Single-point distributions at every site: the table's value where
-    set, the prior's highest-mass value otherwise."""
-
-    def __init__(self, family: "PointGuideFamily", params: Mapping[str, Value]):
-        self.family = family
-        self.params = dict(params)
-        self.ceiling = family.ceiling
-        self.visited: dict[str, Dist] = {}
-        self.lookups: list[tuple[int, str]] = []
-        self._point_cache: dict[Value, Dist] = {}
-
-    def begin(self, ctx) -> None:
-        self.lookups = []
-
-    def propose(self, site: ChoiceSite) -> Optional[Dist]:
-        key = self.family.site_key(site.index, site.label, site.history)
-        if key not in self.visited:
-            self.visited[key] = site.prior
-        self.lookups.append((site.index, key))
-        v = self.params.get(key)
-        if v is None:
-            v = self.family.cell_init(site.prior)
-        d = self._point_cache.get(v)
-        if d is None:
-            d = point_mass(v)
-            self._point_cache[v] = d
-        return d
-
-
 @dataclass
 class PointGuideFamily:
-    """Deterministic guides: exactly one value per site, so every run
+    """Deterministic guides: exactly one value per site (the table's value
+    where set, the prior's highest-mass value otherwise), so every run
     follows a single path.  Searching this family degenerates into
     maximum-likelihood search for one execution path; pair it with a
     ceiling so paths that kill the evidence are rejected rather than
@@ -204,9 +171,13 @@ class PointGuideFamily:
 
     site_key: SiteKey
     ceiling: Optional[float] = None
+    force: ClassVar[None] = None
 
-    def bind(self, params: Mapping[str, Value]) -> PointGuide:
-        return PointGuide(self, params)
+    def bind(self, params: Mapping[str, Value]) -> TableGuide:
+        return TableGuide(self, params)
+
+    def cell_dist(self, prior: Dist, cell: Optional[Value]) -> Dist:
+        return point_mass(self.cell_init(prior) if cell is None else cell)
 
     def cell_init(self, prior: Dist) -> Value:
         i = max(range(len(prior)), key=lambda j: prior.masses[j])
@@ -234,8 +205,7 @@ def _run_all(model: ModelProgram, guide: Guide, seeds, max_events: int) -> list[
         lookups = guide.lookups  # begin() started a fresh list for this run
         fes: tuple[float, ...] = ()
         if t.completed:
-            choose_fe = [e.fe for e in t.per_event_fe if e.kind == "choose"]
-            fes = tuple(choose_fe[i] for i, _ in lookups)
+            fes = tuple(t.choices[i].log_guide - t.choices[i].log_prior for i, _ in lookups)
         runs.append(_Run(row, tuple(key for _, key in lookups), fes))
     return runs
 
@@ -314,11 +284,11 @@ def optimize_guide(
     proposals resets the climb to the initial table (the best accepted
     table is kept).
 
-    Evaluation is incremental.  The family's bound guides must propose
-    at a site from the site and that site's cell alone, so a run is a
-    function of its seed and the cells it looks up; they list a run's
-    lookups in `lookups` (cleared by `begin`) and each key's first prior
-    in `visited`.  A candidate differs from the incumbent in one cell, so
+    Evaluation is incremental.  The family binds tables to `TableGuide`s,
+    which propose at a site from the site's prior and cell alone, so a
+    run is a function of its seed and the cells it looks up; the guide
+    lists a run's lookups in `lookups` and each key's first prior in
+    `visited`.  A candidate differs from the incumbent in one cell, so
     only the CRN runs that looked up that cell are run again; the others
     keep their recorded rows, and the utility is folded from all n rows
     in seed order.

@@ -71,10 +71,10 @@ def _dice_force(site: ChoiceSite):
     return None
 
 
-def dice_tabular_family(mixing: float = 0.01, ceiling: Optional[float] = 30.0) -> TabularGuideFamily:
+def dice_tabular_family(ceiling: Optional[float] = 30.0) -> TabularGuideFamily:
     """Learnable tables for die1 and die2 (keyed on die1); die3 is forced
     to complete the sum, so bad prefixes are rejected by the ceiling."""
-    return TabularGuideFamily(dice_site_key, mixing=mixing, ceiling=ceiling, force=_dice_force)
+    return TabularGuideFamily(dice_site_key, ceiling=ceiling, force=_dice_force)
 
 
 def dice_point_family(ceiling: Optional[float] = 30.0) -> PointGuideFamily:
@@ -277,10 +277,10 @@ def expr_site_key(index: int, label: Optional[str], history: tuple) -> str:
     return label or f"site{index}"
 
 
-def expr_tabular_family(mixing: float = 0.01, ceiling: Optional[float] = 100.0) -> TabularGuideFamily:
+def expr_tabular_family(ceiling: Optional[float] = 100.0) -> TabularGuideFamily:
     """Tables keyed by tree position (the choice label), so the guide
     learns position-wise production and constant tables."""
-    return TabularGuideFamily(expr_site_key, mixing=mixing, ceiling=ceiling)
+    return TabularGuideFamily(expr_site_key, ceiling=ceiling)
 
 
 # ---------------------------------------------------------------------------

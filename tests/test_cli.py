@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from guidedppl import PriorGuide, batch_stats, derive_seeds, lower_confidence_bound
 from guidedppl.cli import main
+from guidedppl.models import three_dice
 
 from helpers import DICE_FE_TARGET
 
@@ -114,6 +116,30 @@ class TestBoundCommand:
         assert h["ratio_of_bounds"] == pytest.approx(1 / 15, abs=1e-9)
         assert abs(h["self_normalized"] - 1 / 15) < 0.05
         assert any("estimate" in note for note in doc["stderr_notes"])
+
+    def test_hypothesis_evidence_bound_is_the_denominator_bound(self, capsys):
+        # With --hypothesis the evidence bound comes from the denominator
+        # runs (seed stream 2) and equals the hypothesis' denominator bound.
+        code, doc = invoke_json(
+            capsys, "bound", "--model", "three_dice", "--guide", "prior_reject",
+            "--guide-num", "die1_is_5", "--n", "3000", "--delta", "0.1",
+            "--seed", "4", "--hypothesis",
+        )
+        assert code == 0
+        stats = batch_stats(three_dice, PriorGuide(ceiling=500.0), derive_seeds(4, 3000, stream=2))
+        want = lower_confidence_bound(stats.weight_evidence, 0.1)
+        got = doc["results"]["evidence_bound"]
+        assert got == doc["results"]["hypothesis"]["denominator_bound"]
+        assert (got["bound"], got["sample_mean"], got["sample_se"]) == (want.bound, want.sample_mean, want.sample_se)
+
+    def test_bad_delta_with_hypothesis_is_structured_error(self, capsys):
+        code, doc = invoke_json(
+            capsys, "bound", "--model", "three_dice", "--guide", "prior",
+            "--n", "50", "--delta", "1.5", "--seed", "1", "--hypothesis",
+        )
+        assert code == 1
+        assert doc["error"] == {"type": "ValueError", "message": "delta must be in (0,1), got 1.5"}
+        assert "results" not in doc
 
     def test_undefined_ratio_is_structured_error(self, capsys):
         code, doc = invoke_json(

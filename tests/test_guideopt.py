@@ -43,10 +43,6 @@ class TestUtilityConfig:
         with pytest.raises(ValueError):
             UtilityConfig(k=-1.0)
 
-    def test_unknown_time_unit_rejected(self):
-        with pytest.raises(ValueError):
-            UtilityConfig(k=0.0, time_unit="seconds")
-
 
 class TestGuideUtility:
     def test_k_zero_equals_adjusted_fe(self):
@@ -466,6 +462,7 @@ def _history_key(index, label, history):
 @settings(max_examples=20, deadline=None)
 @given(
     structure_seed=st.integers(0, 10_000),
+    kind=st.sampled_from([TabularGuideFamily, PointGuideFamily]),
     keyed_by=st.sampled_from(["label", "history"]),
     ceiling=st.sampled_from([None, 2.5]),
     k=st.sampled_from([0.0, 0.1]),
@@ -476,17 +473,43 @@ def _history_key(index, label, history):
     seed=st.integers(0, 2**31),
 )
 def test_incremental_search_matches_full_reevaluation(
-    structure_seed, keyed_by, ceiling, k, accept_margin, restart_after, budget, n, seed
+    structure_seed, kind, keyed_by, ceiling, k, accept_margin, restart_after, budget, n, seed
 ):
-    # Label keys share a cell between sites whose priors differ in support
-    # size, so some runs crash; history keys give every prefix its own cell.
+    # Label keys share a cell between sites whose priors differ, so a
+    # guide's per-key cache must rebuild a key's proposal when the prior
+    # changes; tabular cells then crash on a support of another size, and
+    # point cells may leave the prior's support.  History keys give every
+    # prefix its own cell.
     model = make_hashed_model(structure_seed)
     site_key = _label_key if keyed_by == "label" else _history_key
-    family = TabularGuideFamily(site_key, ceiling=ceiling)
+    family = kind(site_key, ceiling=ceiling)
     kwargs = dict(budget=budget, seed=seed, n=n, accept_margin=accept_margin, restart_after=restart_after)
     got = optimize_guide(model, family, UtilityConfig(k=k), **kwargs)
     want = _reference_search(model, family, UtilityConfig(k=k), **kwargs)
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        (TabularGuideFamily(_label_key), {"s1": [0.5, -1.0, 2.0], "s2": [1.0, 0.0, -0.5], "s3": [0.0, 3.0, 1.0]}),
+        # A point guide follows one path, so its sites share one key.
+        (PointGuideFamily(lambda index, label, history: "all"), {}),
+    ],
+)
+def test_cached_proposals_follow_the_site_prior(family, params):
+    # The key is shared by sites whose priors differ; a guide reused
+    # across runs must rebuild a key's proposal for each new prior.
+    # Tabular cells of the wrong size crash the run at that site.
+    model = make_hashed_model(7)
+    guide = family.bind(params)
+    checked = 0
+    for s in range(40):
+        for c in run_trace(model, guide, s).choices:
+            want = family.cell_dist(c.prior, params.get(family.site_key(c.index, c.label, ())))
+            assert c.guide == (c.prior if want is None else want)
+            checked += want is not None
+    assert checked >= 30
 
 
 def _runs_per_evaluation(family: LoggingFamily, evaluations: int) -> list[int]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -5,16 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guidedppl import (
+    ChoiceRecord,
+    Dist,
+    ExtraChoiceRecord,
     FunctionGuide,
     Guide,
     PriorGuide,
     RunStatus,
+    Trace,
     dist_from_weights,
     point_mass,
     run_trace,
     uniform_range,
 )
-from guidedppl.models import DicePosteriorGuide, three_dice
+from guidedppl.models import MODELS, DicePosteriorGuide, dice_point_family, three_dice
 
 from helpers import (
     crash_on_three_model,
@@ -275,3 +280,78 @@ def test_replay_determinism_and_bookkeeping(structure_seed, trace_seed):
 def test_null_guide_identity_on_random_models(structure_seed):
     t = run_trace(make_hashed_model(structure_seed), PriorGuide(), 17)
     assert t.log_guide_total == t.log_prior_total
+
+
+def _canon(x):
+    """A structure whose repr is exact for every trace field: floats by
+    repr, `Dist` by its support and masses (its own repr rounds), and an
+    extra choice's deferred conditional left out (a function object)."""
+    if isinstance(x, Dist):
+        return ("Dist", x.values, x.masses)
+    if isinstance(x, ExtraChoiceRecord):
+        return tuple(_canon(getattr(x, f)) for f in x.__slots__ if f != "conditional")
+    if isinstance(x, (ChoiceRecord, Trace)):
+        return tuple(_canon(getattr(x, f)) for f in x.__slots__)
+    if isinstance(x, tuple):
+        return tuple(_canon(v) for v in x)
+    return x
+
+
+def _trace_digest(model, guide, seeds) -> str:
+    h = hashlib.sha256()
+    for s in seeds:
+        h.update(repr(_canon(run_trace(model, guide, s))).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+_DICE_TABLE = {
+    "die1": [0.5, -0.25, 1.0, -2.0, 0.0, 0.75],
+    "die2|2": [-1.0, 2.0, 0.0, 0.5, -0.5, 1.5],
+}
+_EXPR_TABLE = {
+    "prod@e": [1.0, -0.5, 0.25, -1.0],
+    "const@el": [0.0, 1.5, -1.0, 0.5, -0.25, 2.0, -2.0, 0.75, 1.0, -0.5],
+}
+
+
+def _golden_trace_configs():
+    configs = {}
+    for name, entry in MODELS.items():
+        for guide_name, factory in entry.guides.items():
+            configs[f"{name}/{guide_name}"] = (entry.build(), lambda f=factory: f())
+    for name, table in (("three_dice", _DICE_TABLE), ("expr", _EXPR_TABLE)):
+        entry = MODELS[name]
+        configs[f"{name}/tabular_empty"] = (entry.build(), lambda e=entry: e.family().bind({}))
+        configs[f"{name}/tabular_table"] = (entry.build(), lambda e=entry, t=table: e.family().bind(t))
+    configs["three_dice/point_empty"] = (three_dice, lambda: dice_point_family().bind({}))
+    configs["three_dice/point_table"] = (three_dice, lambda: dice_point_family().bind({"0|": 2, "1|2": 4}))
+    return configs
+
+
+GOLDEN_TRACE_SEEDS = range(40)
+
+# SHA-256 of the repr-exact fields of the traces for seeds 0..39, one
+# bound guide reused across the seeds; recorded before `TabularGuide` and
+# `PointGuide` were merged into one bound table guide.
+GOLDEN_TRACE_DIGESTS = {
+    "expr/prior": "3390d59bee5e29b3ed4f935293cba5e2260513412fcd0dd0e4ba25f7c610c281",
+    "expr/tabular_empty": "b46f96d63aac2e7fd725d1642867df63e40defc040d6ceca73fc314300e84f85",
+    "expr/tabular_table": "978881d19c95ac15ba38989e47e13414b83c900acc9a3378e5e82ba3ca523ccc",
+    "monkey/pattern_insert": "b94c37281169385d2eab8d44a9028ed71df6b8de5c8350775b038e16807648a9",
+    "monkey/prior": "e7c64ca96487afa6f8ef7819a7b093c6f105e74c37913ea5c7fe4cd4ef7c2c87",
+    "three_dice/die1_is_5": "c9cc7302e282c2f721bb9a33dba0967f172db444c911f1f75c5479c0e011fbaf",
+    "three_dice/point_empty": "f561c94da94b61f6a965f46c86dcadbdf9607d745244fb7ba932b51f804a46c4",
+    "three_dice/point_table": "ce5350f023420603667bffc0ee3306e4d2965a087a95d6343e76f69c10928072",
+    "three_dice/posterior": "a89ffe4d9d4cbddbce111767131ea67cae714681bb5b3fa228b444bdef656a2c",
+    "three_dice/prior": "1433727feafdc6cf69c7c698c113e9339b2492f40b24957da4ef6f25dd75341f",
+    "three_dice/prior_reject": "a30837334ef868e2380a70c6257341d4edf7625cede1fff4c0f45a92c732b37d",
+    "three_dice/tabular_empty": "f627ac92b034565ceae236d72acc48c5997dfeb4cd7662caa34f0426ed4bfd35",
+    "three_dice/tabular_table": "df27fa9ac6c6c1dc9c030816c81789d250108f4dbffdb909c7ce6232601aef7a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_golden_trace_configs()))
+def test_golden_traces(name):
+    model, make_guide = _golden_trace_configs()[name]
+    assert _trace_digest(model, make_guide(), GOLDEN_TRACE_SEEDS) == GOLDEN_TRACE_DIGESTS[name]
