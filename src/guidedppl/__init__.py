@@ -58,6 +58,7 @@ from .estimators import (
 )
 from .enumeration import (
     ConditioningOnNullError,
+    CrashEntry,
     EnumerationCapError,
     ExtraChoicesUnsupportedError,
     GuidedSamplingProfile,

@@ -41,6 +41,7 @@ from .estimators import (
     UndefinedRatioError,
     WeightError,
     batch_stats,
+    check_delta,
     estimate_from_batch,
     hypothesis_estimate_from_stats,
     lower_confidence_bound,
@@ -258,7 +259,7 @@ def _cmd_oracle(args) -> dict:
     entry, model = build_model(args.model, cfg)
     pe = enumerate_paths(model, max_paths=args.max_paths, max_events=args.max_events)
     evidence = exact_evidence(pe)
-    results: dict = {"paths": len(pe.entries), "evidence": evidence}
+    results: dict = {"paths": len(pe.entries), "evidence": evidence, "crash_mass": pe.crash_mass()}
     if evidence > 0.0:
         results["conditional_h"] = exact_conditional_expectation(pe)
     else:
@@ -291,6 +292,7 @@ def _bound_dict(b) -> dict:
 
 
 def _cmd_bound(args, notes: list) -> dict:
+    check_delta(args.delta)
     den_stats = _collect_stats(args, stream=2 if args.hypothesis else 0)
     if not args.hypothesis:
         return {"evidence_bound": _bound_dict(lower_confidence_bound(den_stats.weight_evidence, args.delta))}

@@ -10,6 +10,16 @@ child per prior value; a leaf holds its trailing log evidence and the
 path's `PathEntry`.  This needs nothing from the host language beyond
 the determinism contract the runtime already imposes.
 
+Each run goes through the runtime's context core (`ModelContext`) with
+replay as its value policy.  A run that crashes after its forced prefix
+ends in a *crash leaf* (`CrashEntry`, in `PathEnumeration.crashes`; its
+prior mass is `crash_mass()`) with the reason and event count that
+`run_trace` reports there.  Evidence and conditional expectations sum
+over completed paths.  These still raise: the event cap, a model that is
+not deterministic on replay (fewer choices, a forced value outside the
+prior's support, or a crash before the forced prefix is replayed), and
+guide exceptions.
+
 Guides are scored without running the model again: one depth-first walk
 of the tree calls ``guide.begin`` once, then ``guide.propose`` once at
 each site the guide can reach, and carries log G(x), the running free
@@ -23,10 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
-from .dists import Dist, Value, NEG_INF, log_nonneg
-from .runtime import ChoiceSite, Guide, ModelContext, finite_nonneg
+from .dists import Dist, Value, NEG_INF
+from .runtime import ChoiceSite, Guide, GuideContext, ModelContext, ModelProgram, _EventCapError, crash_reason
 
 DEFAULT_MAX_PATHS = 1_000_000
 DEFAULT_MAX_EVENTS = 10_000
@@ -53,144 +63,138 @@ class PathEntry:
     n_events: int  # choose + evidence calls on this path
 
 
+@dataclass(frozen=True, slots=True)
+class CrashEntry:
+    """A path on which the model crashed, as `run_trace` reports it."""
+
+    choices: tuple[Value, ...]  # the values chosen before the crash
+    log_prior: float
+    n_events: int  # choose + evidence calls before the crash
+    reason: str
+
+
+@dataclass(slots=True, eq=False)
 class _Leaf:
-    __slots__ = ("log_evidence", "entry")
-
-    def __init__(self, log_evidence: tuple[float, ...], entry: PathEntry):
-        self.log_evidence = log_evidence  # evidence after the last choice
-        self.entry = entry
+    log_evidence: tuple[float, ...]  # evidence after the last choice
+    entry: Union[PathEntry, CrashEntry]
 
 
+@dataclass(slots=True, eq=False)
 class _Node:
     """A choice site: the log evidence declared since the parent choice,
     the site, and one child per prior value, in `_value_key` order."""
 
-    __slots__ = ("log_evidence", "index", "label", "prior", "history", "values", "children")
-
-    def __init__(self, log_evidence, index, label, prior, history, values):
-        self.log_evidence: tuple[float, ...] = log_evidence
-        self.index: int = index
-        self.label: Optional[str] = label
-        self.prior: Dist = prior
-        self.history: tuple[Value, ...] = history  # values chosen before this site
-        self.values: list[Value] = values
-        self.children: list[Union[_Node, _Leaf, None]] = [None] * len(values)
+    log_evidence: tuple[float, ...]
+    index: int
+    label: Optional[str]
+    prior: Dist
+    history: tuple[Value, ...]  # values chosen before this site
+    values: list[Value]
+    children: list[Union[_Node, _Leaf, None]]
 
 
 @dataclass(slots=True)
 class PathEnumeration:
-    """Every terminating execution path of a model and the prefix tree of
-    its execution."""
+    """Every terminating execution path of a model, the paths on which it
+    crashes, and the prefix tree of its execution."""
 
-    model: Callable[[ModelContext], None]
-    entries: tuple[PathEntry, ...]
+    model: ModelProgram
+    entries: tuple[PathEntry, ...]  # completed paths
+    crashes: tuple[CrashEntry, ...]
     root: Union[_Node, _Leaf]
 
     def prior_mass(self) -> float:
         return math.fsum(math.exp(e.log_prior) for e in self.entries)
 
-
-class _EventCap(Exception):
-    pass
+    def crash_mass(self) -> float:
+        return math.fsum(math.exp(c.log_prior) for c in self.crashes)
 
 
 def _value_key(v: Value):
     return (type(v).__name__, v)
 
 
-class _ForcedRun:
-    """Model context that replays a forced choice prefix, then grows the
-    tree to a new leaf: at each later site it adds a node, takes the first
-    sorted value and pushes the siblings' prefixes onto `stack`."""
+class _ForcedRun(ModelContext):
+    """Enumeration's value policy: replay a forced choice prefix, then grow
+    the tree to a new leaf: at each later site add a node, take the first
+    sorted value and push the siblings' prefixes onto `stack`."""
 
-    def __init__(self, forced: tuple[Value, ...], slot: tuple[list, int], stack: list, max_events: int):
+    def __init__(self, forced: tuple, log_prior: float, slot: tuple, stack: list, max_events: int):
+        super().__init__(max_events)
         self.choices = list(forced)
         self.n_forced = len(forced)
         self.pos = 0
-        self.log_prior = 0.0
-        self.log_evidence = 0.0
-        self.hypothesis = 1.0
-        self.n_events = 0
-        self.max_events = max_events
+        self.log_prior = log_prior  # of the forced prefix, summed in choice order as a replay would
         self.slot = slot  # (children list, index) the next new node or leaf fills
         self.stack = stack
         self.pending: list[float] = []  # log evidence since the last choice, past the forced prefix
 
-    def _bump(self):
-        self.n_events += 1
-        if self.n_events > self.max_events:
-            raise _EventCap()
-
-    def choose(self, prior: Dist, label: Optional[str] = None) -> Value:
-        self._bump()
-        if self.pos < self.n_forced:
-            v = self.choices[self.pos]
-        else:
-            history = tuple(self.choices)
-            values = sorted(prior.values, key=_value_key)
-            node = _Node(tuple(self.pending), self.pos, label, prior, history, values)
-            children, i = self.slot
-            children[i] = node
-            self.pending = []
-            for j in range(len(values) - 1, 0, -1):
-                self.stack.append((history + (values[j],), (node.children, j)))
-            self.slot = (node.children, 0)
-            v = values[0]
-            self.choices.append(v)
-        self.pos += 1
-        lp = prior.log_prob(v)
-        if lp == NEG_INF:
-            raise RuntimeError(
-                f"model is not deterministic: forced value {v!r} left the prior support"
-            )
-        self.log_prior += lp
+    def _take(self, prior: Dist, label: Optional[str]) -> Value:
+        pos = self.pos
+        if pos < self.n_forced:
+            v = self.choices[pos]
+            if prior.prob(v) == 0.0:
+                raise RuntimeError(f"forced value {v!r} left the prior support")
+            self.pos = pos + 1
+            return v
+        history = tuple(self.choices)
+        values = sorted(prior.values, key=_value_key)
+        node = _Node(tuple(self.pending), pos, label, prior, history, values, [None] * len(values))
+        children, i = self.slot
+        children[i] = node
+        self.pending = []
+        lp = self.log_prior
+        for j in range(len(values) - 1, 0, -1):
+            self.stack.append((history + (values[j],), lp + prior.log_prob(values[j]), (node.children, j)))
+        self.slot = (node.children, 0)
+        v = values[0]
+        self.choices.append(v)
+        self.pos = pos + 1
+        self.log_prior = lp + prior.log_prob(v)
         return v
 
-    def evidence(self, p) -> None:
-        self._bump()
-        lp = log_nonneg(finite_nonneg(p, "evidence({})"))
-        self.log_evidence += lp
+    def _observe(self, log_p: float) -> None:
         if self.pos >= self.n_forced:
-            self.pending.append(lp)
-
-    def set_hypothesis(self, v) -> None:
-        self.hypothesis = finite_nonneg(v, "hypothesis {}")
+            self.pending.append(log_p)
 
 
-def enumerate_paths(
-    model: Callable[[ModelContext], None],
-    max_paths: int = DEFAULT_MAX_PATHS,
-    max_events: int = DEFAULT_MAX_EVENTS,
-) -> PathEnumeration:
+def enumerate_paths(model: ModelProgram, max_paths: int = DEFAULT_MAX_PATHS,
+                    max_events: int = DEFAULT_MAX_EVENTS) -> PathEnumeration:
     """Depth-first enumeration of every terminating path, one model run
-    per path; entries are sorted by choice sequence."""
+    per path; entries and crash leaves are sorted by choice sequence.
+    See the module docstring for crash leaves and what raises."""
     entries: list[PathEntry] = []
+    crashes: list[CrashEntry] = []
     top: list = [None]
-    stack: list = [((), (top, 0))]
+    stack: list = [((), 0.0, (top, 0))]
     while stack:
-        prefix, slot = stack.pop()
-        run = _ForcedRun(prefix, slot, stack, max_events)
+        prefix, log_prior, slot = stack.pop()
+        run = _ForcedRun(prefix, log_prior, slot, stack, max_events)
         try:
-            model(run)  # type: ignore[arg-type]  # duck-typed ModelContext
-        except _EventCap:
+            model(run)
+        except _EventCapError:
             raise EnumerationCapError(
-                f"a path exceeded {max_events} events; model too large for exact treatment"
-            ) from None
-        if run.pos < run.n_forced:
-            raise RuntimeError("model is not deterministic: fewer choices on replay")
-        entry = PathEntry(tuple(run.choices), run.log_prior, run.log_evidence, run.hypothesis, run.n_events)
+                f"a path exceeded {max_events} events; model too large for exact treatment") from None
+        except Exception as exc:
+            if run.pos < run.n_forced:  # the run that set this prefix aside got past here
+                raise RuntimeError(
+                    f"model is not deterministic: {crash_reason(exc)}, replaying {prefix!r}") from exc
+            leaf = CrashEntry(tuple(run.choices), run.log_prior, run.n_events, crash_reason(exc))
+            crashes.append(leaf)
+        else:
+            if run.pos < run.n_forced:
+                raise RuntimeError("model is not deterministic: fewer choices on replay")
+            leaf = PathEntry(tuple(run.choices), run.log_prior, run.log_evidence, run.hypothesis, run.n_events)
+            entries.append(leaf)
         children, i = run.slot
-        children[i] = _Leaf(tuple(run.pending), entry)
-        entries.append(entry)
-        if len(entries) > max_paths:
-            raise EnumerationCapError(
-                f"more than {max_paths} paths; model too large for exact treatment"
-            )
-    return PathEnumeration(model, tuple(entries), top[0])
+        children[i] = _Leaf(tuple(run.pending), leaf)
+        if len(entries) + len(crashes) > max_paths:
+            raise EnumerationCapError(f"more than {max_paths} paths; model too large for exact treatment")
+    return PathEnumeration(model, tuple(entries), tuple(crashes), top[0])
 
 
 def exact_evidence(pe: PathEnumeration) -> float:
-    """P(e) = sum over paths of P(x) P(e|x)."""
+    """P(e) = sum over completed paths of P(x) P(e|x)."""
     return math.fsum(math.exp(e.log_prior + e.log_evidence) for e in pe.entries)
 
 
@@ -203,24 +207,22 @@ def exact_conditional_expectation(pe: PathEnumeration) -> float:
     return num / den
 
 
-class _NoExtraGuideContext:
-    def extra_choice(self, guide_dist, conditional):
-        raise ExtraChoicesUnsupportedError(
-            "exact evaluation does not support guides with extra choices"
-        )
+def _no_extra_choice(guide_dist, conditional):
+    raise ExtraChoicesUnsupportedError("exact evaluation does not support guides with extra choices")
 
 
 def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> Iterator[tuple]:
     """Depth-first walk of the tree under `guide`.
 
     Yields ``(entry, log_guide, fe, events_observed, rejected)`` for each
-    path G can sample, in entry order: fe is the running free energy, a
-    partial sum when the ceiling rejected the run, and events_observed
-    counts events up to the rejection.  Each site where G puts mass on a
-    prior-impossible value before any rejection appends (G-mass leaked
-    there, events executed when it leaks) to `leaks`.
+    leaf G can reach, completed path or crash, in choice order: fe is the
+    running free energy, a partial sum when the ceiling rejected the run,
+    and events_observed is the leaf's event count, or the count up to the
+    rejection.  Each site where G puts mass on a prior-impossible value
+    before any rejection appends (G-mass leaked there, events executed
+    when it leaks) to `leaks`.
     """
-    guide.begin(_NoExtraGuideContext())  # type: ignore[arg-type]
+    guide.begin(GuideContext(_no_extra_choice))
     ceiling = guide.ceiling
     # (node, log G of the prefix, fe, events, rejected, events at rejection)
     stack: list = [(pe.root, 0.0, 0.0, 0, False, None)]
@@ -234,7 +236,8 @@ def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> 
                     rejected = True
                     observed = events
         if type(node) is _Leaf:
-            yield node.entry, log_guide, fe, events if observed is None else observed, rejected
+            entry = node.entry
+            yield entry, log_guide, fe, entry.n_events if observed is None else observed, rejected
             continue
         prior = node.prior
         g = guide.propose(ChoiceSite(node.index, node.label, prior, node.history, ()))
@@ -260,18 +263,17 @@ def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> 
 
 
 def guided_paths(pe: PathEnumeration, guide: Guide) -> Iterator[tuple[PathEntry, float]]:
-    """Yield ``(entry, log G(x))`` for every path the guide can sample."""
+    """Yield ``(entry, log G(x))`` for every completed path the guide can sample."""
     for entry, log_guide, *_ in _walk(pe, guide, []):
-        yield entry, log_guide
+        if type(entry) is PathEntry:
+            yield entry, log_guide
 
 
 def exact_free_energy(pe: PathEnumeration, guide: Guide) -> GuidedSamplingProfile:
     """Exact F(G) = sum over G-reachable paths of G(x) (log(G(x)/P(x)) - log P(e|x)),
-    read from the profile's `free_energy` and `kl` fields.
-
-    Without rejection this is +inf whenever the guide gives positive mass
-    to a prior-impossible value or to a path with zero evidence.
-    """
+    read from the profile's `free_energy` and `kl` fields; without
+    rejection it is +inf whenever G puts mass on a prior-impossible value,
+    a path with zero evidence or a crash leaf."""
     return exact_guided_profile(pe, guide)
 
 
@@ -282,7 +284,7 @@ class GuidedSamplingProfile:
     acceptance_rate: float  # A(G): G-mass of runs that are never rejected
     adjusted_fe: float  # E[fe | accepted] - log A(G)
     mean_events_per_run: float  # expected choose+evidence events, truncation included
-    free_energy: float  # unrejected F(G); +inf when G reaches zero-prior or zero-evidence paths
+    free_energy: float  # unrejected F(G); +inf when G reaches zero-prior, zero-evidence or crash paths
     kl: float  # D(G_x || P_x|e) = free_energy + log P(e)
 
 
@@ -299,6 +301,10 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
     their cost is still exact.  Without a ceiling a leaky guide's
     `adjusted_fe` is +inf and its run cost is a lower bound (the model's
     behavior past a prior-impossible value is not enumerable).
+
+    A crash leaf that G reaches is a rejected run, as in `run_trace`: it
+    costs the events before the crash, or before an earlier ceiling
+    rejection, and makes `free_energy` and `kl` +inf, as a leak does.
     """
     acc_mass = 0.0
     acc_fe = 0.0
@@ -308,6 +314,9 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
     for entry, lg, fe, events, rejected in _walk(pe, guide, leaks):
         g = math.exp(lg)
         mean_events += g * events
+        if type(entry) is CrashEntry:
+            total = math.inf
+            continue
         if not rejected:
             acc_mass += g
             acc_fe += g * fe
@@ -317,17 +326,13 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
             total = math.inf
         elif total != math.inf:
             total += g * (lg - entry.log_prior - entry.log_evidence)
-    leak = bool(leaks)
     leak_mass = math.fsum(m for m, _ in leaks)
     mean_events += math.fsum(m * ev for m, ev in leaks)
-    free_energy = math.inf if leak else total
+    free_energy = math.inf if leaks else total
     evidence = exact_evidence(pe)
     kl = math.inf if (not math.isfinite(free_energy) or evidence == 0.0) else free_energy + math.log(evidence)
-    if guide.ceiling is None:
-        # Nothing is ever rejected: leaked runs complete with +inf fe.
-        acceptance = acc_mass + leak_mass
-        adjusted = math.inf if leak else (acc_fe / acc_mass - math.log(acc_mass) if acc_mass else math.inf)
-    else:
-        acceptance = acc_mass
-        adjusted = acc_fe / acc_mass - math.log(acc_mass) if acc_mass else math.inf
+    # With no ceiling nothing is rejected: leaked runs complete with +inf fe.
+    unbounded = guide.ceiling is None
+    acceptance = acc_mass + leak_mass if unbounded else acc_mass
+    adjusted = math.inf if (leaks and unbounded) or not acc_mass else acc_fe / acc_mass - math.log(acc_mass)
     return GuidedSamplingProfile(acceptance, adjusted, mean_events, free_energy, kl)

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from .dists import NEG_INF
 from .runtime import (
     Guide,
     ModelProgram,
@@ -33,8 +34,6 @@ from .runtime import (
     run_trace,
     DEFAULT_MAX_EVENTS,
 )
-
-NEG_INF = float("-inf")
 
 
 class StatusError(ValueError):
@@ -257,6 +256,12 @@ def estimate_free_energy(
     return estimate_from_batch(stats)
 
 
+def check_delta(delta: float) -> None:
+    """Raise `ValueError` unless 0 < delta < 1."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0,1), got {delta}")
+
+
 def lower_confidence_bound(samples, delta: float) -> LowerBoundResult:
     """Distribution-free 1-delta lower confidence bound on the mean of a
     nonnegative random variable.
@@ -266,8 +271,7 @@ def lower_confidence_bound(samples, delta: float) -> LowerBoundResult:
 
         bound = sum_i (x(i) - x(i-1)) * max(0, (n-i+1)/n - eps).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
+    check_delta(delta)
     xs = np.asarray(samples, dtype=float)
     if xs.size == 0:
         raise EmptyError("no samples")
@@ -281,8 +285,7 @@ def lower_confidence_bound(samples, delta: float) -> LowerBoundResult:
 
 def lower_confidence_bound_batch(sample_rows: np.ndarray, delta: float) -> np.ndarray:
     """Vectorized DKW bound over rows of samples (for coverage studies)."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
+    check_delta(delta)
     rows = np.asarray(sample_rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise EmptyError("need a 2-d array with at least one sample per row")

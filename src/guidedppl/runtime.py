@@ -22,6 +22,15 @@ the one-run free energy
 in nats.  A run is rejected when the running free-energy sum ever exceeds
 the guide's ceiling (threshold rejection) or when model/guide code fails
 (crash rejection); rejections are data, not exceptions.
+
+Sampling and exact enumeration share one context core, `ModelContext`:
+the input checks, event counting against the cap and `crash_reason`
+exist once, and only the value policy differs (`_RunState` samples from
+the guide; `enumeration._ForcedRun` replays a prefix and grows the
+tree).  A run that `run_trace` crash-rejects is a crash leaf of the
+enumeration, with the same reason and event count, and its prior mass
+counts toward `crash_mass`.  Enumeration still raises for the event cap,
+for a model that is not deterministic on replay and for guide errors.
 """
 
 from __future__ import annotations
@@ -153,21 +162,6 @@ class FunctionGuide(Guide):
         return self._fn(site)
 
 
-def finite_nonneg(v, what: str, error: type[Exception] = ValueError) -> float:
-    """Coerce an evidence probability or a hypothesis value to a float
-    (booleans to 0 or 1) and check that it is finite and nonnegative.
-
-    `what` is a format string naming the value, e.g. ``"evidence({})"``;
-    a bad value raises `error` with that name in the message.
-    """
-    if isinstance(v, (bool, np.bool_)):
-        v = 1.0 if v else 0.0
-    v = float(v)
-    if math.isnan(v) or math.isinf(v) or v < 0.0:
-        raise error(f"{what.format(v)} is not a finite nonnegative number")
-    return v
-
-
 class _Abort(Exception):
     """Internal: running free energy exceeded the guide's ceiling."""
 
@@ -176,63 +170,98 @@ class _ContractError(Exception):
     """Internal: model or guide violated a runtime contract."""
 
 
+class _EventCapError(_ContractError):
+    """Internal: the run exceeded its event cap."""
+
+    def __init__(self, cap: int):
+        super().__init__(f"event cap {cap} exceeded")
+
+
+def finite_nonneg(v, what: str) -> float:
+    """Coerce an evidence probability or a hypothesis value to a float
+    (booleans to 0 or 1); `what` names it, e.g. ``"evidence({})"``, in
+    the contract error for a value that is not finite and nonnegative."""
+    if isinstance(v, (bool, np.bool_)):
+        v = 1.0 if v else 0.0  # shared constants: no new float per path
+    v = float(v)
+    if math.isnan(v) or math.isinf(v) or v < 0.0:
+        raise _ContractError(f"{what.format(v)} is not a finite nonnegative number")
+    return v
+
+
+def crash_reason(exc: Exception) -> str:
+    """The crash reason of a run that `exc` ended."""
+    return str(exc) if isinstance(exc, _ContractError) else f"{type(exc).__name__}: {exc}"
+
+
 class ModelContext:
-    """The model program's handle: choose / evidence / set_hypothesis."""
+    """The model program's handle: choose / evidence / set_hypothesis.
 
-    __slots__ = ("_run",)
+    It is the run itself: it checks priors and evidence and hypothesis
+    values, counts events against the cap and keeps the running free
+    energy against the ceiling.  A subclass picks the values: `_take`
+    returns the value at a choice site and adds its free energy, and
+    `_observe` records evidence."""
 
-    def __init__(self, run: "_RunState"):
-        self._run = run
+    ceiling = math.inf
+
+    def __init__(self, max_events: int):
+        self.max_events = max_events
+        self.n_events = 0  # choose, evidence and extra-choice events so far
+        self.fe = 0.0
+        self.log_evidence = 0.0
+        self.hypothesis = 1.0
 
     def choose(self, prior: Dist, label: Optional[str] = None) -> Value:
-        return self._run.choose(prior, label)
+        if not isinstance(prior, Dist):
+            raise _ContractError(f"choose() needs a Dist, got {type(prior).__name__}")
+        value = self._take(prior, label)
+        self.n_events += 1  # counted inline here and below: a call per event is measurable
+        if self.n_events > self.max_events:
+            raise _EventCapError(self.max_events)
+        if self.fe > self.ceiling:
+            raise _Abort()
+        return value
 
     def evidence(self, p) -> None:
-        self._run.evidence(p)
+        log_p = log_nonneg(finite_nonneg(p, "evidence({})"))
+        self.log_evidence += log_p
+        self.fe -= log_p
+        self._observe(log_p)
+        self.n_events += 1
+        if self.n_events > self.max_events:
+            raise _EventCapError(self.max_events)
+        if self.fe > self.ceiling:
+            raise _Abort()
 
     def set_hypothesis(self, v) -> None:
-        self._run.set_hypothesis(v)
+        self.hypothesis = finite_nonneg(v, "hypothesis {}")  # last write wins
 
 
 class GuideContext:
     """The guide program's handle: extra choices only (guide isolation)."""
 
-    __slots__ = ("_run",)
+    __slots__ = ("extra_choice",)
 
-    def __init__(self, run: "_RunState"):
-        self._run = run
-
-    def extra_choice(self, guide_dist: Dist, conditional: Callable[[Trace], Dist]) -> Value:
-        return self._run.extra_choice(guide_dist, conditional)
+    def __init__(self, extra_choice: Callable[[Dist, Callable[[Trace], Dist]], Value]):
+        self.extra_choice = extra_choice
 
 
-class _RunState:
+class _RunState(ModelContext):
+    """Sampling: each value is drawn from the guide's proposal."""
+
     def __init__(self, guide: Guide, rng: np.random.Generator, max_events: int):
+        super().__init__(max_events)
         self.guide = guide
         self.rng = rng
-        self.max_events = max_events
-        self.ceiling = guide.ceiling
+        self.ceiling = math.inf if guide.ceiling is None else guide.ceiling
         self.choices: list[ChoiceRecord] = []
         self.extras: list[ExtraChoiceRecord] = []
         self.history: list[Value] = []
         self.extra_values: list[Value] = []
         self.per_event: list[EventFE] = []
-        self.log_evidence = 0.0
-        self.fe = 0.0
-        self.hypothesis = 1.0
-        self.n_evidence = 0
 
-    def _bump_fe(self, kind: str, index: int, label: Optional[str], contribution: float) -> None:
-        self.fe += contribution
-        self.per_event.append(EventFE(kind, index, label, contribution))
-        if len(self.per_event) + len(self.extras) > self.max_events:
-            raise _ContractError(f"event cap {self.max_events} exceeded")
-        if self.ceiling is not None and self.fe > self.ceiling:
-            raise _Abort()
-
-    def choose(self, prior: Dist, label: Optional[str]) -> Value:
-        if not isinstance(prior, Dist):
-            raise _ContractError(f"choose() needs a Dist, got {type(prior).__name__}")
+    def _take(self, prior: Dist, label: Optional[str]) -> Value:
         index = len(self.choices)
         site = ChoiceSite(index, label, prior, tuple(self.history), tuple(self.extra_values))
         guide_dist = self.guide.propose(site)
@@ -245,104 +274,64 @@ class _RunState:
         log_guide = guide_dist.log_prob(chosen)  # finite: chosen was sampled from it
         self.choices.append(ChoiceRecord(index, label, prior, guide_dist, chosen, log_prior, log_guide))
         self.history.append(chosen)
-        self._bump_fe("choose", index, label, log_guide - log_prior)
+        fe = log_guide - log_prior
+        self.fe += fe
+        self.per_event.append(EventFE("choose", index, label, fe))
         return chosen
 
-    def evidence(self, p) -> None:
-        log_p = log_nonneg(finite_nonneg(p, "evidence({})", _ContractError))
-        self.log_evidence += log_p
-        index = self.n_evidence
-        self.n_evidence += 1
-        self._bump_fe("evidence", index, None, -log_p)
-
-    def set_hypothesis(self, v) -> None:
-        self.hypothesis = finite_nonneg(v, "hypothesis {}", _ContractError)  # last write wins
+    def _observe(self, log_p: float) -> None:
+        index = len(self.per_event) - len(self.choices)  # evidence events so far
+        self.per_event.append(EventFE("evidence", index, None, -log_p))
 
     def extra_choice(self, guide_dist: Dist, conditional: Callable[[Trace], Dist]) -> Value:
         if not isinstance(guide_dist, Dist):
             raise _ContractError(f"extra_choice() needs a Dist, got {type(guide_dist).__name__}")
         chosen = guide_dist.sample(self.rng)
-        rec = ExtraChoiceRecord(
-            index=len(self.extras),
-            guide_dist=guide_dist,
-            chosen=chosen,
-            log_guide=guide_dist.log_prob(chosen),
-            conditional=conditional,
-        )
-        self.extras.append(rec)
+        log_guide = guide_dist.log_prob(chosen)
+        self.extras.append(ExtraChoiceRecord(len(self.extras), guide_dist, chosen, log_guide, conditional))
         self.extra_values.append(chosen)
-        if len(self.per_event) + len(self.extras) > self.max_events:
-            raise _ContractError(f"event cap {self.max_events} exceeded")
+        self.n_events += 1
+        if self.n_events > self.max_events:
+            raise _EventCapError(self.max_events)
         return chosen
 
-    def build_trace(self, seed: int, status: RunStatus, crash_reason: Optional[str]) -> Trace:
+    def build_trace(self, seed: int, status: RunStatus, reason: Optional[str] = None) -> Trace:
         return Trace(
-            seed=seed,
-            status=status,
-            choices=tuple(self.choices),
-            extras=tuple(self.extras),
-            log_evidence=self.log_evidence,
-            hypothesis=self.hypothesis,
-            per_event_fe=tuple(self.per_event),
+            seed=seed, status=status, choices=tuple(self.choices), extras=tuple(self.extras),
+            log_evidence=self.log_evidence, hypothesis=self.hypothesis, per_event_fe=tuple(self.per_event),
             log_prior_total=sum(c.log_prior for c in self.choices),
-            log_guide_total=sum(c.log_guide for c in self.choices),
-            fe_total=self.fe,
-            crash_reason=crash_reason,
+            log_guide_total=sum(c.log_guide for c in self.choices), fe_total=self.fe, crash_reason=reason,
         )
 
 
 ModelProgram = Callable[[ModelContext], None]
 
 
-def run_trace(
-    model: ModelProgram,
-    guide: Guide,
-    seed: int,
-    max_events: int = DEFAULT_MAX_EVENTS,
-) -> Trace:
+def run_trace(model: ModelProgram, guide: Guide, seed: int, max_events: int = DEFAULT_MAX_EVENTS) -> Trace:
     """Run `model` under `guide` with a private random stream.
 
     Never raises for model/guide failures: crashes and threshold
     exceedances are folded into the trace status.  Re-running with the
     same (model, guide, seed) reproduces the trace bit for bit; the
-    stream is consumed strictly in event order.
+    stream is consumed strictly in event order.  The extra choices of a
+    completed trace get log P_G(y_i | x, y_1..y_{i-1}) from their conditionals.
     """
     seed = int(seed)
     run = _RunState(guide, np.random.default_rng(seed), max_events)
-    status = RunStatus.COMPLETED
-    reason: Optional[str] = None
     try:
-        guide.begin(GuideContext(run))
-        model(ModelContext(run))
-    except _Abort:
-        status = RunStatus.REJECTED_THRESHOLD
-    except _ContractError as exc:
-        status = RunStatus.REJECTED_CRASH
-        reason = str(exc)
-    except Exception as exc:  # model/guide bugs become rejected runs
-        status = RunStatus.REJECTED_CRASH
-        reason = f"{type(exc).__name__}: {exc}"
-
-    trace = run.build_trace(seed, status, reason)
-    if status is RunStatus.COMPLETED and trace.extras:
-        trace = _finalize_extras(run, trace)
-    return trace
-
-
-def _finalize_extras(run: _RunState, trace: Trace) -> Trace:
-    """Evaluate each extra choice's deferred conditional against the
-    completed trace, yielding log P_G(y_i | x, y_1..y_{i-1})."""
-    try:
+        guide.begin(GuideContext(run.extra_choice))
+        model(run)
+        trace = run.build_trace(seed, RunStatus.COMPLETED)
         for rec in trace.extras:
             d = rec.conditional(trace)
             if not isinstance(d, Dist):
                 raise _ContractError(f"extra-choice conditional returned {type(d).__name__}, not a Dist")
             rec.log_model_conditional = d.log_prob(rec.chosen)
-    except _ContractError as exc:
-        return run.build_trace(trace.seed, RunStatus.REJECTED_CRASH, str(exc))
-    except Exception as exc:
-        return run.build_trace(trace.seed, RunStatus.REJECTED_CRASH, f"{type(exc).__name__}: {exc}")
-    return trace
+        return trace
+    except _Abort:
+        return run.build_trace(seed, RunStatus.REJECTED_THRESHOLD)
+    except Exception as exc:  # model/guide bugs become rejected runs
+        return run.build_trace(seed, RunStatus.REJECTED_CRASH, crash_reason(exc))
 
 
 def derive_seeds(base_seed: int, n: int, stream: int = 0) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Shared test models and guide constructions."""
 
+import math
 import zlib
 
 import numpy as np
@@ -67,10 +68,14 @@ def single_choice_model(ctx):
     ctx.choose(uniform_range(1, 2), label="bit")
 
 
-def make_hashed_model(structure_seed: int, depth: int = 4):
+def make_hashed_model(structure_seed: int, depth: int = 4, crash: bool = False):
     """A randomized finite model that is a deterministic function of its
     chosen values: site distributions, evidence probabilities, and the
-    hypothesis are all derived by hashing (structure_seed, history)."""
+    hypothesis are all derived by hashing (structure_seed, history).
+
+    With `crash`, a hashed draw after each choice ends about one site in
+    six in a crash: a raised `KeyError`, a NaN hypothesis, or a prior that
+    is not a `Dist`."""
 
     def site_rng(history, tag):
         h = zlib.crc32(repr((structure_seed, tuple(history), tag)).encode())
@@ -87,6 +92,15 @@ def make_hashed_model(structure_seed: int, depth: int = 4):
             rng2 = site_rng(history, ("evidence", i))
             if rng2.random() < 0.5:
                 ctx.evidence(float(rng2.random()) * 1.5 + 0.05)
+            if crash:
+                rng3 = site_rng(history, ("crash", i))
+                if rng3.random() < 1 / 6:
+                    kind = int(rng3.integers(3))
+                    if kind == 0:
+                        raise KeyError(f"boom at s{i}")
+                    if kind == 1:
+                        ctx.set_hypothesis(math.nan)  # a contract error
+                    ctx.choose(list(range(k)), label="bad")  # kind 2: not a Dist
         ctx.set_hypothesis(float(site_rng(history, "hyp").random()))
 
     return model

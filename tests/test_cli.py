@@ -4,6 +4,7 @@ import math
 import pytest
 
 from guidedppl import PriorGuide, batch_stats, derive_seeds, lower_confidence_bound
+from guidedppl import cli
 from guidedppl.cli import main
 from guidedppl.models import three_dice
 
@@ -29,6 +30,11 @@ class TestOracleCommand:
         assert doc["results"]["paths"] == 216
         assert doc["results"]["evidence"] == pytest.approx(15 / 216, abs=1e-12)
         assert doc["results"]["conditional_h"] == pytest.approx(1 / 15, abs=1e-12)
+
+    def test_crash_mass_is_reported(self, capsys):
+        code, doc = invoke_json(capsys, "oracle", "--model", "expr", "--depth-cap", "2")
+        assert code == 0
+        assert doc["results"]["crash_mass"] == 0
 
     def test_guide_report_included(self, capsys):
         code, doc = invoke_json(
@@ -140,6 +146,19 @@ class TestBoundCommand:
         assert code == 1
         assert doc["error"] == {"type": "ValueError", "message": "delta must be in (0,1), got 1.5"}
         assert "results" not in doc
+
+    @pytest.mark.parametrize("hypothesis", [(), ("--hypothesis",)])
+    def test_bad_delta_is_rejected_before_any_run(self, capsys, monkeypatch, hypothesis):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("runs were sampled before --delta was checked")
+
+        monkeypatch.setattr(cli, "_collect_stats", no_sampling)
+        code, doc = invoke_json(
+            capsys, "bound", "--model", "three_dice", "--guide", "prior",
+            "--n", "50", "--delta", "1.5", "--seed", "1", *hypothesis,
+        )
+        assert code == 1
+        assert doc["error"] == {"type": "ValueError", "message": "delta must be in (0,1), got 1.5"}
 
     def test_undefined_ratio_is_structured_error(self, capsys):
         code, doc = invoke_json(

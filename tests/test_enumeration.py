@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from guidedppl import (
     ConditioningOnNullError,
+    CrashEntry,
     EnumerationCapError,
     ExtraChoicesUnsupportedError,
     FunctionGuide,
@@ -32,6 +33,7 @@ from guidedppl.models import DicePosteriorGuide, expr_tabular_family, three_dice
 from helpers import (
     DICE_FE_TARGET,
     always_false_model,
+    crash_on_three_model,
     make_hashed_model,
     no_choice_model,
     no_evidence_model,
@@ -107,9 +109,10 @@ class TestEnumerateEdges:
             ctx.choose(uniform_range(1, 2))
             ctx.set_hypothesis(bad)
 
-        assert run_trace(model, PriorGuide(), 0).status is RunStatus.REJECTED_CRASH
-        with pytest.raises(ValueError, match="hypothesis"):
-            enumerate_paths(model)
+        pe = enumerate_paths(model)
+        assert pe.entries == () and len(pe.crashes) == 2
+        _assert_same_verdicts(model, pe, PriorGuide())
+        assert all("hypothesis" in c.reason for c in pe.crashes)
 
     @pytest.mark.parametrize("bad", [float("nan"), -1.0, math.inf])
     def test_bad_evidence_is_an_error_as_in_run_trace(self, bad):
@@ -117,9 +120,10 @@ class TestEnumerateEdges:
             ctx.choose(uniform_range(1, 2))
             ctx.evidence(bad)
 
-        assert run_trace(model, PriorGuide(), 0).status is RunStatus.REJECTED_CRASH
-        with pytest.raises(ValueError, match="evidence"):
-            enumerate_paths(model)
+        pe = enumerate_paths(model)
+        assert pe.entries == () and len(pe.crashes) == 2
+        _assert_same_verdicts(model, pe, PriorGuide())
+        assert all("evidence" in c.reason and c.n_events == 1 for c in pe.crashes)
 
     def test_fewer_choices_on_replay(self):
         runs = []
@@ -143,6 +147,18 @@ class TestEnumerateEdges:
         with pytest.raises(RuntimeError, match="left the prior support"):
             enumerate_paths(model)
 
+    def test_crash_before_the_forced_prefix_ends_is_not_deterministic(self):
+        runs = []
+
+        def model(ctx):
+            runs.append(None)
+            if len(runs) > 1:
+                raise KeyError("boom")
+            ctx.choose(uniform_range(1, 2))
+
+        with pytest.raises(RuntimeError, match="not deterministic: KeyError: 'boom', replaying \\(2,\\)"):
+            enumerate_paths(model)
+
     def test_one_model_run_per_path(self, dice_pe):
         runs = []
 
@@ -153,6 +169,105 @@ class TestEnumerateEdges:
         pe = enumerate_paths(model)
         assert len(runs) == len(pe.entries) == 216
         assert pe.entries == dice_pe.entries
+
+
+def _leaves(pe):
+    """Every leaf of an enumeration, completed or crashed, by its choices."""
+    return {leaf.choices: leaf for leaf in (*pe.entries, *pe.crashes)}
+
+
+def _assert_same_verdicts(model, pe, guide, seeds=range(20)):
+    """Each sampled run matches the leaf its choices lead to."""
+    leaves = _leaves(pe)
+    for seed in seeds:
+        t = run_trace(model, guide, seed)
+        leaf = leaves[tuple(c.chosen for c in t.choices)]
+        if type(leaf) is CrashEntry:
+            assert t.status is RunStatus.REJECTED_CRASH
+            assert t.crash_reason == leaf.reason
+        else:
+            assert t.status is RunStatus.COMPLETED
+            assert t.hypothesis == leaf.hypothesis
+        assert t.n_events == leaf.n_events
+        assert t.log_prior_total == pytest.approx(leaf.log_prior, rel=1e-12, abs=1e-12)
+
+
+class TestCrashLeaves:
+    def test_crash_on_three_under_the_prior(self):
+        pe = enumerate_paths(crash_on_three_model)
+        assert [e.choices for e in pe.entries] == [(1,), (2,)]
+        (crash,) = pe.crashes
+        assert (crash.choices, crash.n_events) == ((3,), 1)
+        assert crash.reason.startswith("ZeroDivisionError: ")
+        assert exact_evidence(pe) == pytest.approx(2 / 3, abs=1e-12)
+        assert pe.crash_mass() == pytest.approx(1 / 3, abs=1e-12)
+        prof = exact_guided_profile(pe, PriorGuide())
+        assert prof.acceptance_rate == pytest.approx(2 / 3, abs=1e-12)
+        assert prof.mean_events_per_run == pytest.approx(5 / 3, abs=1e-12)
+        assert prof.adjusted_fe == pytest.approx(math.log(1.5), abs=1e-12)
+        assert prof.free_energy == prof.kl == math.inf
+        assert [e.choices for e, _ in guided_paths(pe, PriorGuide())] == [(1,), (2,)]
+        _assert_same_verdicts(crash_on_three_model, pe, PriorGuide())
+
+    def test_key_error_branch(self):
+        def model(ctx):
+            v = ctx.choose(uniform_range(1, 3), label="c")
+            ctx.evidence(0.5)
+            if v == 2:
+                raise KeyError("boom")
+            ctx.set_hypothesis(v)
+
+        pe = enumerate_paths(model)
+        assert [e.choices for e in pe.entries] == [(1,), (3,)]
+        (crash,) = pe.crashes
+        assert (crash.choices, crash.n_events, crash.reason) == ((2,), 2, "KeyError: 'boom'")
+        assert crash.log_prior == pytest.approx(-math.log(3), abs=1e-12)
+        _assert_same_verdicts(model, pe, PriorGuide())
+
+    def test_prior_that_is_not_a_dist(self):
+        def model(ctx):
+            if ctx.choose(uniform_range(1, 2)) == 2:
+                ctx.evidence(0.5)
+                ctx.choose([1, 2])
+            ctx.evidence(1.0)
+
+        pe = enumerate_paths(model)
+        assert [e.choices for e in pe.entries] == [(1,)]
+        (crash,) = pe.crashes
+        assert (crash.choices, crash.n_events, crash.reason) == ((2,), 2, "choose() needs a Dist, got list")
+        _assert_same_verdicts(model, pe, PriorGuide())
+
+    def test_ceiling_rejection_before_a_crash_counts_the_events_at_the_rejection(self):
+        def model(ctx):
+            if ctx.choose(uniform_range(1, 2)) == 2:
+                ctx.evidence(0.1)  # ln 10 exceeds the ceiling of 1
+                ctx.evidence(1.0)
+                raise KeyError("boom")
+            ctx.evidence(1.0)
+
+        pe = enumerate_paths(model)
+        (crash,) = pe.crashes
+        assert crash.n_events == 3
+        prof = exact_guided_profile(pe, PriorGuide(ceiling=1.0))
+        assert prof.acceptance_rate == pytest.approx(0.5, abs=1e-12)
+        assert prof.mean_events_per_run == pytest.approx(2.0, abs=1e-12)
+        assert exact_guided_profile(pe, PriorGuide()).mean_events_per_run == pytest.approx(2.5, abs=1e-12)
+        for seed in range(10):
+            t = run_trace(model, PriorGuide(ceiling=1.0), seed)
+            if t.choices[0].chosen == 2:
+                assert (t.status, t.n_events) == (RunStatus.REJECTED_THRESHOLD, 2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(structure_seed=st.integers(0, 10_000), guide_seed=st.integers(0, 10_000))
+def test_same_verdict_per_path_in_sampling_and_enumeration(structure_seed, guide_seed):
+    model = make_hashed_model(structure_seed, crash=True)
+    pe = enumerate_paths(model)
+    prof = exact_guided_profile(pe, PriorGuide())
+    assert prof.acceptance_rate == pytest.approx(1.0 - pe.crash_mass(), abs=1e-12)
+    assert pe.prior_mass() + pe.crash_mass() == pytest.approx(1.0, abs=1e-12)
+    for guide in (PriorGuide(), _random_full_support_guide(guide_seed)):
+        _assert_same_verdicts(model, pe, guide, seeds=range(200))
 
 
 class TestExactFreeEnergy:
