@@ -11,6 +11,12 @@ from ``--seed``, and floats are serialized with 17 significant digits so
 identical invocations produce byte-identical output (with ``--workers
 1``; more workers only split the seed range into chunks, which are
 merged back in order).
+
+Results are the result types themselves, through ``dataclasses.asdict``:
+``run`` emits a ``FreeEnergyEstimate``, ``bound`` a ``LowerBoundResult``
+or, with ``--hypothesis``, a ``HypothesisEstimate``, and ``oracle
+--guide`` a ``GuidedSamplingProfile``; each type's field order is the
+CLI's JSON key order.
 """
 
 from __future__ import annotations
@@ -19,12 +25,14 @@ import argparse
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .dists import ZeroMassError, DuplicateValueError, EmptyRangeError
 from .enumeration import (
+    DEFAULT_MAX_PATHS,
     ConditioningOnNullError,
     EnumerationCapError,
     ExtraChoicesUnsupportedError,
@@ -35,11 +43,8 @@ from .enumeration import (
 )
 from .estimators import (
     BatchStats,
-    EmptyError,
     NoAcceptedRunsError,
-    StatusError,
     UndefinedRatioError,
-    WeightError,
     batch_stats,
     check_delta,
     estimate_from_batch,
@@ -49,21 +54,15 @@ from .estimators import (
 )
 from .guideopt import UtilityConfig, optimize_guide
 from .models import MODELS, monkey_evidence_dp
-from .runtime import RunStatus, derive_seeds, run_trace
+from .runtime import DEFAULT_MAX_EVENTS, RunStatus, derive_seeds, run_trace
 
 _HANDLED_ERRORS = (
     NoAcceptedRunsError,
     UndefinedRatioError,
-    EmptyError,
-    StatusError,
-    WeightError,
     ConditioningOnNullError,
     EnumerationCapError,
     ExtraChoicesUnsupportedError,
-    ZeroMassError,
-    DuplicateValueError,
-    EmptyRangeError,
-    ValueError,
+    ValueError,  # the package's other errors derive from it
 )
 
 
@@ -153,11 +152,9 @@ class UsageError(Exception):
 
 
 def _guide_config(args) -> dict:
-    cfg = {"ceiling": args.ceiling}
-    for key in ("alphabet", "length", "pattern", "depth_cap"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    if getattr(args, "params", None):
+    cfg = {"ceiling": args.ceiling, "alphabet": args.alphabet, "length": args.length,
+           "pattern": args.pattern, "depth_cap": args.depth_cap}
+    if args.params:
         cfg["params"] = _load_params(args.params)
     return cfg
 
@@ -200,43 +197,24 @@ def _stats_chunk(model_name: str, guide_name: str, cfg: dict, seeds, max_events:
 
 
 def _collect_stats(args, stream: int, guide_name: Optional[str] = None) -> BatchStats:
-    cfg = _guide_config(args)
-    guide_name = guide_name or args.guide
+    chunk_stats = partial(_stats_chunk, args.model, guide_name or args.guide, _guide_config(args),
+                          max_events=args.max_events)
     seeds = derive_seeds(args.seed, args.n, stream=stream)
     workers = max(1, args.workers)
     if workers == 1:
-        return _stats_chunk(args.model, guide_name, cfg, seeds, args.max_events)
+        return chunk_stats(seeds)
     chunks = [c for c in np.array_split(seeds, workers) if len(c)]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(
-            pool.map(
-                _stats_chunk,
-                [args.model] * len(chunks),
-                [guide_name] * len(chunks),
-                [cfg] * len(chunks),
-                chunks,
-                [args.max_events] * len(chunks),
-            )
-        )
-    return merge_batch_stats(parts)
+        return merge_batch_stats(list(pool.map(chunk_stats, chunks)))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_run(args) -> dict:
+def _cmd_run(args, notes: list) -> dict:
     stats = _collect_stats(args, stream=0)
-    est = estimate_from_batch(stats)
-    results = {
-        "mean_fe": est.mean_fe,
-        "std_error": est.std_error,
-        "n_total": est.n_total,
-        "n_accepted": est.n_accepted,
-        "acceptance_rate": est.acceptance_rate,
-        "adjusted_fe": est.adjusted_fe,
-        "total_events": est.total_events,
-    }
+    results = asdict(estimate_from_batch(stats))
     if args.report_hypothesis_histogram:
         results["hypothesis_histogram"] = _weighted_histogram(stats)
     return results
@@ -254,64 +232,32 @@ def _weighted_histogram(stats: BatchStats) -> dict:
     return {k: hist[k] / total for k in sorted(hist, key=float)}
 
 
-def _cmd_oracle(args) -> dict:
+def _cmd_oracle(args, notes: list) -> dict:
     cfg = _guide_config(args)
     entry, model = build_model(args.model, cfg)
     pe = enumerate_paths(model, max_paths=args.max_paths, max_events=args.max_events)
     evidence = exact_evidence(pe)
-    results: dict = {"paths": len(pe.entries), "evidence": evidence, "crash_mass": pe.crash_mass()}
-    if evidence > 0.0:
-        results["conditional_h"] = exact_conditional_expectation(pe)
-    else:
-        results["conditional_h"] = None
+    results = {"paths": len(pe.entries), "evidence": evidence, "crash_mass": pe.crash_mass(),
+               "conditional_h": exact_conditional_expectation(pe) if evidence > 0.0 else None}
     if args.model == "monkey":
-        results["dp_evidence"] = monkey_evidence_dp(
-            args.alphabet, args.length, args.pattern
-        )
+        results["dp_evidence"] = monkey_evidence_dp(args.alphabet, args.length, args.pattern)
     if args.guide is not None:
-        guide = build_guide(entry, args.guide, cfg)
-        profile = exact_guided_profile(pe, guide)
-        results["guide"] = {
-            "free_energy": profile.free_energy,
-            "kl": profile.kl,
-            "acceptance_rate": profile.acceptance_rate,
-            "adjusted_fe": profile.adjusted_fe,
-            "mean_events_per_run": profile.mean_events_per_run,
-        }
+        results["guide"] = asdict(exact_guided_profile(pe, build_guide(entry, args.guide, cfg)))
     return results
-
-
-def _bound_dict(b) -> dict:
-    return {
-        "bound": b.bound,
-        "confidence": b.confidence,
-        "n": b.n,
-        "sample_mean": b.sample_mean,
-        "sample_se": b.sample_se,
-    }
 
 
 def _cmd_bound(args, notes: list) -> dict:
     check_delta(args.delta)
     den_stats = _collect_stats(args, stream=2 if args.hypothesis else 0)
     if not args.hypothesis:
-        return {"evidence_bound": _bound_dict(lower_confidence_bound(den_stats.weight_evidence, args.delta))}
+        return {"evidence_bound": asdict(lower_confidence_bound(den_stats.weight_evidence, args.delta))}
     num_stats = _collect_stats(args, stream=1, guide_name=args.guide_num or args.guide)
-    est = hypothesis_estimate_from_stats(num_stats, den_stats, args.delta)
+    est = asdict(hypothesis_estimate_from_stats(num_stats, den_stats, args.delta))
     notes.append("ratio_of_bounds is an estimate of the conditional expectation, not a bound")
-    return {
-        "evidence_bound": _bound_dict(est.denominator_bound),
-        "hypothesis": {
-            "numerator_bound": _bound_dict(est.numerator_bound),
-            "denominator_bound": _bound_dict(est.denominator_bound),
-            "ratio_of_bounds": est.ratio_of_bounds,
-            "self_normalized": est.self_normalized,
-            "self_normalized_se": est.self_normalized_se,
-        },
-    }
+    return {"evidence_bound": est["denominator_bound"], "hypothesis": est}
 
 
-def _cmd_optimize(args) -> dict:
+def _cmd_optimize(args, notes: list) -> dict:
     cfg = _guide_config(args)
     entry, model = build_model(args.model, cfg)
     if entry.family is None:
@@ -328,26 +274,27 @@ def _cmd_optimize(args) -> dict:
         accept_margin=args.margin,
         max_events=args.max_events,
     )
+    best_params = {k: list(v) for k, v in sorted(report.best_params.items())}
     if args.save_params:
         with open(args.save_params, "w") as fh:
-            fh.write(dumps({k: list(v) for k, v in sorted(report.best_params.items())}) + "\n")
+            fh.write(dumps(best_params) + "\n")
     return {
         "best_utility": report.best_utility,
         "evaluations": report.evaluations,
-        "utility_trace": [[i, u] for i, u in report.utility_trace],
-        "best_params": {k: list(v) for k, v in sorted(report.best_params.items())},
+        "utility_trace": report.utility_trace,
+        "best_params": best_params,
         "cell_mean_fe": report.cell_mean_fe,
     }
 
 
-def _cmd_trace(args) -> dict:
+def _cmd_trace(args, notes: list) -> dict:
     cfg = _guide_config(args)
     entry, model = build_model(args.model, cfg)
     guide = build_guide(entry, args.guide, cfg)
     t = run_trace(model, guide, args.seed, max_events=args.max_events)
     events = []
     for ev in t.per_event_fe:
-        item = {"kind": ev.kind, "index": ev.index, "label": ev.label, "fe": ev.fe}
+        item = ev._asdict()
         if ev.kind == "choose":
             rec = t.choices[ev.index]
             item["chosen"] = rec.chosen
@@ -400,27 +347,31 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--length", type=int, default=12)
         p.add_argument("--pattern", default="aba")
         p.add_argument("--params", default=None, help="guide parameter file (JSON)")
-        p.add_argument("--max-events", dest="max_events", type=int, default=100_000)
+        p.add_argument("--max-events", dest="max_events", type=int, default=DEFAULT_MAX_EVENTS)
         p.add_argument("--output", default=None)
 
     p_run = sub.add_parser("run", help="sample guided traces; report the free-energy estimate")
     common(p_run)
+    p_run.set_defaults(handler=_cmd_run)
     p_run.add_argument("--report-hypothesis-histogram", action="store_true",
                        dest="report_hypothesis_histogram")
 
     p_oracle = sub.add_parser("oracle", help="exact quantities by path enumeration")
     common(p_oracle, with_guide=False, with_n=False)
+    p_oracle.set_defaults(handler=_cmd_oracle)
     p_oracle.add_argument("--guide", default=None)
-    p_oracle.add_argument("--max-paths", dest="max_paths", type=int, default=1_000_000)
+    p_oracle.add_argument("--max-paths", dest="max_paths", type=int, default=DEFAULT_MAX_PATHS)
 
     p_bound = sub.add_parser("bound", help="lower confidence bounds on evidence / hypothesis sums")
     common(p_bound)
+    p_bound.set_defaults(handler=_cmd_bound)
     p_bound.add_argument("--delta", type=float, default=0.05)
     p_bound.add_argument("--hypothesis", action="store_true")
     p_bound.add_argument("--guide-num", dest="guide_num", default=None)
 
     p_opt = sub.add_parser("optimize", help="search the model's tabular guide family")
     common(p_opt, with_guide=False, with_n=False)
+    p_opt.set_defaults(handler=_cmd_optimize)
     p_opt.add_argument("--budget", type=int, default=500)
     p_opt.add_argument("--k", type=float, default=0.0)
     p_opt.add_argument("--eval-n", dest="eval_n", type=int, default=300)
@@ -431,6 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="dump one trace with per-event fe contributions")
     common(p_trace, with_n=False)
+    p_trace.set_defaults(handler=_cmd_trace)
 
     return parser
 
@@ -454,34 +406,20 @@ def main(argv=None) -> int:
     doc = {"command": args.command, "config": _config_echo(args)}
     code = 0
     try:
-        if args.command == "run":
-            doc["results"] = _cmd_run(args)
-        elif args.command == "oracle":
-            doc["results"] = _cmd_oracle(args)
-        elif args.command == "bound":
-            doc["results"] = _cmd_bound(args, notes)
-        elif args.command == "optimize":
-            doc["results"] = _cmd_optimize(args)
-        elif args.command == "trace":
-            doc["results"] = _cmd_trace(args)
+        doc["results"] = args.handler(args, notes)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except _HANDLED_ERRORS as exc:
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        partial = getattr(exc, "partial", None)
-        if partial is not None:
-            doc["error"]["partial"] = {
-                "numerator_bound": _bound_dict(partial.numerator_bound),
-                "denominator_bound": _bound_dict(partial.denominator_bound),
-                "self_normalized": partial.self_normalized,
-                "self_normalized_se": partial.self_normalized_se,
-            }
+        if isinstance(exc, UndefinedRatioError):
+            doc["error"]["partial"] = asdict(exc.partial)
+            del doc["error"]["partial"]["ratio_of_bounds"]  # always None here
         code = 1
     doc["stderr_notes"] = notes
     text = dumps(doc) + "\n"
     sys.stdout.write(text)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     return code

@@ -219,8 +219,8 @@ def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> 
     running free energy, a partial sum when the ceiling rejected the run,
     and events_observed is the leaf's event count, or the count up to the
     rejection.  Each site where G puts mass on a prior-impossible value
-    before any rejection appends (G-mass leaked there, events executed
-    when it leaks) to `leaks`.
+    appends (G-mass leaked there, events executed when it leaks, or up to
+    an earlier rejection) to `leaks`.
     """
     guide.begin(GuideContext(_no_extra_choice))
     ceiling = guide.ceiling
@@ -244,10 +244,10 @@ def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> 
         if g is None:
             g = prior
         events += 1
-        if not rejected:
+        if g is not prior:
             leaked = math.fsum(gm for gv, gm in g if prior.prob(gv) == 0.0)
             if leaked > 0.0:
-                leaks.append((math.exp(log_guide) * leaked, events))
+                leaks.append((math.exp(log_guide) * leaked, observed if rejected else events))
         for j in range(len(node.values) - 1, -1, -1):
             v = node.values[j]
             lg = g.log_prob(v)
@@ -279,13 +279,14 @@ def exact_free_energy(pe: PathEnumeration, guide: Guide) -> GuidedSamplingProfil
 
 @dataclass(frozen=True, slots=True)
 class GuidedSamplingProfile:
-    """Exact sampling behavior of a guide, rejection included."""
+    """Exact sampling behavior of a guide, rejection included; field
+    order is the CLI's JSON key order."""
 
+    free_energy: float  # unrejected F(G); +inf when G reaches zero-prior, zero-evidence or crash paths
+    kl: float  # D(G_x || P_x|e) = free_energy + log P(e)
     acceptance_rate: float  # A(G): G-mass of runs that are never rejected
     adjusted_fe: float  # E[fe | accepted] - log A(G)
     mean_events_per_run: float  # expected choose+evidence events, truncation included
-    free_energy: float  # unrejected F(G); +inf when G reaches zero-prior, zero-evidence or crash paths
-    kl: float  # D(G_x || P_x|e) = free_energy + log P(e)
 
 
 def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingProfile:
@@ -298,7 +299,9 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
 
     Guide mass leaked onto prior-impossible values gets +inf free energy
     at the leaking choice, so a ceiling rejects those runs right there and
-    their cost is still exact.  Without a ceiling a leaky guide's
+    their cost is still exact; mass leaked below a prefix the ceiling has
+    already rejected costs the events up to that rejection.  Any leak
+    makes `free_energy` and `kl` +inf.  Without a ceiling a leaky guide's
     `adjusted_fe` is +inf and its run cost is a lower bound (the model's
     behavior past a prior-impossible value is not enumerable).
 
@@ -335,4 +338,4 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
     unbounded = guide.ceiling is None
     acceptance = acc_mass + leak_mass if unbounded else acc_mass
     adjusted = math.inf if (leaks and unbounded) or not acc_mass else acc_fe / acc_mass - math.log(acc_mass)
-    return GuidedSamplingProfile(acceptance, adjusted, mean_events, free_energy, kl)
+    return GuidedSamplingProfile(free_energy, kl, acceptance, adjusted, mean_events)

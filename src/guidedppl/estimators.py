@@ -70,6 +70,8 @@ class UndefinedRatioError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class FreeEnergyEstimate:
+    """Free-energy estimate of a batch; field order is the CLI's JSON key order."""
+
     mean_fe: float  # nats, over accepted runs
     std_error: float  # nats, of adjusted_fe (delta method for the -log A term)
     n_total: int
@@ -87,6 +89,8 @@ class WeightedSample:
 
 @dataclass(frozen=True, slots=True)
 class LowerBoundResult:
+    """A 1-delta DKW lower confidence bound on a mean; field order is the CLI's JSON key order."""
+
     bound: float
     confidence: float  # 1 - delta
     n: int
@@ -96,6 +100,8 @@ class LowerBoundResult:
 
 @dataclass(frozen=True, slots=True)
 class HypothesisEstimate:
+    """Bounds on both sums of E(h|e); field order is the CLI's JSON key order."""
+
     numerator_bound: LowerBoundResult
     denominator_bound: LowerBoundResult
     # Quotient of the two bounds: an *estimate* of E(h|e), not a bound.
@@ -250,8 +256,6 @@ def estimate_free_energy(
 ) -> FreeEnergyEstimate:
     """Average the one-run free energy over n guided runs and subtract the
     log of the observed acceptance rate."""
-    if n < 1:
-        raise ValueError("need at least one run")
     stats = batch_stats(model, guide, derive_seeds(base_seed, n), max_events=max_events)
     return estimate_from_batch(stats)
 
@@ -321,8 +325,6 @@ def evidence_lower_bound(
     Importance weights use f = P(e|x); rejected runs contribute weight
     zero, which keeps the bound valid.
     """
-    if n < 1:
-        raise ValueError("need at least one run")
     stats = batch_stats(model, guide, derive_seeds(base_seed, n), max_events=max_events)
     return lower_confidence_bound(stats.weight_evidence, delta)
 
@@ -344,8 +346,6 @@ def hypothesis_estimate(
     bounds is reported as an estimate, never as a bound.  The
     self-normalized estimate sum(w h)/sum(w) reuses the denominator runs.
     """
-    if n < 1:
-        raise ValueError("need at least one run")
     num_stats = batch_stats(model, guide_num, derive_seeds(base_seed, n, stream=1), max_events=max_events)
     den_stats = batch_stats(model, guide_den, derive_seeds(base_seed, n, stream=2), max_events=max_events)
     return hypothesis_estimate_from_stats(num_stats, den_stats, delta)

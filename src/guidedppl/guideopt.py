@@ -243,8 +243,6 @@ def guide_utility(
 ) -> float:
     """U = adjusted free energy + k * (events per accepted run), estimated
     from n guided runs; +inf when no run is accepted."""
-    if n < 1:
-        raise ValueError("need at least one run")
     return _utility_on_seeds(model, family.bind(params), derive_seeds(seed, n), cfg, max_events)
 
 
@@ -295,8 +293,6 @@ def optimize_guide(
     """
     if budget < 1:
         raise ValueError("need at least one evaluation")
-    if n < 1:
-        raise ValueError("need at least one run")
     if not sigma >= 0.0:
         raise ValueError("mutation scale sigma must be nonnegative")
     if accept_margin < 0.0:

@@ -339,6 +339,10 @@ def derive_seeds(base_seed: int, n: int, stream: int = 0) -> np.ndarray:
 
     Distinct `stream` values give statistically independent seed sets for
     the same root (numerator vs denominator runs, search evaluation sets).
+    Every batch driver takes its seeds from here, so this is the one check
+    that a batch has at least one run.
     """
+    if n < 1:
+        raise ValueError("need at least one run")
     ss = np.random.SeedSequence(int(base_seed), spawn_key=(int(stream),))
     return ss.generate_state(int(n), np.uint64)

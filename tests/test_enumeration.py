@@ -17,6 +17,8 @@ from guidedppl import (
     Guide,
     PriorGuide,
     RunStatus,
+    batch_stats,
+    derive_seeds,
     dist_from_weights,
     enumerate_paths,
     exact_conditional_expectation,
@@ -335,6 +337,27 @@ class TestGuidedProfile:
         for guide in (PriorGuide(), DicePosteriorGuide()):
             total = math.fsum(math.exp(lg) for _, lg in guided_paths(dice_pe, guide))
             assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_leak_below_a_rejected_prefix_is_counted(self):
+        # a = 2 is rejected at its evidence (ln 100 > 1); the guide then
+        # puts half its mass on b = 2, which the prior rules out.  The
+        # sampler never gets past the rejection, so that leak costs the
+        # two events up to it, and it makes the unrejected F(G) infinite.
+        def model(ctx):
+            if ctx.choose(uniform_range(1, 2), label="a") == 2:
+                ctx.evidence(0.01)
+                ctx.choose(point_mass(1), label="b")
+
+        guide = FunctionGuide(lambda site: uniform_range(1, 2) if site.index == 1 else None, ceiling=1.0)
+        prof = exact_guided_profile(enumerate_paths(model), guide)
+        assert prof.free_energy == prof.kl == math.inf
+        assert prof.mean_events_per_run == pytest.approx(1.5, abs=1e-12)
+        assert prof.acceptance_rate == pytest.approx(0.5, abs=1e-12)
+        assert prof.adjusted_fe == pytest.approx(math.log(2), abs=1e-12)
+        stats = batch_stats(model, guide, derive_seeds(1, 4000))
+        # Binomial events and acceptance: five standard errors of 0.5/sqrt(4000).
+        assert stats.events.mean() == pytest.approx(1.5, abs=0.04)
+        assert stats.accepted.mean() == pytest.approx(0.5, abs=0.04)
 
     def test_no_ceiling_profile_matches_plain_free_energy(self, dice_pe):
         guide = structured_dice_guide([0.3, 0.3, 0.2, 0.1, 0.1])
