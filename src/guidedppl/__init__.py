@@ -33,6 +33,7 @@ from .runtime import (
     Trace,
     derive_seeds,
     run_trace,
+    run_traces,
 )
 from .estimators import (
     BatchStats,

@@ -148,7 +148,7 @@ def dumps(doc) -> str:
 
 
 class UsageError(Exception):
-    """Unknown model or guide name (exit code 2)."""
+    """Unknown model or guide name, or an unreadable file (exit code 2)."""
 
 
 def _guide_config(args) -> dict:
@@ -162,8 +162,11 @@ def _guide_config(args) -> dict:
 def _load_params(path: str) -> dict:
     import json
 
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read guide parameter file {path}: {exc.strerror or exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"guide parameter file {path} must hold a JSON object")
     return {str(k): [float(x) for x in v] for k, v in raw.items()}

@@ -31,7 +31,7 @@ from .runtime import (
     RunStatus,
     Trace,
     derive_seeds,
-    run_trace,
+    run_traces,
     DEFAULT_MAX_EVENTS,
 )
 
@@ -219,7 +219,7 @@ def batch_stats(
 ) -> BatchStats:
     """Run one trace per seed and summarize; traces are not retained."""
     seeds = np.asarray(seeds, dtype=np.uint64)
-    rows = (summarize_trace(run_trace(model, guide, int(s), max_events=max_events)) for s in seeds)
+    rows = map(summarize_trace, run_traces(model, guide, seeds, max_events=max_events))
     return stats_from_summaries(seeds, rows)
 
 

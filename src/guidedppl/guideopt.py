@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, ClassVar, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,8 +45,12 @@ from .runtime import (
     DEFAULT_MAX_EVENTS,
     Guide,
     ModelProgram,
+    Trace,
+    _pcg64_states,
+    _reseedable_rng,
+    _run_seeded,
     derive_seeds,
-    run_trace,
+    run_traces,
 )
 
 SiteKey = Callable[[int, Optional[str], tuple[Value, ...]], str]
@@ -197,10 +201,11 @@ class _Run(NamedTuple):
     fes: tuple[float, ...]  # empty for rejected runs
 
 
-def _run_all(model: ModelProgram, guide: Guide, seeds, max_events: int) -> list[_Run]:
+def _run_all(guide: Guide, traces: Iterator[Trace]) -> list[_Run]:
+    """The runs of `traces`, which `guide` must be producing lazily: its
+    `lookups` are read as each trace arrives."""
     runs = []
-    for s in seeds:
-        t = run_trace(model, guide, int(s), max_events=max_events)
+    for t in traces:
         row = summarize_trace(t)
         lookups = guide.lookups  # begin() started a fresh list for this run
         fes: tuple[float, ...] = ()
@@ -229,7 +234,7 @@ def _utility_on_seeds(
     cfg: UtilityConfig,
     max_events: int,
 ) -> float:
-    return _utility(seeds, _run_all(model, guide, seeds, max_events), cfg)
+    return _utility(seeds, _run_all(guide, run_traces(model, guide, seeds, max_events)), cfg)
 
 
 def guide_utility(
@@ -298,7 +303,13 @@ def optimize_guide(
     if accept_margin < 0.0:
         raise ValueError("accept margin must be nonnegative")
     crn = derive_seeds(seed, n, stream=3)
+    crn_seeds, crn_states = crn.tolist(), _pcg64_states(crn)  # computed once for every re-run
+    run_rng = _reseedable_rng()
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(4,)))
+
+    def run_all(guide, indices) -> list[_Run]:
+        seeded = ((crn_seeds[i], crn_states[i]) for i in indices)
+        return _run_all(guide, _run_seeded(model, guide, seeded, run_rng, max_events))
 
     cells: dict[str, tuple] = {}  # key -> (init cell, support values)
 
@@ -311,7 +322,7 @@ def optimize_guide(
 
     initial: dict = {}
     guide = family.bind(initial)
-    initial_runs = _run_all(model, guide, crn, max_events)
+    initial_runs = run_all(guide, range(n))
     discover(guide)
     initial_u = _utility(crn, initial_runs, cfg)
     initial_index = _key_index(initial_runs)
@@ -329,7 +340,7 @@ def optimize_guide(
         cand[key] = family.mutate_cell(cand.get(key, init_cell), support, rng, sigma)
         affected = current_index.get(key, [])
         guide = family.bind(cand)
-        rerun = _run_all(model, guide, [crn[i] for i in affected], max_events)
+        rerun = run_all(guide, affected)
         discover(guide)
         runs = list(current_runs)
         for i, run in zip(affected, rerun):

@@ -31,14 +31,21 @@ tree).  A run that `run_trace` crash-rejects is a crash leaf of the
 enumeration, with the same reason and event count, and its prior mass
 counts toward `crash_mass`.  Enumeration still raises for the event cap,
 for a model that is not deterministic on replay and for guide errors.
+
+A run's random stream is ``default_rng(seed)``.  `run_trace` seeds it so,
+one run at a time.  Batch drivers call `run_traces`, which yields the
+same traces for a whole seed array: it computes the PCG64 states of
+``default_rng`` in bulk and sets them on one reused generator, after a
+check, once per process, that this numpy seeds as it does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -317,7 +324,49 @@ def run_trace(model: ModelProgram, guide: Guide, seed: int, max_events: int = DE
     completed trace get log P_G(y_i | x, y_1..y_{i-1}) from their conditionals.
     """
     seed = int(seed)
-    run = _RunState(guide, np.random.default_rng(seed), max_events)
+    return _run(model, guide, seed, np.random.default_rng(seed), max_events)
+
+
+def run_traces(
+    model: ModelProgram, guide: Guide, seeds, max_events: int = DEFAULT_MAX_EVENTS
+) -> Iterator[Trace]:
+    """Yield ``run_trace(model, guide, s, max_events)`` for each seed in
+    order, trace for trace the same, at a fraction of the per-run cost.
+
+    One generator serves every run; its PCG64 state is set per run from
+    states computed for `_STATE_BLOCK` seeds at a time, instead of
+    seeding a new ``default_rng`` per run.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    rng = _reseedable_rng()
+    for start in range(0, len(seeds), _STATE_BLOCK):
+        block = seeds[start:start + _STATE_BLOCK]
+        yield from _run_seeded(model, guide, zip(block.tolist(), _pcg64_states(block)), rng, max_events)
+
+
+def _run_seeded(model: ModelProgram, guide: Guide, seeded, rng: np.random.Generator,
+                max_events: int) -> Iterator[Trace]:
+    """One trace per ``(seed, (state, inc))`` of `seeded`, in order, with
+    `rng` set to that PCG64 state before each run."""
+    inner: dict = {}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    bit_generator = rng.bit_generator
+    for seed, (pcg_state, inc) in seeded:
+        inner["state"], inner["inc"] = pcg_state, inc
+        bit_generator.state = state
+        yield _run(model, guide, seed, rng, max_events)
+
+
+def _reseedable_rng() -> np.random.Generator:
+    """A generator for `_run_seeded`; its initial state is never used.
+    Every batch makes one, so this is where the seeding check runs."""
+    _check_pcg64_states_once()
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def _run(model: ModelProgram, guide: Guide, seed: int, rng: np.random.Generator, max_events: int) -> Trace:
+    """`run_trace` on a generator that the caller has seeded for `seed`."""
+    run = _RunState(guide, rng, max_events)
     try:
         guide.begin(GuideContext(run.extra_choice))
         model(run)
@@ -334,6 +383,88 @@ def run_trace(model: ModelProgram, guide: Guide, seed: int, max_events: int = DE
         return run.build_trace(seed, RunStatus.REJECTED_CRASH, crash_reason(exc))
 
 
+# Seeding a whole batch.  ``default_rng(s)`` hashes the integer s with
+# numpy's SeedSequence (O'Neill's seed_seq) into four 64-bit words and
+# seeds PCG64 with them (O'Neill, "PCG", HMC-CS-2014-0905).
+# `_pcg64_states` repeats both steps for an array of seeds in uint32
+# arithmetic with wraparound; `_check_pcg64_states` compares it with
+# numpy once per process, before the first batch.
+_STATE_BLOCK = 256  # seeds per `_pcg64_states` call in `run_traces`: bounds its temporaries
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, n: int) -> list[tuple[np.uint32, np.uint32]]:
+    """(xor, multiply) constants of a SeedSequence hash's first n calls:
+    each call xors with the running constant, steps it and multiplies."""
+    out = []
+    for _ in range(n):
+        step = (init * mult) & _MASK32
+        out.append((np.uint32(init), np.uint32(step)))
+        init = step
+    return out
+
+
+def _pcg64_states(seeds) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``default_rng(s)`` for each 64-bit seed s."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    consts = iter(_hash_constants(_INIT_A, _MULT_A, 16))
+
+    def hashmix(v):
+        xor, mul = next(consts)
+        v = (v ^ xor) * mul
+        return v ^ (v >> _XSHIFT)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return r ^ (r >> _XSHIFT)
+
+    # The entropy is the seed's 32-bit words, low first; a seed below
+    # 2**32 has one word, but its zero high word hashes as the padding does.
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    words = [(seeds & np.uint64(_MASK32)).astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    out = []
+    for k, (xor, mul) in enumerate(_hash_constants(_INIT_B, _MULT_B, 8)):
+        v = (pool[k % 4] ^ xor) * mul
+        out.append((v ^ (v >> _XSHIFT)).astype(np.uint64))
+    w0, w1, w2, w3 = ((out[2 * j] | (out[2 * j + 1] << np.uint64(32))).tolist() for j in range(4))
+    states = []
+    for a, b, c, d in zip(w0, w1, w2, w3):
+        inc = (((c << 64) | d) << 1 | 1) & _MASK128
+        # Two LCG steps from state 0, adding the initial state after the first.
+        states.append((((inc + ((a << 64) | b)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _check_pcg64_states() -> None:
+    """Raise unless `_pcg64_states` reproduces numpy's own seeding."""
+    seeds = (0, 2**32, 2**64 - 1)
+    for s, (state, inc) in zip(seeds, _pcg64_states(np.array(seeds, dtype=np.uint64))):
+        if np.random.default_rng(s).bit_generator.state["state"] != {"state": state, "inc": inc}:
+            raise RuntimeError(
+                f"numpy {np.__version__} seeds default_rng({s}) differently from "
+                "guidedppl.runtime._pcg64_states; batch runs would not match run_trace"
+            )
+
+
+# Not at import: `import numpy` leaves `numpy.random` unloaded, and
+# commands that sample nothing (`oracle`) need not pay for loading it.
+_check_pcg64_states_once = functools.cache(_check_pcg64_states)
+
+
 def derive_seeds(base_seed: int, n: int, stream: int = 0) -> np.ndarray:
     """n per-trace seeds derived deterministically from a root seed.
 
@@ -346,3 +477,4 @@ def derive_seeds(base_seed: int, n: int, stream: int = 0) -> np.ndarray:
         raise ValueError("need at least one run")
     ss = np.random.SeedSequence(int(base_seed), spawn_key=(int(stream),))
     return ss.generate_state(int(n), np.uint64)
+

@@ -232,6 +232,14 @@ class TestErrorsAndDeterminism:
         code, out = invoke(capsys, "run", "--model", "three_dice", "--guide", "wat", "--n", "5")
         assert code == 2
 
+    def test_missing_params_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "nonexistent.json"
+        code = main(["run", "--model", "three_dice", "--guide", "tabular", "--params", str(missing), "--n", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"cannot read guide parameter file {missing}: No such file or directory\n"
+
     def test_no_accepted_runs_is_structured(self, capsys):
         code, doc = invoke_json(
             capsys, "run", "--model", "monkey", "--pattern", "aaaaaaaaaaaaaaa",

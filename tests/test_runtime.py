@@ -1,8 +1,11 @@
+import functools
 import hashlib
 import math
+import re
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from guidedppl import (
@@ -14,11 +17,16 @@ from guidedppl import (
     PriorGuide,
     RunStatus,
     Trace,
+    batch_stats,
+    derive_seeds,
     dist_from_weights,
     point_mass,
     run_trace,
+    run_traces,
     uniform_range,
 )
+from guidedppl import runtime
+from guidedppl.estimators import stats_from_summaries, summarize_trace
 from guidedppl.models import MODELS, DicePosteriorGuide, dice_point_family, three_dice
 
 from helpers import (
@@ -297,10 +305,10 @@ def _canon(x):
     return x
 
 
-def _trace_digest(model, guide, seeds) -> str:
+def _trace_digest(traces) -> str:
     h = hashlib.sha256()
-    for s in seeds:
-        h.update(repr(_canon(run_trace(model, guide, s))).encode())
+    for t in traces:
+        h.update(repr(_canon(t)).encode())
         h.update(b"\n")
     return h.hexdigest()
 
@@ -354,4 +362,84 @@ GOLDEN_TRACE_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(_golden_trace_configs()))
 def test_golden_traces(name):
     model, make_guide = _golden_trace_configs()[name]
-    assert _trace_digest(model, make_guide(), GOLDEN_TRACE_SEEDS) == GOLDEN_TRACE_DIGESTS[name]
+    guide = make_guide()
+    traces = (run_trace(model, guide, s) for s in GOLDEN_TRACE_SEEDS)
+    assert _trace_digest(traces) == GOLDEN_TRACE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(_golden_trace_configs()))
+def test_golden_traces_in_one_batch(name):
+    model, make_guide = _golden_trace_configs()[name]
+    assert _trace_digest(run_traces(model, make_guide(), GOLDEN_TRACE_SEEDS)) == GOLDEN_TRACE_DIGESTS[name]
+
+
+class TestBatchSeeding:
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    @example(0)
+    @example(1)
+    @example(2**32 - 1)
+    @example(2**32)
+    @example(2**64 - 1)
+    @settings(max_examples=300, deadline=None)
+    def test_states_match_default_rng(self, seed):
+        [(state, inc)] = runtime._pcg64_states([seed])
+        assert np.random.default_rng(seed).bit_generator.state["state"] == {"state": state, "inc": inc}
+
+    def test_states_of_an_array_match_one_by_one(self):
+        seeds = derive_seeds(3, 300)
+        states = runtime._pcg64_states(seeds)
+        assert states == [runtime._pcg64_states([s])[0] for s in seeds]
+
+    @pytest.mark.parametrize("constant", ["_INIT_A", "_MULT_B", "_PCG64_MULT"])
+    def test_guard_names_numpy_version_on_mismatch(self, monkeypatch, constant):
+        monkeypatch.setattr(runtime, constant, getattr(runtime, constant) ^ 1)
+        with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} "):
+            runtime._check_pcg64_states()
+
+    def test_batch_runs_check_before_the_first_run(self, monkeypatch):
+        # A fresh once-cache, so that an earlier batch in this process
+        # has not passed the check already.
+        monkeypatch.setattr(runtime, "_check_pcg64_states_once", functools.cache(runtime._check_pcg64_states))
+        monkeypatch.setattr(runtime, "_MULT_A", runtime._MULT_A ^ 1)
+        with pytest.raises(RuntimeError, match="numpy"):
+            next(run_traces(three_dice, PriorGuide(), [1]))
+
+    def test_guard_passes_on_this_numpy(self):
+        runtime._check_pcg64_states()
+
+
+def _batch_configs():
+    configs = {
+        name: (MODELS[model].build(), MODELS[model].guides[guide]())
+        for name in ("three_dice/prior_reject", "expr/prior", "monkey/pattern_insert")
+        for model, guide in [name.split("/")]
+    }
+    configs["hashed/crash"] = (make_hashed_model(5, crash=True), PriorGuide())
+    return configs
+
+
+# 600 seeds cross two boundaries of the 256-seed blocks of `run_traces`.
+BATCH_SEEDS = derive_seeds(21, 600)
+
+
+@pytest.mark.parametrize("name", sorted(_batch_configs()))
+def test_run_traces_equals_run_trace(name):
+    model, guide = _batch_configs()[name]
+    assert runtime._STATE_BLOCK * 2 < len(BATCH_SEEDS)
+    single = [run_trace(model, guide, int(s)) for s in BATCH_SEEDS]
+    batch = list(run_traces(model, guide, BATCH_SEEDS))
+    assert [repr(_canon(t)) for t in batch] == [repr(_canon(t)) for t in single]
+    want = stats_from_summaries(BATCH_SEEDS, map(summarize_trace, single))
+    got = batch_stats(model, guide, BATCH_SEEDS)
+    for field in want.__slots__:
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+    assert _BATCH_CASE_SHOWN[name](single)
+
+
+# What each configuration must exercise among its 600 runs.
+_BATCH_CASE_SHOWN = {
+    "three_dice/prior_reject": lambda ts: any(t.status is RunStatus.REJECTED_THRESHOLD for t in ts),
+    "expr/prior": lambda ts: any(t.log_evidence == 0.0 for t in ts) and any(t.log_evidence < 0.0 for t in ts),
+    "monkey/pattern_insert": lambda ts: any(t.extras and t.extras[0].log_model_conditional is not None for t in ts),
+    "hashed/crash": lambda ts: len({t.crash_reason for t in ts} - {None}) >= 3,
+}
