@@ -148,7 +148,8 @@ def dumps(doc) -> str:
 
 
 class UsageError(Exception):
-    """Unknown model or guide name, or an unreadable file (exit code 2)."""
+    """Unknown model or guide name, or a file that cannot be read or
+    written (exit code 2)."""
 
 
 def _guide_config(args) -> dict:
@@ -169,7 +170,18 @@ def _load_params(path: str) -> dict:
         raise UsageError(f"cannot read guide parameter file {path}: {exc.strerror or exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"guide parameter file {path} must hold a JSON object")
-    return {str(k): [float(x) for x in v] for k, v in raw.items()}
+    for k, v in raw.items():
+        if not isinstance(v, list) or not all(type(x) in (int, float) and not math.isnan(x) for x in v):
+            raise ValueError(f"guide parameter file {path}: {k!r} must map to a list of numbers")
+    return {k: [float(x) for x in v] for k, v in raw.items()}
+
+
+def _write_file(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {what} {path}: {exc.strerror or exc}") from None
 
 
 def build_model(model_name: str, cfg: dict):
@@ -279,8 +291,7 @@ def _cmd_optimize(args, notes: list) -> dict:
     )
     best_params = {k: list(v) for k, v in sorted(report.best_params.items())}
     if args.save_params:
-        with open(args.save_params, "w") as fh:
-            fh.write(dumps(best_params) + "\n")
+        _write_file(args.save_params, dumps(best_params) + "\n", "guide parameter file")
     return {
         "best_utility": report.best_utility,
         "evaluations": report.evaluations,
@@ -409,22 +420,22 @@ def main(argv=None) -> int:
     doc = {"command": args.command, "config": _config_echo(args)}
     code = 0
     try:
-        doc["results"] = args.handler(args, notes)
+        try:
+            doc["results"] = args.handler(args, notes)
+        except _HANDLED_ERRORS as exc:
+            doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
+            if isinstance(exc, UndefinedRatioError):
+                doc["error"]["partial"] = asdict(exc.partial)
+                del doc["error"]["partial"]["ratio_of_bounds"]  # always None here
+            code = 1
+        doc["stderr_notes"] = notes
+        text = dumps(doc) + "\n"
+        if args.output:  # before stdout, so that a write error leaves stdout empty
+            _write_file(args.output, text, "output file")
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except _HANDLED_ERRORS as exc:
-        doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, UndefinedRatioError):
-            doc["error"]["partial"] = asdict(exc.partial)
-            del doc["error"]["partial"]["ratio_of_bounds"]  # always None here
-        code = 1
-    doc["stderr_notes"] = notes
-    text = dumps(doc) + "\n"
     sys.stdout.write(text)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
     return code
 
 

@@ -5,28 +5,29 @@ execution as a prefix tree.  Each run replays a forced prefix of choices,
 then takes the first value, in sorted order, at every later site and sets
 the siblings aside as prefixes for later runs; so every run ends at a new
 leaf, and leaves come out in sorted order.  An internal node holds the
-log evidence declared since its parent choice, the choice site and one
-child per prior value; a leaf holds its trailing log evidence and the
-path's `PathEntry`.  This needs nothing from the host language beyond
-the determinism contract the runtime already imposes.
+log evidence declared since its parent choice, the site's label and prior
+and one child per prior value; a leaf holds its trailing log evidence and
+the path's `PathEntry`, the one place that stores the path's values.
+This needs nothing from the host language beyond the determinism
+contract the runtime already imposes.
 
 Each run goes through the runtime's context core (`ModelContext`) with
 replay as its value policy.  A run that crashes after its forced prefix
 ends in a *crash leaf* (`CrashEntry`, in `PathEnumeration.crashes`; its
 prior mass is `crash_mass()`) with the reason and event count that
 `run_trace` reports there.  Evidence and conditional expectations sum
-over completed paths.  These still raise: the event cap, a model that is
-not deterministic on replay (fewer choices, a forced value outside the
-prior's support, or a crash before the forced prefix is replayed), and
-guide exceptions.
+over completed paths.  These still raise: the event cap (by default the
+runtime's, as in `run_trace`), a model that is not deterministic on
+replay (fewer choices, a forced value outside the prior's support, or a
+crash before the forced prefix is replayed), and guide exceptions.
 
 Guides are scored without running the model again: one depth-first walk
 of the tree calls ``guide.begin`` once, then ``guide.propose`` once at
-each site the guide can reach, and carries log G(x), the running free
-energy and the ceiling trigger down each edge.  That yields ground-truth
-evidence probabilities, conditional expectations, free energies, KL
-divergences, acceptance rates and run costs at desk scale.  Guides that
-insert extra choices are outside exact treatment and are rejected.
+each site the guide can reach, and carries the values chosen so far,
+log G(x), the running free energy and the ceiling trigger down each edge.
+That yields ground-truth evidence probabilities, conditional expectations,
+free energies, KL divergences, acceptance rates and run costs at desk
+scale.  Guides that insert extra choices are rejected.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .dists import Dist, Value, NEG_INF
+from . import runtime
 from .runtime import ChoiceSite, Guide, GuideContext, ModelContext, ModelProgram, _EventCapError, crash_reason
 
 DEFAULT_MAX_PATHS = 1_000_000
-DEFAULT_MAX_EVENTS = 10_000
 
 
 class EnumerationCapError(RuntimeError):
@@ -82,13 +83,12 @@ class _Leaf:
 @dataclass(slots=True, eq=False)
 class _Node:
     """A choice site: the log evidence declared since the parent choice,
-    the site, and one child per prior value, in `_value_key` order."""
+    its label and prior, and one child per prior value, in `_value_key`
+    order.  The values chosen before it are the edges above it."""
 
     log_evidence: tuple[float, ...]
-    index: int
     label: Optional[str]
     prior: Dist
-    history: tuple[Value, ...]  # values chosen before this site
     values: list[Value]
     children: list[Union[_Node, _Leaf, None]]
 
@@ -98,7 +98,6 @@ class PathEnumeration:
     """Every terminating execution path of a model, the paths on which it
     crashes, and the prefix tree of its execution."""
 
-    model: ModelProgram
     entries: tuple[PathEntry, ...]  # completed paths
     crashes: tuple[CrashEntry, ...]
     root: Union[_Node, _Leaf]
@@ -137,15 +136,16 @@ class _ForcedRun(ModelContext):
                 raise RuntimeError(f"forced value {v!r} left the prior support")
             self.pos = pos + 1
             return v
-        history = tuple(self.choices)
         values = sorted(prior.values, key=_value_key)
-        node = _Node(tuple(self.pending), pos, label, prior, history, values, [None] * len(values))
+        node = _Node(tuple(self.pending), label, prior, values, [None] * len(values))
         children, i = self.slot
         children[i] = node
         self.pending = []
         lp = self.log_prior
-        for j in range(len(values) - 1, 0, -1):
-            self.stack.append((history + (values[j],), lp + prior.log_prob(values[j]), (node.children, j)))
+        if len(values) > 1:  # the siblings' replay prefixes
+            history = tuple(self.choices)
+            for j in range(len(values) - 1, 0, -1):
+                self.stack.append((history + (values[j],), lp + prior.log_prob(values[j]), (node.children, j)))
         self.slot = (node.children, 0)
         v = values[0]
         self.choices.append(v)
@@ -159,7 +159,7 @@ class _ForcedRun(ModelContext):
 
 
 def enumerate_paths(model: ModelProgram, max_paths: int = DEFAULT_MAX_PATHS,
-                    max_events: int = DEFAULT_MAX_EVENTS) -> PathEnumeration:
+                    max_events: int = runtime.DEFAULT_MAX_EVENTS) -> PathEnumeration:
     """Depth-first enumeration of every terminating path, one model run
     per path; entries and crash leaves are sorted by choice sequence.
     See the module docstring for crash leaves and what raises."""
@@ -190,7 +190,7 @@ def enumerate_paths(model: ModelProgram, max_paths: int = DEFAULT_MAX_PATHS,
         children[i] = _Leaf(tuple(run.pending), leaf)
         if len(entries) + len(crashes) > max_paths:
             raise EnumerationCapError(f"more than {max_paths} paths; model too large for exact treatment")
-    return PathEnumeration(model, tuple(entries), tuple(crashes), top[0])
+    return PathEnumeration(tuple(entries), tuple(crashes), top[0])
 
 
 def exact_evidence(pe: PathEnumeration) -> float:
@@ -224,10 +224,10 @@ def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> 
     """
     guide.begin(GuideContext(_no_extra_choice))
     ceiling = guide.ceiling
-    # (node, log G of the prefix, fe, events, rejected, events at rejection)
-    stack: list = [(pe.root, 0.0, 0.0, 0, False, None)]
+    # (node, values chosen above it, log G of them, fe, events, rejected, events at rejection)
+    stack: list = [(pe.root, (), 0.0, 0.0, 0, False, None)]
     while stack:
-        node, log_guide, fe, events, rejected, observed = stack.pop()
+        node, history, log_guide, fe, events, rejected, observed = stack.pop()
         for lp in node.log_evidence:
             events += 1
             if not rejected:
@@ -240,7 +240,7 @@ def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> 
             yield entry, log_guide, fe, entry.n_events if observed is None else observed, rejected
             continue
         prior = node.prior
-        g = guide.propose(ChoiceSite(node.index, node.label, prior, node.history, ()))
+        g = guide.propose(ChoiceSite(len(history), node.label, prior, history, ()))
         if g is None:
             g = prior
         events += 1
@@ -248,8 +248,7 @@ def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> 
             leaked = math.fsum(gm for gv, gm in g if prior.prob(gv) == 0.0)
             if leaked > 0.0:
                 leaks.append((math.exp(log_guide) * leaked, observed if rejected else events))
-        for j in range(len(node.values) - 1, -1, -1):
-            v = node.values[j]
+        for v, child in zip(reversed(node.values), reversed(node.children)):
             lg = g.log_prob(v)
             if lg == NEG_INF:
                 continue  # G never samples this subtree
@@ -259,7 +258,8 @@ def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> 
                 if ceiling is not None and child_fe > ceiling:
                     child_rejected = True
                     child_observed = events
-            stack.append((node.children[j], log_guide + lg, child_fe, events, child_rejected, child_observed))
+            prefix = history + (v,) if type(child) is _Node else None  # a leaf needs no prefix
+            stack.append((child, prefix, log_guide + lg, child_fe, events, child_rejected, child_observed))
 
 
 def guided_paths(pe: PathEnumeration, guide: Guide) -> Iterator[tuple[PathEntry, float]]:

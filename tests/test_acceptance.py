@@ -131,7 +131,7 @@ def test_04_rejection_adjustment():
 
 
 def test_05_sampling_consistency(dice_pe, expr2_pe):
-    expr2 = expr2_pe.model
+    expr2 = make_expr_model(2)
     monkey8 = make_monkey_model(2, 8, "aba")
     monkey8_pe = enumerate_paths(monkey8)
 

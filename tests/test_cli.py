@@ -240,6 +240,32 @@ class TestErrorsAndDeterminism:
         assert captured.out == ""
         assert captured.err == f"cannot read guide parameter file {missing}: No such file or directory\n"
 
+    def test_unwritable_save_params_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "p.json"
+        code = main(["optimize", "--model", "three_dice", "--budget", "2", "--eval-n", "10",
+                     "--save-params", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"cannot write guide parameter file {path}: No such file or directory\n"
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "o.json"
+        code = main(["run", "--model", "three_dice", "--n", "5", "--output", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"cannot write output file {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("value", [3, [None], [1.0, "2"], [True], [math.nan], "12", {"a": 1.0}],
+                             ids=["number", "null", "string-item", "bool-item", "nan-item", "string", "object"])
+    def test_malformed_params_values_are_structured(self, capsys, tmp_path, value):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"die1": value}))
+        code, doc = invoke_json(capsys, "run", "--model", "three_dice", "--guide", "tabular",
+                                "--params", str(path), "--n", "5")
+        assert code == 1
+        assert doc["error"] == {"type": "ValueError",
+                                "message": f"guide parameter file {path}: 'die1' must map to a list of numbers"}
+
     def test_no_accepted_runs_is_structured(self, capsys):
         code, doc = invoke_json(
             capsys, "run", "--model", "monkey", "--pattern", "aaaaaaaaaaaaaaa",

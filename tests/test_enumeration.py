@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zlib
 from fractions import Fraction
 from itertools import product
@@ -30,7 +31,7 @@ from guidedppl import (
     run_trace,
     uniform_range,
 )
-from guidedppl.models import DicePosteriorGuide, expr_tabular_family, three_dice
+from guidedppl.models import DicePosteriorGuide, expr_tabular_family, make_monkey_model, three_dice
 
 from helpers import (
     DICE_FE_TARGET,
@@ -501,3 +502,55 @@ def test_walk_identities_on_hashed_models(structure_seed, guide_seed):
     paths = list(guided_paths(pe, _random_full_support_guide(guide_seed)))
     assert len(paths) == len(pe.entries)
     assert math.fsum(math.exp(lg) for _, lg in paths) == pytest.approx(1.0, abs=1e-12)
+
+
+class _RecordingGuide(Guide):
+    """The prior guide, keeping every site it is shown."""
+
+    def __init__(self):
+        self.sites = []
+
+    def propose(self, site):
+        self.sites.append(site)
+        return None
+
+
+@settings(max_examples=15, deadline=None)
+@given(structure_seed=st.integers(0, 10_000), crash=st.booleans())
+def test_walk_shows_the_sites_that_sampling_shows(structure_seed, crash):
+    model = make_hashed_model(structure_seed, crash=crash)
+    walked = _RecordingGuide()
+    exact_guided_profile(enumerate_paths(model), walked)
+    sampled = _RecordingGuide()
+    for seed in range(200):
+        run_trace(model, sampled, seed)
+    walk_sites = set(walked.sites)
+    assert len(walk_sites) == len(walked.sites)  # one visit per node
+    assert all(site in walk_sites for site in sampled.sites)
+    assert all(site.index == len(site.history) and site.extras == () for site in walked.sites)
+
+
+class TestLongPaths:
+    def test_default_event_cap_is_the_runtime_one(self):
+        def model(ctx):
+            for _ in range(12_000):
+                ctx.choose(point_mass(0))
+            ctx.evidence(0.5)
+
+        (entry,) = enumerate_paths(model).entries
+        t = run_trace(model, PriorGuide(), 0)
+        assert (t.status, t.n_events, t.log_evidence) == (RunStatus.COMPLETED, entry.n_events, entry.log_evidence)
+        assert entry.n_events == 12_001
+
+    def test_tree_memory_is_linear_in_path_length(self):
+        # A single path of 4,000 choices: one history tuple per node would
+        # take about 64 MB.
+        tracemalloc.start()
+        try:
+            pe = enumerate_paths(make_monkey_model(1, 4_000, "a"))
+            prof = exact_guided_profile(pe, PriorGuide())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prof.acceptance_rate == 1.0 and len(pe.entries) == 1
+        assert peak < 16 * 2**20
