@@ -336,6 +336,7 @@ GOLDEN_STDOUT = [
     ("bound --model monkey --pattern aaaaaaaaaaaaaaa --guide pattern_insert --hypothesis --n 50 --seed 1", 1, "5490b5331f468573a56cf8c9b3042de92a5b1589cbd726a0d04185ec62bfdb7a"),
     ("bound --model three_dice --guide prior --n 50 --delta 1.5 --seed 1 --hypothesis", 1, "66487fd6406d81118bc9c09bd802fad6754ba5836df87f43ec90a332b81cc337"),
     ("trace --model monkey --guide pattern_insert --seed 12", 0, "edb46115f2fedc53bbbcf8cdca4f4b8a1078273ba6f369c635431fffc33457f5"),
+    ("trace --model monkey --guide pattern_insert --length 4000 --seed 8", 0, "f6d3c71ec8b66fecb04c078a0d55249bfadca613431ad1ece1094e09a0053f16"),
     ("trace --model three_dice --guide prior_reject --seed 3", 0, "2a90969ac517c2c299af648504ec1730fc8697f1d65be005b5ffa01cb72d866f"),
     ("trace --model expr --guide prior --seed 4", 0, "20012cad7c16ea3a7e84eaa3f7d99e00f4e47e2044763ebd2b49521ad2b986c6"),
 ]

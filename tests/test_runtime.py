@@ -373,6 +373,20 @@ def test_golden_traces_in_one_batch(name):
     assert _trace_digest(run_traces(model, make_guide(), GOLDEN_TRACE_SEEDS)) == GOLDEN_TRACE_DIGESTS[name]
 
 
+# The same digest for monkey/pattern_insert at length 4,000, seeds 0..4:
+# a fault in how a guide sees a long history shows only at length.
+GOLDEN_LONG_TRACE_DIGEST = "a6b4751cbd61f452b0dc6df57a7852a24a3c95c472c7e4503ee2610e52e24efd"
+
+
+def test_golden_long_traces():
+    entry = MODELS["monkey"]
+    model = entry.build(length=4000)
+    traces = [run_trace(model, entry.guides["pattern_insert"](length=4000), s) for s in range(5)]
+    assert _trace_digest(traces) == GOLDEN_LONG_TRACE_DIGEST
+    assert _trace_digest(run_traces(model, entry.guides["pattern_insert"](length=4000), range(5))) == (
+        GOLDEN_LONG_TRACE_DIGEST)
+
+
 class TestBatchSeeding:
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     @example(0)
