@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -71,17 +72,22 @@ _HANDLED_ERRORS = (
 
 
 def _format_float(x: float) -> str:
+    if math.isfinite(x):
+        return format(x, ".17g")
     if math.isnan(x):
         return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+    return "Infinity" if x > 0 else "-Infinity"
 
 
 def _emit(value, indent: int, out: list) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
+    kind = type(value)  # the exact types first: they are nearly every value of a long trace
+    if kind is float:
+        out.append(_format_float(value))
+    elif kind is str:
+        out.append(_escape(value))
+    elif kind is int:
+        out.append(str(value))
+    elif value is None:
         out.append("null")
     elif isinstance(value, (bool, np.bool_)):
         out.append("true" if value else "false")
@@ -95,28 +101,36 @@ def _emit(value, indent: int, out: list) -> None:
         if not value:
             out.append("{}")
             return
-        out.append("{\n")
-        for i, (k, v) in enumerate(value.items()):
-            out.append(f"{inner}{_escape(str(k))}: ")
+        inner = "  " * (indent + 1)
+        sep = "{\n"
+        for k, v in value.items():
+            out.append(f"{sep}{inner}{_escape(str(k))}: ")
             _emit(v, indent + 1, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
+            sep = ",\n"
+        out.append("\n" + "  " * indent + "}")
     elif isinstance(value, (list, tuple, np.ndarray)):
         items = list(value)
         if not items:
             out.append("[]")
             return
-        out.append("[\n")
-        for i, v in enumerate(items):
-            out.append(inner)
+        inner = "  " * (indent + 1)
+        sep = "[\n"
+        for v in items:
+            out.append(sep + inner)
             _emit(v, indent + 1, out)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "]")
+            sep = ",\n"
+        out.append("\n" + "  " * indent + "]")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+# What `_escape` rewrites: a quote, a backslash or a control character below 0x20.
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+
+
 def _escape(s: str) -> str:
+    if _NEEDS_ESCAPE.search(s) is None:
+        return '"' + s + '"'
     parts = ['"']
     for ch in s:
         if ch == '"':

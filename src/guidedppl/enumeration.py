@@ -25,6 +25,9 @@ Guides are scored without running the model again: one depth-first walk
 of the tree calls ``guide.begin`` once, then ``guide.propose`` once at
 each site the guide can reach, and carries the values chosen so far,
 log G(x), the running free energy and the ceiling trigger down each edge.
+The values chosen so far are a `HistoryView` linked to the parent's, the
+same view type that sampled sites carry; it costs O(1) per edge and is
+turned into a list only when a guide reads it.
 That yields ground-truth evidence probabilities, conditional expectations,
 free energies, KL divergences, acceptance rates and run costs at desk
 scale.  Guides that insert extra choices are rejected.
@@ -38,7 +41,8 @@ from typing import Iterator, Optional, Union
 
 from .dists import Dist, Value, NEG_INF
 from . import runtime
-from .runtime import ChoiceSite, Guide, GuideContext, ModelContext, ModelProgram, _EventCapError, crash_reason
+from .runtime import (ChoiceSite, Guide, GuideContext, HistoryView, ModelContext, ModelProgram,
+                      _EventCapError, crash_reason)
 
 DEFAULT_MAX_PATHS = 1_000_000
 
@@ -225,7 +229,7 @@ def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> 
     guide.begin(GuideContext(_no_extra_choice))
     ceiling = guide.ceiling
     # (node, values chosen above it, log G of them, fe, events, rejected, events at rejection)
-    stack: list = [(pe.root, (), 0.0, 0.0, 0, False, None)]
+    stack: list = [(pe.root, HistoryView([], 0), 0.0, 0.0, 0, False, None)]
     while stack:
         node, history, log_guide, fe, events, rejected, observed = stack.pop()
         for lp in node.log_evidence:
@@ -258,7 +262,7 @@ def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> 
                 if ceiling is not None and child_fe > ceiling:
                     child_rejected = True
                     child_observed = events
-            prefix = history + (v,) if type(child) is _Node else None  # a leaf needs no prefix
+            prefix = history._child(v) if type(child) is _Node else None  # a leaf needs no prefix
             stack.append((child, prefix, log_guide + lg, child_fe, events, child_rejected, child_observed))
 
 

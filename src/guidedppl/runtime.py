@@ -23,6 +23,11 @@ in nats.  A run is rejected when the running free-energy sum ever exceeds
 the guide's ceiling (threshold rejection) or when model/guide code fails
 (crash rejection); rejections are data, not exceptions.
 
+At each choice site the guide gets a `ChoiceSite`.  Its `history` is a
+`HistoryView`, a read-only view of the run's growing value list, and its
+`extras` the one tuple of extra values that `extra_choice` rebuilds, so
+neither copies the run: a run of L events costs O(L), not O(L^2).
+
 Sampling and exact enumeration share one context core, `ModelContext`:
 the input checks, event counting against the cap and `crash_reason`
 exist once, and only the value policy differs (`_RunState` samples from
@@ -43,8 +48,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -53,6 +60,8 @@ from .dists import Dist, Value, log_nonneg
 
 DEFAULT_MAX_EVENTS = 100_000
 
+_tuple_new = tuple.__new__
+
 
 class RunStatus(str, Enum):
     COMPLETED = "completed"
@@ -60,16 +69,96 @@ class RunStatus(str, Enum):
     REJECTED_CRASH = "rejected_crash"
 
 
+class HistoryView(Sequence):
+    """The model's values chosen before a choice site, as a guide sees
+    them: a read-only sequence that costs O(1) to make and that compares,
+    hashes, prints, indexes and slices as the tuple of those values does
+    (a slice is a tuple).  ``tuple(view)`` makes a copy.
+
+    A view reads the first n items of a list that only ever grows, so it
+    stays a correct snapshot after the run moves on or ends.  A sampled
+    run shares its own value list among its views.  The exact walk makes
+    each child's view from its parent's with `_child`, as a link that the
+    first read resolves: it extends the nearest resolved ancestor's list,
+    in place unless another view has extended that list already, so a
+    chain of sites costs O(1) per site whether or not its guide reads it.
+    """
+
+    __slots__ = ("_values", "_n")
+
+    def __init__(self, values: list, n: int):
+        self._values = values  # or (parent view, last value) until the first read
+        self._n = n
+
+    def _child(self, value: Value) -> "HistoryView":
+        """This history followed by `value`."""
+        return HistoryView((self, value), self._n + 1)
+
+    def _list(self) -> list:
+        """The list whose first n items are this history, after resolving
+        this view and its unresolved ancestors."""
+        if type(self._values) is list:
+            return self._values
+        chain = []
+        view = self
+        while type(view._values) is not list:
+            chain.append(view)
+            view = view._values[0]
+        values, n = view._values, view._n
+        for view in reversed(chain):
+            if len(values) != n:  # another view extended this list: copy the shared prefix
+                values = values[:n]
+            values.append(view._values[1])
+            n += 1
+            view._values = values
+        return values
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        n = self._n
+        if type(i) is int and -n <= i < n:  # the common case, without a range object
+            return self._list()[i % n]
+        values = self._list()
+        if isinstance(i, slice):
+            return tuple(map(values.__getitem__, range(n)[i]))
+        try:
+            return values[range(n)[i]]
+        except IndexError:
+            raise IndexError("tuple index out of range") from None
+        except TypeError:
+            raise TypeError(f"tuple indices must be integers or slices, not {type(i).__name__}") from None
+
+    def __iter__(self) -> Iterator[Value]:
+        return islice(self._list(), self._n)
+
+    def __eq__(self, other):
+        if isinstance(other, HistoryView):
+            return self._n == other._n and (self._list() is other._list() or tuple(self) == tuple(other))
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class ChoiceSite(NamedTuple):
-    """What a guide sees at a choice site: position, the model's prior,
-    and the full history of values chosen so far (model choices and the
-    guide's own extra choices)."""
+    """What a guide sees at a choice site: position, label, the model's
+    prior, the model's values chosen so far and the guide's own extra
+    values drawn so far.  `history` and `extras` are read-only sequences
+    (a `HistoryView` and a tuple) that cost O(1) per site; ``tuple(site.history)``
+    makes a copy.  A site stays valid after its run has ended."""
 
     index: int
     label: Optional[str]
     prior: Dist
-    history: tuple[Value, ...]
-    extras: tuple[Value, ...]
+    history: Sequence[Value]
+    extras: Sequence[Value]
 
 
 class EventFE(NamedTuple):
@@ -264,13 +353,14 @@ class _RunState(ModelContext):
         self.ceiling = math.inf if guide.ceiling is None else guide.ceiling
         self.choices: list[ChoiceRecord] = []
         self.extras: list[ExtraChoiceRecord] = []
-        self.history: list[Value] = []
-        self.extra_values: list[Value] = []
+        self.history: list[Value] = []  # only grows: every site's view reads a prefix of it
+        self.extra_values: tuple[Value, ...] = ()  # rebuilt only by `extra_choice`
         self.per_event: list[EventFE] = []
 
     def _take(self, prior: Dist, label: Optional[str]) -> Value:
         index = len(self.choices)
-        site = ChoiceSite(index, label, prior, tuple(self.history), tuple(self.extra_values))
+        # tuple.__new__ builds the named tuples without their Python-level __new__.
+        site = _tuple_new(ChoiceSite, (index, label, prior, HistoryView(self.history, index), self.extra_values))
         guide_dist = self.guide.propose(site)
         if guide_dist is None:
             guide_dist = prior
@@ -278,17 +368,18 @@ class _RunState(ModelContext):
             raise _ContractError(f"guide returned {type(guide_dist).__name__}, not a Dist")
         chosen = guide_dist.sample(self.rng)
         log_prior = prior.log_prob(chosen)
-        log_guide = guide_dist.log_prob(chosen)  # finite: chosen was sampled from it
+        # Finite: chosen was sampled from the guide's Dist.  The prior's is the same number.
+        log_guide = log_prior if guide_dist is prior else guide_dist.log_prob(chosen)
         self.choices.append(ChoiceRecord(index, label, prior, guide_dist, chosen, log_prior, log_guide))
         self.history.append(chosen)
         fe = log_guide - log_prior
         self.fe += fe
-        self.per_event.append(EventFE("choose", index, label, fe))
+        self.per_event.append(_tuple_new(EventFE, ("choose", index, label, fe)))
         return chosen
 
     def _observe(self, log_p: float) -> None:
         index = len(self.per_event) - len(self.choices)  # evidence events so far
-        self.per_event.append(EventFE("evidence", index, None, -log_p))
+        self.per_event.append(_tuple_new(EventFE, ("evidence", index, None, -log_p)))
 
     def extra_choice(self, guide_dist: Dist, conditional: Callable[[Trace], Dist]) -> Value:
         if not isinstance(guide_dist, Dist):
@@ -296,7 +387,7 @@ class _RunState(ModelContext):
         chosen = guide_dist.sample(self.rng)
         log_guide = guide_dist.log_prob(chosen)
         self.extras.append(ExtraChoiceRecord(len(self.extras), guide_dist, chosen, log_guide, conditional))
-        self.extra_values.append(chosen)
+        self.extra_values += (chosen,)
         self.n_events += 1
         if self.n_events > self.max_events:
             raise _EventCapError(self.max_events)

@@ -2,14 +2,17 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from guidedppl import PriorGuide, batch_stats, derive_seeds, lower_confidence_bound
 from guidedppl import cli
 from guidedppl.cli import main
 from guidedppl.models import three_dice
 
-from helpers import DICE_FE_TARGET
+from helpers import DICE_FE_TARGET, reference_dumps
 
 
 def invoke(capsys, *argv):
@@ -362,3 +365,35 @@ class TestGoldenOutput:
             assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
         saved = (tmp_path / "dice_params.json").read_bytes()
         assert hashlib.sha256(saved).hexdigest() == "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356"
+
+
+# Documents for the emitter: every control character (\b, \f and \x7f
+# included), quotes, backslashes and non-ASCII in strings; NaN, infinities,
+# -0.0 and subnormals among the floats; numpy scalars and arrays; None,
+# booleans and empty containers.
+_CONTROL = [chr(i) for i in range(0x20)] + ["\x7f"]
+_strings = st.text(st.one_of(st.sampled_from(_CONTROL + ['"', "\\", "\u00e9", "\u2028", "\U0001f600"]),
+                             st.characters()), max_size=12)
+_floats = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310]))
+_int64s = st.integers(-2**63, 2**63 - 1)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.booleans().map(np.bool_), st.integers(), _int64s.map(np.int64),
+    _floats, st.floats(width=32).map(np.float32), _strings,
+)
+_arrays = st.one_of(st.lists(_floats, max_size=4).map(lambda xs: np.array(xs, dtype=float)),
+                    st.lists(_int64s, max_size=4).map(lambda xs: np.array(xs, dtype=np.int64)))
+_documents = st.recursive(
+    st.one_of(_scalars, _arrays),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.one_of(_strings, st.integers()), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_documents)
+@example(doc={"".join(_CONTROL) + '"\\\u00e9': [math.nan, -0.0, 5e-324, math.inf, -math.inf, np.float32(0.1)],
+              "": {}, "empty": [], "t": (), "a": np.array([]), "flags": [True, np.bool_(False), None],
+              "ints": [np.int64(-2**63), 2**70]})
+def test_dumps_matches_the_reference_emitter(doc):
+    assert cli.dumps(doc) == reference_dumps(doc)

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from guidedppl import (
     uniform_range,
 )
 from guidedppl import runtime
+from guidedppl.enumeration import enumerate_paths, exact_guided_profile
 from guidedppl.estimators import stats_from_summaries, summarize_trace
 from guidedppl.models import MODELS, DicePosteriorGuide, dice_point_family, three_dice
 
@@ -457,3 +459,140 @@ _BATCH_CASE_SHOWN = {
     "monkey/pattern_insert": lambda ts: any(t.extras and t.extras[0].log_model_conditional is not None for t in ts),
     "hashed/crash": lambda ts: len({t.crash_reason for t in ts} - {None}) >= 3,
 }
+
+
+# ---------------------------------------------------------------------------
+# What a guide sees of the history: O(1) read-only views
+
+
+class _KeepingGuide(Guide):
+    """The prior guide, keeping every site it is shown with the number of
+    extra choices it had drawn in that run before the site.  With
+    `extra_seed`, it draws an extra choice in `begin` and at every third
+    site, through the context that `begin` gets, so `extras` changes in
+    the middle of a run."""
+
+    def __init__(self, extra_seed=None):
+        self.extra_seed = extra_seed
+        self.kept = []
+
+    def begin(self, ctx):
+        self.ctx = ctx
+        self.n_extra = 0
+        self._maybe_draw(-1)
+
+    def _maybe_draw(self, index):
+        if self.extra_seed is None or (index >= 0 and (self.extra_seed + index) % 3):
+            return
+        self.ctx.extra_choice(uniform_range(0, 2), lambda trace: uniform_range(0, 2))
+        self.n_extra += 1
+
+    def propose(self, site):
+        self.kept.append((site, self.n_extra))
+        self._maybe_draw(site.index)
+        return None
+
+
+_MUTATORS = ("append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
+             "__setitem__", "__delitem__", "__iadd__", "__imul__")
+
+
+def _check_view(view, want: tuple):
+    """`view` behaves as the tuple `want` for every read a guide can make."""
+    n = len(want)
+    assert isinstance(view, runtime.HistoryView)
+    assert tuple(view) == want and list(view) == list(want) and len(view) == n
+    assert view == want and want == view and not (view != want)
+    assert view != want + (None,) and view != list(want)
+    assert hash(view) == hash(want) and repr(view) == repr(want) and str(view) == str(want)
+    assert [view[i] for i in range(-n, n)] == [want[i] for i in range(-n, n)]
+    assert view[np.int64(n - 1)] == want[n - 1] if n else True
+    for sl in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1), slice(-2, None, 2), slice(5, 0)):
+        got = view[sl]
+        assert type(got) is tuple and got == want[sl]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError, match="tuple index out of range"):
+            view[bad]
+    with pytest.raises(TypeError, match="tuple indices must be integers or slices, not str"):
+        view["0"]
+    assert [v in view for v in want] == [True] * n and list(reversed(view)) == list(reversed(want))
+    assert not any(hasattr(view, name) for name in _MUTATORS)
+    with pytest.raises(TypeError):
+        view[0] = 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(structure_seed=st.integers(0, 10_000), crash=st.booleans(), extra_seed=st.integers(0, 2),
+       order=st.randoms(use_true_random=False))
+def test_history_views_are_snapshots_of_the_run(structure_seed, crash, extra_seed, order):
+    """Sampling: every kept site, read after all runs have ended and in
+    any order, shows the chosen values and extra values before it."""
+    model = make_hashed_model(structure_seed, crash=crash)
+    guide = _KeepingGuide(extra_seed)
+    traces = [run_trace(model, guide, seed) for seed in range(30)]
+    by_run = []
+    i = 0
+    for t in traces:  # a run shows one site per choice it records
+        by_run.append(guide.kept[i:i + len(t.choices)])
+        i += len(t.choices)
+    assert i == len(guide.kept)
+    checks = []
+    for t, kept in zip(traces, by_run):
+        values = tuple(c.chosen for c in t.choices)
+        extras = tuple(x.chosen for x in t.extras)
+        for site, n_extra in kept:
+            checks.append((site, values[:site.index], extras[:n_extra]))
+    assert all(len(site.extras) for site, _, _ in checks)
+    order.shuffle(checks)
+    for site, want_history, want_extras in checks:
+        _check_view(site.history, want_history)
+        assert type(site.extras) is tuple and site.extras == want_extras
+
+
+@settings(max_examples=25, deadline=None)
+@given(structure_seed=st.integers(0, 10_000), crash=st.booleans(), order=st.randoms(use_true_random=False))
+def test_history_views_of_the_walk(structure_seed, crash, order):
+    """The exact walk: one kept site per tree node, each showing the values
+    above it, whatever order the views are first read in."""
+    pe = enumerate_paths(make_hashed_model(structure_seed, crash=crash))
+    guide = _KeepingGuide()
+    exact_guided_profile(pe, guide)
+    prefixes = {e.choices[:k] for e in pe.entries + pe.crashes for k in range(len(e.choices))}
+    sites = [site for site, _ in guide.kept]
+    assert len(sites) == len(prefixes)
+    order.shuffle(sites)
+    views = [site.history for site in sites]
+    assert {tuple(v) for v in views} == prefixes and set(views) == prefixes
+    for site in sites:
+        _check_view(site.history, tuple(site.history))
+        assert site.extras == () and site.index == len(site.history)
+
+
+def test_history_view_copies_only_when_siblings_share_a_list():
+    root = runtime.HistoryView([], 0)
+    a = root._child("a")
+    ab, ac = a._child("b"), a._child("c")
+    abd = ab._child("d")
+    assert tuple(ac) == ("a", "c")  # resolves a and ac by extending root's list in place
+    assert tuple(abd) == ("a", "b", "d") and tuple(ab) == ("a", "b")  # a's list has moved on: copy
+    assert tuple(a) == ("a",) and tuple(root) == ()
+    assert ac._list() is a._list() and abd._list() is ab._list() and ab._list() is not a._list()
+
+
+def test_cost_per_event_is_flat_in_run_length():
+    """Monkey under `pattern_insert` costs the same per event at 100 and
+    at 16,000 events; a history copy per site made it about 5x dearer."""
+    entry = MODELS["monkey"]
+
+    def us_per_event(length):
+        model, guide = entry.build(length=length), entry.guides["pattern_insert"](length=length)
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            t = run_trace(model, guide, 3)
+            best = min(best, time.perf_counter() - start)
+        assert t.completed and t.n_events == length + 1
+        return best / t.n_events * 1e6
+
+    short, long = us_per_event(100), us_per_event(16_000)
+    assert long / short < 2, (short, long)
