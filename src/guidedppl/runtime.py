@@ -135,7 +135,7 @@ class HistoryView(Sequence):
 
     def __eq__(self, other):
         if isinstance(other, HistoryView):
-            return self._n == other._n and (self._list() is other._list() or tuple(self) == tuple(other))
+            other = tuple(other)
         if isinstance(other, tuple):
             return tuple(self) == other
         return NotImplemented

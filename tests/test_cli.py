@@ -395,5 +395,6 @@ _documents = st.recursive(
 @example(doc={"".join(_CONTROL) + '"\\\u00e9': [math.nan, -0.0, 5e-324, math.inf, -math.inf, np.float32(0.1)],
               "": {}, "empty": [], "t": (), "a": np.array([]), "flags": [True, np.bool_(False), None],
               "ints": [np.int64(-2**63), 2**70]})
+@example(doc=[c + "x" for c in _CONTROL + ['"', "\\", "\u00e9"]])  # one character to escape per string
 def test_dumps_matches_the_reference_emitter(doc):
     assert cli.dumps(doc) == reference_dumps(doc)
