@@ -506,7 +506,8 @@ def _check_view(view, want: tuple):
     assert view != want + (None,) and view != list(want)
     assert hash(view) == hash(want) and repr(view) == repr(want) and str(view) == str(want)
     assert [view[i] for i in range(-n, n)] == [want[i] for i in range(-n, n)]
-    assert view[np.int64(n - 1)] == want[n - 1] if n else True
+    if n:
+        assert view[np.int64(n - 1)] == want[n - 1]
     for sl in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1), slice(-2, None, 2), slice(5, 0)):
         got = view[sl]
         assert type(got) is tuple and got == want[sl]
