@@ -321,10 +321,10 @@ def _cmd_trace(args, notes: list) -> dict:
     guide = build_guide(entry, args.guide, cfg)
     t = run_trace(model, guide, args.seed, max_events=args.max_events)
     events = []
-    for ev in t.per_event_fe:
-        item = ev._asdict()
-        if ev.kind == "choose":
-            rec = t.choices[ev.index]
+    for kind, index, label, fe in t.per_event_fe:
+        item = {"kind": kind, "index": index, "label": label, "fe": fe}
+        if kind == "choose":
+            rec = t.choices[index]
             item["chosen"] = rec.chosen
             item["prior_mass"] = math.exp(rec.log_prior)
             item["guide_mass"] = math.exp(rec.log_guide)

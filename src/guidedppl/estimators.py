@@ -30,8 +30,9 @@ from .runtime import (
     ModelProgram,
     RunStatus,
     Trace,
+    _run_batch,
+    _RunState,
     derive_seeds,
-    run_traces,
     DEFAULT_MAX_EVENTS,
 )
 
@@ -131,30 +132,50 @@ def importance_weight(trace: Trace, f: Callable[[Trace], float]) -> WeightedSamp
     """
     if trace.status is not RunStatus.COMPLETED:
         return WeightedSample(0.0, trace.seed)
-    log_num = trace.log_prior_total
-    log_den = trace.log_guide_total
-    for extra in trace.extras:
+    log_num, log_den = _path_log_masses(trace)
+    if log_num == NEG_INF:
+        return WeightedSample(0.0, trace.seed)
+    fx = _checked_weight(float(f(trace)))
+    return WeightedSample(fx * math.exp(log_num - log_den), trace.seed)
+
+
+def _path_log_masses(run) -> tuple[float, float]:
+    """log P_G(x, y) and log G(x, y) of a completed `Trace` or `_RunState`:
+    the choice totals extended by the extra choices."""
+    log_num = run.log_prior_total
+    log_den = run.log_guide_total
+    for extra in run.extras:
         lmc = extra.log_model_conditional
         if lmc is None:
             raise StatusError("trace has unfinalized extra choices")
         log_num += lmc
         log_den += extra.log_guide
-    if log_num == NEG_INF:
-        return WeightedSample(0.0, trace.seed)
-    fx = float(f(trace))
+    return log_num, log_den
+
+
+def _checked_weight(fx: float) -> float:
     if math.isnan(fx) or math.isinf(fx) or fx < 0.0:
         raise WeightError(f"weight function returned {fx}")
-    return WeightedSample(fx * math.exp(log_num - log_den), trace.seed)
+    return fx
+
+
+def _exp_evidence(log_evidence: float) -> float:
+    """P(e|x) from its log; +inf past the float range, where `math.exp`
+    raises, so that an overflowing weight is a `WeightError`."""
+    try:
+        return math.exp(log_evidence)
+    except OverflowError:
+        return math.inf
 
 
 def evidence_functional(trace: Trace) -> float:
     """f(x) = P(e|x)."""
-    return math.exp(trace.log_evidence)
+    return _exp_evidence(trace.log_evidence)
 
 
 def hypothesis_evidence_functional(trace: Trace) -> float:
     """f(x) = h(x) P(e|x)."""
-    return trace.hypothesis * math.exp(trace.log_evidence)
+    return trace.hypothesis * _exp_evidence(trace.log_evidence)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,7 +197,8 @@ TraceSummary = tuple[int, bool, float, float, float, float]
 
 
 def summarize_trace(t: Trace) -> TraceSummary:
-    """The batch row of one trace; rejected runs weigh zero."""
+    """The batch row of one trace; rejected runs weigh zero.  The
+    reference for `summarize_run`, which batches use."""
     if t.status is RunStatus.COMPLETED:
         return (
             t.n_events,
@@ -187,6 +209,23 @@ def summarize_trace(t: Trace) -> TraceSummary:
             t.hypothesis,
         )
     return (t.n_events, False, math.nan, 0.0, 0.0, 0.0)
+
+
+def summarize_run(run: _RunState) -> TraceSummary:
+    """``summarize_trace`` of a finished run's `Trace`, bit for bit,
+    read from the run's columns without building the `Trace`."""
+    n_events = len(run.history) + len(run.evidence_fe)
+    if run.status is not RunStatus.COMPLETED:
+        return (n_events, False, math.nan, 0.0, 0.0, 0.0)
+    log_num, log_den = _path_log_masses(run)
+    if log_num == NEG_INF:
+        return (n_events, True, run.fe, 0.0, 0.0, run.hypothesis)
+    # The weights' operations in `importance_weight`'s order, so the
+    # same error is raised first.
+    evidence = _checked_weight(_exp_evidence(run.log_evidence))
+    ratio = math.exp(log_num - log_den)
+    hyp_evidence = _checked_weight(run.hypothesis * evidence)
+    return (n_events, True, run.fe, evidence * ratio, hyp_evidence * ratio, run.hypothesis)
 
 
 def stats_from_summaries(seeds, rows: Iterable[TraceSummary]) -> BatchStats:
@@ -217,10 +256,10 @@ def batch_stats(
     seeds,
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> BatchStats:
-    """Run one trace per seed and summarize; traces are not retained."""
+    """Run once per seed and summarize; no `Trace` is built for a run
+    without extra choices, and no run is retained."""
     seeds = np.asarray(seeds, dtype=np.uint64)
-    rows = map(summarize_trace, run_traces(model, guide, seeds, max_events=max_events))
-    return stats_from_summaries(seeds, rows)
+    return stats_from_summaries(seeds, map(summarize_run, _run_batch(model, guide, seeds, max_events)))
 
 
 def estimate_from_batch(stats: BatchStats) -> FreeEnergyEstimate:

@@ -38,19 +38,20 @@ from .estimators import (
     TraceSummary,
     estimate_from_batch,
     stats_from_summaries,
-    summarize_trace,
+    summarize_run,
 )
 from .runtime import (
     ChoiceSite,
     DEFAULT_MAX_EVENTS,
     Guide,
     ModelProgram,
-    Trace,
+    RunStatus,
     _pcg64_states,
     _reseedable_rng,
+    _run_batch,
     _run_seeded,
+    _RunState,
     derive_seeds,
-    run_traces,
 )
 
 SiteKey = Callable[[int, Optional[str], tuple[Value, ...]], str]
@@ -201,18 +202,17 @@ class _Run(NamedTuple):
     fes: tuple[float, ...]  # empty for rejected runs
 
 
-def _run_all(guide: Guide, traces: Iterator[Trace]) -> list[_Run]:
-    """The runs of `traces`, which `guide` must be producing lazily: its
-    `lookups` are read as each trace arrives."""
-    runs = []
-    for t in traces:
-        row = summarize_trace(t)
+def _run_all(guide: Guide, runs: Iterator[_RunState]) -> list[_Run]:
+    """The `_Run`s of `runs`, which `guide` must be producing lazily: its
+    `lookups` are read as each run arrives."""
+    out = []
+    for run in runs:
         lookups = guide.lookups  # begin() started a fresh list for this run
         fes: tuple[float, ...] = ()
-        if t.completed:
-            fes = tuple(t.choices[i].log_guide - t.choices[i].log_prior for i, _ in lookups)
-        runs.append(_Run(row, tuple(key for _, key in lookups), fes))
-    return runs
+        if run.status is RunStatus.COMPLETED:
+            fes = tuple(run.log_guides[i] - run.log_priors[i] for i, _ in lookups)
+        out.append(_Run(summarize_run(run), tuple(key for _, key in lookups), fes))
+    return out
 
 
 def _utility(seeds: np.ndarray, runs: Sequence[_Run], cfg: UtilityConfig) -> float:
@@ -234,7 +234,7 @@ def _utility_on_seeds(
     cfg: UtilityConfig,
     max_events: int,
 ) -> float:
-    return _utility(seeds, _run_all(guide, run_traces(model, guide, seeds, max_events)), cfg)
+    return _utility(seeds, _run_all(guide, _run_batch(model, guide, seeds, max_events)), cfg)
 
 
 def guide_utility(

@@ -38,10 +38,18 @@ counts toward `crash_mass`.  Enumeration still raises for the event cap,
 for a model that is not deterministic on replay and for guide errors.
 
 A run's random stream is ``default_rng(seed)``.  `run_trace` seeds it so,
-one run at a time.  Batch drivers call `run_traces`, which yields the
-same traces for a whole seed array: it computes the PCG64 states of
-``default_rng`` in bulk and sets them on one reused generator, after a
-check, once per process, that this numpy seeds as it does.
+one run at a time.  `run_traces` yields the same traces for a whole seed
+array: it computes the PCG64 states of ``default_rng`` in bulk and sets
+them on one reused generator, after a check, once per process, that this
+numpy seeds as it does.
+
+While it runs, a sampled run is kept in flat per-run columns (`_RunState`):
+chosen values, labels, prior and guide `Dist`s, log-masses with their
+running totals in event order, and where each evidence call falls with
+its free energy.  Batch drivers (`estimators.batch_stats` and guide
+search) read each run's row from these columns.  A `Trace` is built from
+them only by `run_trace` and `run_traces`, and for a run with extra
+choices, whose conditionals read the finished `Trace`.
 """
 
 from __future__ import annotations
@@ -344,23 +352,41 @@ class GuideContext:
 
 
 class _RunState(ModelContext):
-    """Sampling: each value is drawn from the guide's proposal."""
+    """Sampling: each value is drawn from the guide's proposal.
 
-    def __init__(self, guide: Guide, rng: np.random.Generator, max_events: int):
+    The run is kept in flat columns: one item per choice (value, label,
+    prior, guide `Dist`, log-masses), one per evidence call (how many
+    choices precede it, its free energy) and running totals.  Batch
+    drivers read a run's row from them; `trace` builds its `Trace`."""
+
+    def __init__(self, guide: Guide, rng: np.random.Generator, max_events: int, seed: int):
         super().__init__(max_events)
         self.guide = guide
         self.rng = rng
+        self.seed = seed
         self.ceiling = math.inf if guide.ceiling is None else guide.ceiling
-        self.choices: list[ChoiceRecord] = []
+        self.status = RunStatus.COMPLETED  # until `_run` rejects the run
+        self.reason: Optional[str] = None
+        self.history: list[Value] = []  # chosen values; only grows: every site's view reads a prefix of it
+        self.labels: list[Optional[str]] = []
+        self.priors: list[Dist] = []
+        self.guides: list[Dist] = []
+        self.log_priors: list[float] = []
+        self.log_guides: list[float] = []
+        # Running sums in event order.  From the int 0, as `sum()` started: a run without choices keeps it.
+        self.log_prior_total = 0
+        self.log_guide_total = 0
+        self.evidence_at: list[int] = []
+        self.evidence_fe: list[float] = []
         self.extras: list[ExtraChoiceRecord] = []
-        self.history: list[Value] = []  # only grows: every site's view reads a prefix of it
         self.extra_values: tuple[Value, ...] = ()  # rebuilt only by `extra_choice`
-        self.per_event: list[EventFE] = []
+        self.completed_trace: Optional[Trace] = None  # built early for extra-choice conditionals
 
     def _take(self, prior: Dist, label: Optional[str]) -> Value:
-        index = len(self.choices)
-        # tuple.__new__ skips the named tuples' Python-level __new__, a measurable cost per event.
-        site = _tuple_new(ChoiceSite, (index, label, prior, HistoryView(self.history, index), self.extra_values))
+        history = self.history
+        index = len(history)
+        # tuple.__new__ skips the named tuple's Python-level __new__, a measurable cost per event.
+        site = _tuple_new(ChoiceSite, (index, label, prior, HistoryView(history, index), self.extra_values))
         guide_dist = self.guide.propose(site)
         if guide_dist is None:
             guide_dist = prior
@@ -370,16 +396,20 @@ class _RunState(ModelContext):
         log_prior = prior.log_prob(chosen)
         # Finite: chosen was sampled from the guide's Dist.  The prior's is the same number.
         log_guide = log_prior if guide_dist is prior else guide_dist.log_prob(chosen)
-        self.choices.append(ChoiceRecord(index, label, prior, guide_dist, chosen, log_prior, log_guide))
-        self.history.append(chosen)
-        fe = log_guide - log_prior
-        self.fe += fe
-        self.per_event.append(_tuple_new(EventFE, ("choose", index, label, fe)))
+        history.append(chosen)
+        self.labels.append(label)
+        self.priors.append(prior)
+        self.guides.append(guide_dist)
+        self.log_priors.append(log_prior)
+        self.log_guides.append(log_guide)
+        self.log_prior_total += log_prior
+        self.log_guide_total += log_guide
+        self.fe += log_guide - log_prior
         return chosen
 
     def _observe(self, log_p: float) -> None:
-        index = len(self.per_event) - len(self.choices)  # evidence events so far
-        self.per_event.append(_tuple_new(EventFE, ("evidence", index, None, -log_p)))
+        self.evidence_at.append(len(self.history))
+        self.evidence_fe.append(-log_p)
 
     def extra_choice(self, guide_dist: Dist, conditional: Callable[[Trace], Dist]) -> Value:
         if not isinstance(guide_dist, Dist):
@@ -393,12 +423,28 @@ class _RunState(ModelContext):
             raise _EventCapError(self.max_events)
         return chosen
 
-    def build_trace(self, seed: int, status: RunStatus, reason: Optional[str] = None) -> Trace:
+    def trace(self) -> Trace:
+        """The run as a `Trace`."""
+        if self.completed_trace is not None:
+            return self.completed_trace
+        labels, log_priors, log_guides = self.labels, self.log_priors, self.log_guides
+        n = len(log_priors)
+        choices = tuple(map(ChoiceRecord, range(n), labels, self.priors, self.guides, self.history,
+                            log_priors, log_guides))
+        chosen_fe = [_tuple_new(EventFE, ("choose", i, label, log_guide - log_prior))
+                     for i, label, log_prior, log_guide in zip(range(n), labels, log_priors, log_guides)]
+        per_event: list[EventFE] = []
+        done = 0
+        for j, (at, fe) in enumerate(zip(self.evidence_at, self.evidence_fe)):
+            per_event += chosen_fe[done:at]
+            per_event.append(_tuple_new(EventFE, ("evidence", j, None, fe)))
+            done = at
+        per_event += chosen_fe[done:]
         return Trace(
-            seed=seed, status=status, choices=tuple(self.choices), extras=tuple(self.extras),
-            log_evidence=self.log_evidence, hypothesis=self.hypothesis, per_event_fe=tuple(self.per_event),
-            log_prior_total=sum(c.log_prior for c in self.choices),
-            log_guide_total=sum(c.log_guide for c in self.choices), fe_total=self.fe, crash_reason=reason,
+            seed=self.seed, status=self.status, choices=choices, extras=tuple(self.extras),
+            log_evidence=self.log_evidence, hypothesis=self.hypothesis, per_event_fe=tuple(per_event),
+            log_prior_total=self.log_prior_total, log_guide_total=self.log_guide_total, fe_total=self.fe,
+            crash_reason=self.reason,
         )
 
 
@@ -415,14 +461,19 @@ def run_trace(model: ModelProgram, guide: Guide, seed: int, max_events: int = DE
     completed trace get log P_G(y_i | x, y_1..y_{i-1}) from their conditionals.
     """
     seed = int(seed)
-    return _run(model, guide, seed, np.random.default_rng(seed), max_events)
+    return _run(model, guide, seed, np.random.default_rng(seed), max_events).trace()
 
 
 def run_traces(
     model: ModelProgram, guide: Guide, seeds, max_events: int = DEFAULT_MAX_EVENTS
 ) -> Iterator[Trace]:
     """Yield ``run_trace(model, guide, s, max_events)`` for each seed in
-    order, trace for trace the same, at a fraction of the per-run cost.
+    order, trace for trace the same, at a fraction of the per-run cost."""
+    return map(_RunState.trace, _run_batch(model, guide, seeds, max_events))
+
+
+def _run_batch(model: ModelProgram, guide: Guide, seeds, max_events: int) -> Iterator[_RunState]:
+    """The finished run of each seed in order, as `run_trace` runs it.
 
     One generator serves every run; its PCG64 state is set per run from
     states computed for `_STATE_BLOCK` seeds at a time, instead of
@@ -436,9 +487,9 @@ def run_traces(
 
 
 def _run_seeded(model: ModelProgram, guide: Guide, seeded, rng: np.random.Generator,
-                max_events: int) -> Iterator[Trace]:
-    """One trace per ``(seed, (state, inc))`` of `seeded`, in order, with
-    `rng` set to that PCG64 state before each run."""
+                max_events: int) -> Iterator[_RunState]:
+    """One finished run per ``(seed, (state, inc))`` of `seeded`, in
+    order, with `rng` set to that PCG64 state before each run."""
     inner: dict = {}
     state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
     bit_generator = rng.bit_generator
@@ -455,23 +506,26 @@ def _reseedable_rng() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(0))
 
 
-def _run(model: ModelProgram, guide: Guide, seed: int, rng: np.random.Generator, max_events: int) -> Trace:
-    """`run_trace` on a generator that the caller has seeded for `seed`."""
-    run = _RunState(guide, rng, max_events)
+def _run(model: ModelProgram, guide: Guide, seed: int, rng: np.random.Generator, max_events: int) -> _RunState:
+    """The finished run of `model` under `guide` on a generator that the
+    caller has seeded for `seed`, with its status and crash reason."""
+    run = _RunState(guide, rng, max_events, seed)
     try:
         guide.begin(GuideContext(run.extra_choice))
         model(run)
-        trace = run.build_trace(seed, RunStatus.COMPLETED)
-        for rec in trace.extras:
-            d = rec.conditional(trace)
-            if not isinstance(d, Dist):
-                raise _ContractError(f"extra-choice conditional returned {type(d).__name__}, not a Dist")
-            rec.log_model_conditional = d.log_prob(rec.chosen)
-        return trace
+        if run.extras:  # their conditionals read the completed run's Trace
+            trace = run.trace()
+            for rec in trace.extras:
+                d = rec.conditional(trace)
+                if not isinstance(d, Dist):
+                    raise _ContractError(f"extra-choice conditional returned {type(d).__name__}, not a Dist")
+                rec.log_model_conditional = d.log_prob(rec.chosen)
+            run.completed_trace = trace
     except _Abort:
-        return run.build_trace(seed, RunStatus.REJECTED_THRESHOLD)
+        run.status = RunStatus.REJECTED_THRESHOLD
     except Exception as exc:  # model/guide bugs become rejected runs
-        return run.build_trace(seed, RunStatus.REJECTED_CRASH, crash_reason(exc))
+        run.status, run.reason = RunStatus.REJECTED_CRASH, crash_reason(exc)
+    return run
 
 
 # Seeding a whole batch.  ``default_rng(s)`` hashes the integer s with

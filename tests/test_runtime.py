@@ -1,7 +1,9 @@
 import functools
 import hashlib
 import math
+import operator
 import re
+import sys
 import time
 
 import numpy as np
@@ -28,8 +30,8 @@ from guidedppl import (
 )
 from guidedppl import runtime
 from guidedppl.enumeration import enumerate_paths, exact_guided_profile
-from guidedppl.estimators import stats_from_summaries, summarize_trace
-from guidedppl.models import MODELS, DicePosteriorGuide, dice_point_family, three_dice
+from guidedppl.estimators import WeightError, stats_from_summaries, summarize_trace
+from guidedppl.models import MODELS, DicePosteriorGuide, dice_point_family, dice_tabular_family, three_dice
 
 from helpers import (
     crash_on_three_model,
@@ -459,6 +461,97 @@ _BATCH_CASE_SHOWN = {
     "monkey/pattern_insert": lambda ts: any(t.extras and t.extras[0].log_model_conditional is not None for t in ts),
     "hashed/crash": lambda ts: len({t.crash_reason for t in ts} - {None}) >= 3,
 }
+
+
+# ---------------------------------------------------------------------------
+# Batch rows read from a run's columns equal the summaries of its `Trace`
+
+_D6, _D7 = uniform_range(1, 6), uniform_range(1, 7)
+
+
+def _die_hypothesis_model(ctx):
+    ctx.set_hypothesis(ctx.choose(_D6, label="die"))
+    ctx.evidence(0.5)
+
+
+def _overflowing_evidence_model(ctx):
+    """P(e|x) = 1e400 when the die shows 6: finite factors, a product past
+    the float range.  With h = 0, h(x) P(e|x) is NaN, so only the check
+    on P(e|x) itself reports the overflow as inf."""
+    big = ctx.choose(_D6, label="die") == 6
+    ctx.set_hypothesis(0)
+    ctx.evidence(1e200 if big else 0.5)
+    ctx.evidence(1e200 if big else 0.5)
+
+
+def _overflowing_hypothesis_weight_model(ctx):
+    """h(x) P(e|x) = 1e310 when the die shows 6, with P(e|x) itself finite."""
+    big = ctx.choose(_D6, label="die") == 6
+    ctx.set_hypothesis(1e300)
+    ctx.evidence(1e10 if big else 0.5)
+
+
+def _row_configs():
+    configs = _golden_trace_configs()
+    configs["die/prior_impossible_proposal"] = (_die_hypothesis_model, lambda: FunctionGuide(lambda site: _D7))
+    configs["die/overflowing_evidence"] = (_overflowing_evidence_model, PriorGuide)
+    configs["die/overflowing_hypothesis_weight"] = (_overflowing_hypothesis_weight_model, PriorGuide)
+    configs["three_dice/tabular_low_ceiling"] = (
+        three_dice, lambda: dice_tabular_family(ceiling=0.5).bind(_DICE_TABLE))
+    return configs
+
+
+# What each added configuration must exercise, given its traces and its
+# batch outcome (the stats, or the error that both paths raise).
+_ROW_CASE_SHOWN = {
+    "die/prior_impossible_proposal": lambda ts, got: any(
+        ok and w == 0.0 and h == 7.0 for ok, w, h in zip(got.accepted, got.weight_evidence, got.hypothesis)),
+    "die/overflowing_evidence": lambda ts, got: isinstance(got, WeightError) and any(
+        t.log_evidence > math.log(sys.float_info.max) for t in ts),
+    "die/overflowing_hypothesis_weight": lambda ts, got: isinstance(got, WeightError) and all(
+        t.log_evidence < math.log(sys.float_info.max) for t in ts),
+    "three_dice/tabular_low_ceiling": lambda ts, got: any(
+        t.status is RunStatus.REJECTED_THRESHOLD and t.n_events < 4 for t in ts),
+}
+
+# 300 seeds cross one boundary of the 256-seed blocks of `run_traces`.
+ROW_SEEDS = derive_seeds(22, 300)
+
+
+def _outcome(make_stats):
+    try:
+        return make_stats()
+    except WeightError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("name", sorted(_row_configs()))
+def test_batch_rows_equal_trace_summaries(name):
+    model, make_guide = _row_configs()[name]
+    assert runtime._STATE_BLOCK < len(ROW_SEEDS)
+    traces = [run_trace(model, make_guide(), int(s)) for s in ROW_SEEDS]
+    want = _outcome(lambda: stats_from_summaries(ROW_SEEDS, map(summarize_trace, traces)))
+    got = _outcome(lambda: batch_stats(model, make_guide(), ROW_SEEDS))
+    if isinstance(want, WeightError):
+        assert type(got) is WeightError and str(got) == str(want)
+    else:
+        for field in want.__slots__:
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+    assert _ROW_CASE_SHOWN.get(name, lambda ts, got: True)(traces, got)
+
+
+def test_long_trace_totals_are_running_sums_in_event_order():
+    """The log-mass totals of long traces are left-to-right float sums
+    from 0.0, whatever `sum` does on this Python; a correctly rounded sum
+    differs from them in the last bits, so the pin tells the orders apart."""
+    entry = MODELS["monkey"]
+    model = entry.build(length=4000)
+    for s in range(5):
+        t = run_trace(model, entry.guides["pattern_insert"](length=4000), s)
+        for total, masses in ((t.log_prior_total, [c.log_prior for c in t.choices]),
+                              (t.log_guide_total, [c.log_guide for c in t.choices])):
+            assert total.hex() == functools.reduce(operator.add, masses, 0.0).hex()
+            assert total != math.fsum(masses)
 
 
 # ---------------------------------------------------------------------------
