@@ -55,10 +55,12 @@ class Dist:
 
     Immutable after construction; safe to share across samplers.  Sampling
     is inverse-CDF over the support order, so a fixed random stream always
-    maps to the same value.
+    maps to the same value.  The cumulative masses, the value -> index map
+    and the log-masses (``log_nonneg`` of each mass) are computed once
+    here; `sample` and `log_prob` only read them.
     """
 
-    __slots__ = ("values", "masses", "_cum", "_index")
+    __slots__ = ("values", "masses", "_cum", "_index", "_logs")
 
     def __init__(self, values: Sequence[Value], masses: Sequence[float]):
         self.values: tuple[Value, ...] = tuple(values)
@@ -67,6 +69,10 @@ class Dist:
         cum[-1] = 1.0  # absorb last-ulp normalization slack
         self._cum = cum
         self._index = {v: i for i, v in enumerate(self.values)}
+        try:
+            self._logs = tuple(map(math.log, self.masses))
+        except ValueError:  # a zero mass: from a direct Dist(...) call, or a weight ratio that underflows
+            self._logs = tuple(map(log_nonneg, self.masses))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -93,12 +99,12 @@ class Dist:
     def log_prob(self, v: Value) -> float:
         """Natural log of v's mass; -inf when v is outside the support."""
         i = self._index.get(v)
-        if i is None:
-            return NEG_INF
-        return math.log(self.masses[i])
+        return NEG_INF if i is None else self._logs[i]
 
     def sample(self, rng: np.random.Generator) -> Value:
-        """Draw one value; deterministic given the generator state."""
+        """Draw one value with one ``rng.random()`` call; deterministic
+        given the generator state.  Sampled runs draw the same way from
+        uniforms that they read in bulk."""
         u = rng.random()
         return self.values[bisect_right(self._cum, u)]
 

@@ -37,11 +37,16 @@ enumeration, with the same reason and event count, and its prior mass
 counts toward `crash_mass`.  Enumeration still raises for the event cap,
 for a model that is not deterministic on replay and for guide errors.
 
-A run's random stream is ``default_rng(seed)``.  `run_trace` seeds it so,
-one run at a time.  `run_traces` yields the same traces for a whole seed
-array: it computes the PCG64 states of ``default_rng`` in bulk and sets
-them on one reused generator, after a check, once per process, that this
-numpy seeds as it does.
+A run's random stream is ``default_rng(seed)``.  Each choose and each
+extra choice consumes one uniform of it, in event order, and maps it to
+a value as `Dist.sample` does; `Dist.sample`, one ``rng.random()`` call
+per draw, is the reference.  A run reads its uniforms in blocks, as
+``rng.random(k)``, which gives the same doubles as k single calls; what
+a run leaves unread changes nothing, since every run is seeded anew.
+`run_trace` seeds the stream one run at a time.  `run_traces` yields the
+same traces for a whole seed array: it computes the PCG64 states of
+``default_rng`` in bulk and sets them on one reused generator, after a
+check, once per process, that this numpy seeds as it does.
 
 While it runs, a sampled run is kept in flat per-run columns (`_RunState`):
 chosen values, labels, prior and guide `Dist`s, log-masses with their
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -64,11 +70,19 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .dists import Dist, Value, log_nonneg
+from .dists import NEG_INF, Dist, Value, log_nonneg
 
 DEFAULT_MAX_EVENTS = 100_000
 
 _tuple_new = tuple.__new__
+
+# A sampled run reads its uniforms from its generator in blocks: the
+# first of `_FIRST_BLOCK` when the run starts, then, whenever a block
+# runs out, as many as it has used so far, up to `_MAX_BLOCK`.  A short
+# run makes one ``rng.random(k)`` call; a long one makes a few per
+# thousand events.
+_FIRST_BLOCK = 8
+_MAX_BLOCK = 1024
 
 
 class RunStatus(str, Enum):
@@ -305,8 +319,10 @@ class ModelContext:
     values, counts events against the cap and keeps the running free
     energy against the ceiling.  A subclass picks the values: `_take`
     returns the value at a choice site and adds its free energy, and
-    `_observe` records evidence."""
+    `_observe` records evidence.  `_RunState` replaces `choose` with one
+    that samples inline, so a sampled choice costs one Python call."""
 
+    __slots__ = ("max_events", "n_events", "fe", "log_evidence", "hypothesis")
     ceiling = math.inf
 
     def __init__(self, max_events: int):
@@ -328,7 +344,12 @@ class ModelContext:
         return value
 
     def evidence(self, p) -> None:
-        log_p = log_nonneg(finite_nonneg(p, "evidence({})"))
+        if p is True:  # the common case, as `finite_nonneg` and `log_nonneg` would map it
+            log_p = 0.0
+        elif p is False:
+            log_p = NEG_INF
+        else:
+            log_p = log_nonneg(finite_nonneg(p, "evidence({})"))
         self.log_evidence += log_p
         self.fe -= log_p
         self._observe(log_p)
@@ -339,7 +360,8 @@ class ModelContext:
             raise _Abort()
 
     def set_hypothesis(self, v) -> None:
-        self.hypothesis = finite_nonneg(v, "hypothesis {}")  # last write wins
+        # Last write wins.  Booleans as `finite_nonneg` maps them.
+        self.hypothesis = 1.0 if v is True else 0.0 if v is False else finite_nonneg(v, "hypothesis {}")
 
 
 class GuideContext:
@@ -357,12 +379,22 @@ class _RunState(ModelContext):
     The run is kept in flat columns: one item per choice (value, label,
     prior, guide `Dist`, log-masses), one per evidence call (how many
     choices precede it, its free energy) and running totals.  Batch
-    drivers read a run's row from them; `trace` builds its `Trace`."""
+    drivers read a run's row from them; `trace` builds its `Trace`.
 
-    def __init__(self, guide: Guide, rng: np.random.Generator, max_events: int, seed: int):
+    Each choose and each extra choice draws as `Dist.sample` does, from
+    the next uniform of the run's generator (read in blocks, see
+    `_FIRST_BLOCK`), and reads the value and its log-mass by index.
+    `propose` is the guide's, or None for a guide that keeps
+    `Guide.propose`: then no `ChoiceSite` is made."""
+
+    __slots__ = ("propose", "seed", "ceiling", "status", "reason", "history", "labels", "priors", "guides",
+                 "log_priors", "log_guides", "log_prior_total", "log_guide_total", "evidence_at", "evidence_fe",
+                 "extras", "extra_values", "completed_trace", "rng", "_uniform")
+
+    def __init__(self, guide: Guide, propose: Optional[Callable[[ChoiceSite], Optional[Dist]]],
+                 rng: np.random.Generator, max_events: int, seed: int):
         super().__init__(max_events)
-        self.guide = guide
-        self.rng = rng
+        self.propose = propose
         self.seed = seed
         self.ceiling = math.inf if guide.ceiling is None else guide.ceiling
         self.status = RunStatus.COMPLETED  # until `_run` rejects the run
@@ -381,21 +413,36 @@ class _RunState(ModelContext):
         self.extras: list[ExtraChoiceRecord] = []
         self.extra_values: tuple[Value, ...] = ()  # rebuilt only by `extra_choice`
         self.completed_trace: Optional[Trace] = None  # built early for extra-choice conditionals
+        self.rng = rng
+        self._uniform = iter(rng.random(_FIRST_BLOCK).tolist()).__next__  # StopIteration: call `_refill`
 
-    def _take(self, prior: Dist, label: Optional[str]) -> Value:
+    def choose(self, prior: Dist, label: Optional[str] = None) -> Value:
+        if not isinstance(prior, Dist):
+            raise _ContractError(f"choose() needs a Dist, got {type(prior).__name__}")
         history = self.history
-        index = len(history)
-        # tuple.__new__ skips the named tuple's Python-level __new__, a measurable cost per event.
-        site = _tuple_new(ChoiceSite, (index, label, prior, HistoryView(history, index), self.extra_values))
-        guide_dist = self.guide.propose(site)
-        if guide_dist is None:
+        if self.propose is None:
             guide_dist = prior
-        elif not isinstance(guide_dist, Dist):
-            raise _ContractError(f"guide returned {type(guide_dist).__name__}, not a Dist")
-        chosen = guide_dist.sample(self.rng)
-        log_prior = prior.log_prob(chosen)
-        # Finite: chosen was sampled from the guide's Dist.  The prior's is the same number.
-        log_guide = log_prior if guide_dist is prior else guide_dist.log_prob(chosen)
+        else:
+            index = len(history)
+            # tuple.__new__ skips the named tuple's Python-level __new__, a measurable cost per event.
+            site = _tuple_new(ChoiceSite, (index, label, prior, HistoryView(history, index), self.extra_values))
+            guide_dist = self.propose(site)
+            if guide_dist is None:
+                guide_dist = prior
+            elif not isinstance(guide_dist, Dist):
+                raise _ContractError(f"guide returned {type(guide_dist).__name__}, not a Dist")
+        try:
+            u = self._uniform()
+        except StopIteration:
+            u = self._refill()
+        i = bisect_right(guide_dist._cum, u)
+        chosen = guide_dist.values[i]
+        log_guide = guide_dist._logs[i]  # finite: a sampled atom has positive mass
+        if guide_dist is prior:
+            log_prior = log_guide
+        else:
+            j = prior._index.get(chosen)
+            log_prior = NEG_INF if j is None else prior._logs[j]  # -inf: the guide left the prior's support
         history.append(chosen)
         self.labels.append(label)
         self.priors.append(prior)
@@ -404,8 +451,20 @@ class _RunState(ModelContext):
         self.log_guides.append(log_guide)
         self.log_prior_total += log_prior
         self.log_guide_total += log_guide
-        self.fe += log_guide - log_prior
+        self.fe = fe = self.fe + (log_guide - log_prior)
+        self.n_events = n_events = self.n_events + 1
+        if n_events > self.max_events:
+            raise _EventCapError(self.max_events)
+        if fe > self.ceiling:
+            raise _Abort()
         return chosen
+
+    def _refill(self) -> float:
+        """The first uniform of the next block, which holds as many as
+        the run has used, up to `_MAX_BLOCK`."""
+        used = len(self.history) + len(self.extras)
+        self._uniform = next_uniform = iter(self.rng.random(min(used, _MAX_BLOCK)).tolist()).__next__
+        return next_uniform()
 
     def _observe(self, log_p: float) -> None:
         self.evidence_at.append(len(self.history))
@@ -414,9 +473,13 @@ class _RunState(ModelContext):
     def extra_choice(self, guide_dist: Dist, conditional: Callable[[Trace], Dist]) -> Value:
         if not isinstance(guide_dist, Dist):
             raise _ContractError(f"extra_choice() needs a Dist, got {type(guide_dist).__name__}")
-        chosen = guide_dist.sample(self.rng)
-        log_guide = guide_dist.log_prob(chosen)
-        self.extras.append(ExtraChoiceRecord(len(self.extras), guide_dist, chosen, log_guide, conditional))
+        try:
+            u = self._uniform()
+        except StopIteration:
+            u = self._refill()
+        i = bisect_right(guide_dist._cum, u)
+        chosen = guide_dist.values[i]
+        self.extras.append(ExtraChoiceRecord(len(self.extras), guide_dist, chosen, guide_dist._logs[i], conditional))
         self.extra_values += (chosen,)
         self.n_events += 1
         if self.n_events > self.max_events:
@@ -457,11 +520,12 @@ def run_trace(model: ModelProgram, guide: Guide, seed: int, max_events: int = DE
     Never raises for model/guide failures: crashes and threshold
     exceedances are folded into the trace status.  Re-running with the
     same (model, guide, seed) reproduces the trace bit for bit; the
-    stream is consumed strictly in event order.  The extra choices of a
-    completed trace get log P_G(y_i | x, y_1..y_{i-1}) from their conditionals.
+    stream is consumed strictly in event order, one uniform per choice
+    and per extra choice.  The extra choices of a completed trace get
+    log P_G(y_i | x, y_1..y_{i-1}) from their conditionals.
     """
     seed = int(seed)
-    return _run(model, guide, seed, np.random.default_rng(seed), max_events).trace()
+    return _run(model, guide, *_hooks(guide), seed, np.random.default_rng(seed), max_events).trace()
 
 
 def run_traces(
@@ -490,13 +554,14 @@ def _run_seeded(model: ModelProgram, guide: Guide, seeded, rng: np.random.Genera
                 max_events: int) -> Iterator[_RunState]:
     """One finished run per ``(seed, (state, inc))`` of `seeded`, in
     order, with `rng` set to that PCG64 state before each run."""
+    propose, begin = _hooks(guide)
     inner: dict = {}
     state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
     bit_generator = rng.bit_generator
     for seed, (pcg_state, inc) in seeded:
         inner["state"], inner["inc"] = pcg_state, inc
         bit_generator.state = state
-        yield _run(model, guide, seed, rng, max_events)
+        yield _run(model, guide, propose, begin, seed, rng, max_events)
 
 
 def _reseedable_rng() -> np.random.Generator:
@@ -506,12 +571,25 @@ def _reseedable_rng() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(0))
 
 
-def _run(model: ModelProgram, guide: Guide, seed: int, rng: np.random.Generator, max_events: int) -> _RunState:
-    """The finished run of `model` under `guide` on a generator that the
-    caller has seeded for `seed`, with its status and crash reason."""
-    run = _RunState(guide, rng, max_events, seed)
+def _hooks(guide: Guide) -> tuple[Optional[Callable], Optional[Callable]]:
+    """The guide's bound `propose` and `begin`, each None where it is
+    `Guide`'s no-op: a guide that overrides neither, such as
+    `PriorGuide`, costs a run no `ChoiceSite` and no `GuideContext`.
+    A method assigned on the instance counts as an override."""
+    propose, begin = guide.propose, guide.begin
+    return (None if getattr(propose, "__func__", None) is Guide.propose else propose,
+            None if getattr(begin, "__func__", None) is Guide.begin else begin)
+
+
+def _run(model: ModelProgram, guide: Guide, propose: Optional[Callable], begin: Optional[Callable],
+         seed: int, rng: np.random.Generator, max_events: int) -> _RunState:
+    """The finished run of `model` under `guide`, whose `_hooks` are
+    `propose` and `begin`, on a generator that the caller has seeded for
+    `seed`, with its status and crash reason."""
+    run = _RunState(guide, propose, rng, max_events, seed)
     try:
-        guide.begin(GuideContext(run.extra_choice))
+        if begin is not None:
+            begin(GuideContext(run.extra_choice))
         model(run)
         if run.extras:  # their conditionals read the completed run's Trace
             trace = run.trace()

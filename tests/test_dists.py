@@ -14,7 +14,9 @@ from guidedppl import (
     dist_from_weights,
     point_mass,
     uniform_range,
+    run_trace,
 )
+from guidedppl.models import MODELS, dice_point_family
 
 DIE1_GUIDE = [(1, 1 / 3), (2, 4 / 15), (3, 1 / 5), (4, 2 / 15), (5, 1 / 15)]
 
@@ -158,3 +160,61 @@ def test_two_atom_masses_are_exact(q: Fraction):
         return
     d = dist_from_weights([("x", float(q)), ("y", float(1 - q))])
     assert math.fsum(d.masses) == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The log-mass table that `log_prob` and sampled runs read
+
+
+def _model_and_family_dists():
+    """Every distinct `Dist` (by identity) that runs of the example models
+    use, under each of their guides and under bound guide families with
+    random tables: priors, proposals, extra-choice proposals and their
+    conditionals."""
+    rng = np.random.default_rng(0)
+    configs = [(entry.build(**kw), make_guide(**kw)) for entry, kw in (
+        (MODELS["three_dice"], {}), (MODELS["expr"], {}), (MODELS["expr"], {"depth_cap": 2}),
+        *((MODELS["monkey"], {"alphabet": n, "length": 8, "pattern": "a"}) for n in range(1, 27)))
+        for make_guide in entry.guides.values()]
+    for entry in (MODELS["three_dice"], MODELS["expr"]):
+        family = entry.family()
+        guide = family.bind({})
+        for s in range(200):
+            run_trace(entry.build(), guide, s)
+        table = {key: list(rng.normal(0.0, 3.0, len(prior))) for key, prior in guide.visited.items()}
+        configs.append((entry.build(), family.bind(table)))
+    point = dice_point_family()
+    configs.append((MODELS["three_dice"].build(), point.bind({"0|": 2, "1|2": 4})))
+    found = {}
+    for model, guide in configs:
+        for s in range(60):
+            t = run_trace(model, guide, s)
+            for c in t.choices:
+                found[id(c.prior)], found[id(c.guide)] = c.prior, c.guide
+            for e in t.extras:
+                found[id(e.guide_dist)] = e.guide_dist
+                if t.completed:
+                    d = e.conditional(t)
+                    found[id(d)] = d
+    return list(found.values())
+
+
+def test_log_masses_are_math_log_of_each_mass():
+    dists = _model_and_family_dists()
+    assert len(dists) > 100
+    for d in dists:
+        want = [math.log(m).hex() for m in d.masses]
+        assert [lp.hex() for lp in d._logs] == want
+        assert [d.log_prob(v).hex() for v in d.values] == want
+
+
+def test_zero_mass_has_log_mass_minus_inf():
+    """A direct `Dist(...)` call, or weights whose ratio underflows, can
+    give an atom zero mass; its log-mass is -inf, as `log_nonneg` gives."""
+    d = Dist([1, 2, 3], [0.0, 1.0, 0.0])
+    assert d._logs == (-math.inf, 0.0, -math.inf)
+    assert d.log_prob(1) == -math.inf and d.log_prob(2) == 0.0
+    for seed in range(20):
+        assert d.sample(np.random.default_rng(seed)) == 2
+    underflow = dist_from_weights([(1, 5e-324), (2, 1e300)])
+    assert underflow.masses == (0.0, 1.0) and underflow.log_prob(1) == -math.inf

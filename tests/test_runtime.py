@@ -690,3 +690,173 @@ def test_cost_per_event_is_flat_in_run_length():
 
     short, long = us_per_event(100), us_per_event(16_000)
     assert long / short < 2, (short, long)
+
+
+# ---------------------------------------------------------------------------
+# One uniform per event, in event order, read in blocks
+
+_CHAIN_DISTS = (uniform_range(1, 6), dist_from_weights([("a", 0.1), ("b", 0.9)]), point_mass(True),
+                dist_from_weights([(0, 3.0), (1, 1.0), (2, 0.5)]))
+_EXTRA_DIST = uniform_range(0, 9)
+
+
+def _block_ends(limit):
+    """Uniforms a run has read when each of its blocks runs out."""
+    ends, used = [], runtime._FIRST_BLOCK
+    while used <= limit:
+        ends.append(used)
+        used += min(used, runtime._MAX_BLOCK)
+    return ends
+
+
+# Model lengths L: 1, every L whose L + 1 uniforms (one extra choice
+# first) end a block, each such L +- 1, and 5,000.
+STREAM_LENGTHS = sorted({1, 5000} | {end - 1 + d for end in _block_ends(5001) for d in (-1, 0, 1)})
+
+
+def _choose_chain(ctx, length):
+    for i in range(length):
+        ctx.choose(_CHAIN_DISTS[i % len(_CHAIN_DISTS)], label="c")
+
+
+class _ExtraFirstGuide(PriorGuide):
+    """One extra choice before the model's first choice; keeps every prior."""
+
+    def begin(self, ctx):
+        ctx.extra_choice(_EXTRA_DIST, lambda trace: _EXTRA_DIST)
+
+
+def _reference_values(seed, length):
+    """The extra value and the choice values that one `Dist.sample` call
+    per event, in event order, gives on ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    extra = _EXTRA_DIST.sample(rng)
+    return extra, [_CHAIN_DISTS[i % len(_CHAIN_DISTS)].sample(rng) for i in range(length)]
+
+
+def _values(trace):
+    assert trace.completed and len(trace.extras) == 1
+    return trace.extras[0].chosen, [c.chosen for c in trace.choices]
+
+
+def test_stream_lengths_cross_every_block_end():
+    ends = _block_ends(5001)
+    assert ends[:2] == [runtime._FIRST_BLOCK, 2 * runtime._FIRST_BLOCK] and ends[-1] > runtime._MAX_BLOCK
+    assert 1 in STREAM_LENGTHS and 5000 in STREAM_LENGTHS
+
+
+@pytest.mark.parametrize("length", STREAM_LENGTHS)
+def test_run_trace_reads_one_uniform_per_event_in_order(length):
+    for seed in (0, 12345):
+        trace = run_trace(lambda ctx: _choose_chain(ctx, length), _ExtraFirstGuide(), seed)
+        assert _values(trace) == _reference_values(seed, length)
+
+
+def test_run_traces_reads_one_uniform_per_event_across_a_block_boundary():
+    """Run i of one batch has length STREAM_LENGTHS[i % n]; the batch's
+    runs cross a boundary of the 256-seed blocks of `run_traces`."""
+    seeds = derive_seeds(23, runtime._STATE_BLOCK + 2)
+    runs = iter(range(len(seeds)))
+
+    def cycling_chain(ctx):
+        _choose_chain(ctx, STREAM_LENGTHS[next(runs) % len(STREAM_LENGTHS)])
+
+    for i, (seed, trace) in enumerate(zip(seeds.tolist(), run_traces(cycling_chain, _ExtraFirstGuide(), seeds))):
+        assert _values(trace) == _reference_values(seed, STREAM_LENGTHS[i % len(STREAM_LENGTHS)]), i
+
+
+# ---------------------------------------------------------------------------
+# Guides that keep `Guide.propose` and `Guide.begin` skip both
+
+
+@pytest.mark.parametrize("ceiling", [None, 4.0])
+@pytest.mark.parametrize("model_name", ["three_dice", "expr", "monkey"])
+def test_prior_guide_equals_a_guide_that_proposes_none(model_name, ceiling):
+    model = MODELS[model_name].build()
+    prior, function = PriorGuide(ceiling), FunctionGuide(lambda site: None, ceiling)
+    assert runtime._hooks(prior) == (None, None) and runtime._hooks(function)[0] is not None
+    seeds = derive_seeds(24, runtime._STATE_BLOCK + 4)
+    assert _trace_digest(run_traces(model, prior, seeds)) == _trace_digest(run_traces(model, function, seeds))
+    assert [repr(_canon(run_trace(model, prior, s))) for s in range(20)] == [
+        repr(_canon(run_trace(model, function, s))) for s in range(20)]
+    want, got = batch_stats(model, function, seeds), batch_stats(model, prior, seeds)
+    for field in want.__slots__:
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+    if ceiling is not None and model_name != "monkey":
+        assert not got.accepted.all()
+
+
+def _first_value(site):
+    return point_mass(site.prior.values[0])
+
+
+class _FirstValueGuide(PriorGuide):
+    def propose(self, site):
+        return _first_value(site)
+
+
+def test_overridden_propose_and_begin_are_honoured():
+    on_instance = PriorGuide()
+    on_instance.propose = _first_value
+    for guide in (_FirstValueGuide(), on_instance):
+        for run in (run_trace(three_dice, guide, 5), next(run_traces(three_dice, guide, [5]))):
+            assert [c.chosen for c in run.choices] == [1, 1, 1]
+            assert [c.guide for c in run.choices] == [point_mass(1)] * 3
+    for run in (run_trace(three_dice, _ExtraFirstGuide(), 5), next(run_traces(three_dice, _ExtraFirstGuide(), [5]))):
+        assert len(run.extras) == 1 and run.extras[0].log_model_conditional == math.log(0.1)
+        rng = np.random.default_rng(5)
+        _EXTRA_DIST.sample(rng)
+        assert [c.chosen for c in run.choices] == [_D6.sample(rng) for _ in range(3)]
+
+
+def test_ceiling_is_read_per_run():
+    guide = PriorGuide()
+    traces = run_traces(three_dice, guide, range(3))
+    assert next(traces).status is not RunStatus.REJECTED_THRESHOLD
+    guide.ceiling = -1.0
+    assert next(traces).status is RunStatus.REJECTED_THRESHOLD
+    guide.ceiling = None
+    assert next(traces).completed
+
+
+# ---------------------------------------------------------------------------
+# Evidence and hypothesis values: the boolean fast paths change nothing
+
+_CONTRACT = "{} is not a finite nonnegative number"
+
+# value -> (log evidence or crash reason, hypothesis or crash reason)
+_EVIDENCE_HYPOTHESIS_CASES = {
+    "True": (True, 0.0, 1.0),
+    "False": (False, -math.inf, 0.0),
+    "np.True_": (np.True_, 0.0, 1.0),
+    "1": (1, 0.0, 1.0),
+    "0.0": (0.0, -math.inf, 0.0),
+    "0.5": (0.5, math.log(0.5), 0.5),
+    "nan": (math.nan, _CONTRACT.format("evidence(nan)"), _CONTRACT.format("hypothesis nan")),
+    "-1": (-1, _CONTRACT.format("evidence(-1.0)"), _CONTRACT.format("hypothesis -1.0")),
+    "inf": (math.inf, _CONTRACT.format("evidence(inf)"), _CONTRACT.format("hypothesis inf")),
+}
+
+
+@pytest.mark.parametrize("case", list(_EVIDENCE_HYPOTHESIS_CASES))
+def test_evidence_and_hypothesis_values(case):
+    value, log_evidence, hypothesis = _EVIDENCE_HYPOTHESIS_CASES[case]
+
+    def evidence_model(ctx):
+        ctx.choose(_D6)
+        ctx.evidence(value)
+
+    def hypothesis_model(ctx):
+        ctx.choose(_D6)
+        ctx.set_hypothesis(value)
+
+    for model, want, read in ((evidence_model, log_evidence, lambda t: t.log_evidence),
+                              (hypothesis_model, hypothesis, lambda t: t.hypothesis)):
+        sampled = run_trace(model, PriorGuide(), 3)
+        paths = enumerate_paths(model)
+        if isinstance(want, str):
+            assert sampled.status is RunStatus.REJECTED_CRASH and sampled.crash_reason == want
+            assert not paths.entries and {c.reason for c in paths.crashes} == {want}
+        else:
+            assert sampled.completed and type(read(sampled)) is float and read(sampled) == want
+            assert not paths.crashes and {read(e) for e in paths.entries} == {want}
