@@ -709,9 +709,9 @@ def _block_ends(limit):
     return ends
 
 
-# Model lengths L: 1, every L whose L + 1 uniforms (one extra choice
-# first) end a block, each such L +- 1, and 5,000.
-STREAM_LENGTHS = sorted({1, 5000} | {end - 1 + d for end in _block_ends(5001) for d in (-1, 0, 1)})
+# Model lengths L: 1, each block end n and n +- 1, each L whose L + 1
+# uniforms (one extra choice first) end a block, and 5,000.
+STREAM_LENGTHS = sorted({1, 5000} | {end + d for end in _block_ends(5001) for d in (-2, -1, 0, 1)})
 
 
 def _choose_chain(ctx, length):
