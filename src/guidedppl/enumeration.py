@@ -42,7 +42,7 @@ from typing import Iterator, Optional, Union
 from .dists import Dist, Value, NEG_INF
 from . import runtime
 from .runtime import (ChoiceSite, Guide, GuideContext, HistoryView, ModelContext, ModelProgram,
-                      _EventCapError, crash_reason)
+                      _ContractError, _EventCapError, crash_reason)
 
 DEFAULT_MAX_PATHS = 1_000_000
 
@@ -132,29 +132,34 @@ class _ForcedRun(ModelContext):
         self.stack = stack
         self.pending: list[float] = []  # log evidence since the last choice, past the forced prefix
 
-    def _take(self, prior: Dist, label: Optional[str]) -> Value:
+    def choose(self, prior: Dist, label: Optional[str] = None) -> Value:
+        if not isinstance(prior, Dist):
+            raise _ContractError(f"choose() needs a Dist, got {type(prior).__name__}")
         pos = self.pos
         if pos < self.n_forced:
             v = self.choices[pos]
             if prior.prob(v) == 0.0:
                 raise RuntimeError(f"forced value {v!r} left the prior support")
-            self.pos = pos + 1
-            return v
-        values = sorted(prior.values, key=_value_key)
-        node = _Node(tuple(self.pending), label, prior, values, [None] * len(values))
-        children, i = self.slot
-        children[i] = node
-        self.pending = []
-        lp = self.log_prior
-        if len(values) > 1:  # the siblings' replay prefixes
-            history = tuple(self.choices)
-            for j in range(len(values) - 1, 0, -1):
-                self.stack.append((history + (values[j],), lp + prior.log_prob(values[j]), (node.children, j)))
-        self.slot = (node.children, 0)
-        v = values[0]
-        self.choices.append(v)
+        else:
+            values = sorted(prior.values, key=_value_key)
+            node = _Node(tuple(self.pending), label, prior, values, [None] * len(values))
+            children, i = self.slot
+            children[i] = node
+            self.pending = []
+            lp = self.log_prior
+            if len(values) > 1:  # the siblings' replay prefixes
+                history = tuple(self.choices)
+                for j in range(len(values) - 1, 0, -1):
+                    self.stack.append((history + (values[j],), lp + prior.log_prob(values[j]), (node.children, j)))
+            self.slot = (node.children, 0)
+            v = values[0]
+            self.choices.append(v)
+            self.log_prior = lp + prior.log_prob(v)
         self.pos = pos + 1
-        self.log_prior = lp + prior.log_prob(v)
+        # A choice adds no free energy here, so only the event cap can end the run.
+        self.n_events += 1
+        if self.n_events > self.max_events:
+            raise _EventCapError(self.max_events)
         return v
 
     def _observe(self, log_p: float) -> None:

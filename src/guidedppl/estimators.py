@@ -217,10 +217,7 @@ def summarize_run(run: _RunState) -> TraceSummary:
     n_events = len(run.history) + len(run.evidence_fe)
     if run.status is not RunStatus.COMPLETED:
         return (n_events, False, math.nan, 0.0, 0.0, 0.0)
-    if run.extras:
-        log_num, log_den = _path_log_masses(run)
-    else:
-        log_num, log_den = run.log_prior_total, run.log_guide_total
+    log_num, log_den = _path_log_masses(run)
     if log_num == NEG_INF:
         return (n_events, True, run.fe, 0.0, 0.0, run.hypothesis)
     # The weights' operations in `importance_weight`'s order, so the

@@ -126,12 +126,14 @@ class PatternInsertGuide(Guide):
         self.pattern = pattern
         self.ceiling = ceiling
         self._point = {c: point_mass(c) for c in _ALPHABET[:alphabet_size]}
+        top = length - len(pattern)
+        # Built once: at length 4,000 it has 3,998 atoms.  None when the pattern cannot occur.
+        self._start = uniform_range(0, top) if top >= 0 else None
 
     def begin(self, ctx: GuideContext) -> None:
-        top = self.length - len(self.pattern)
-        if top < 0:
+        if self._start is None:
             return  # pattern cannot occur; leave the run unguided
-        ctx.extra_choice(uniform_range(0, top), self._first_occurrence)
+        ctx.extra_choice(self._start, self._first_occurrence)
 
     def _first_occurrence(self, trace: Trace) -> Dist:
         s = "".join(trace.choices[i].chosen for i in range(self.length))

@@ -29,10 +29,10 @@ At each choice site the guide gets a `ChoiceSite`.  Its `history` is a
 neither copies the run: a run of L events costs O(L), not O(L^2).
 
 Sampling and exact enumeration share one context core, `ModelContext`:
-the input checks, event counting against the cap and `crash_reason`
-exist once, and only the value policy differs (`_RunState` samples from
-the guide; `enumeration._ForcedRun` replays a prefix and grows the
-tree).  A run that `run_trace` crash-rejects is a crash leaf of the
+the evidence and hypothesis checks and `crash_reason` exist once, and
+each subclass has its own `choose`, its value policy (`_RunState`
+samples from the guide; `enumeration._ForcedRun` replays a prefix and
+grows the tree).  A run that `run_trace` crash-rejects is a crash leaf of the
 enumeration, with the same reason and event count, and its prior mass
 counts toward `crash_mass`.  Enumeration still raises for the event cap,
 for a model that is not deterministic on replay and for guide errors.
@@ -315,12 +315,12 @@ def crash_reason(exc: Exception) -> str:
 class ModelContext:
     """The model program's handle: choose / evidence / set_hypothesis.
 
-    It is the run itself: it checks priors and evidence and hypothesis
-    values, counts events against the cap and keeps the running free
-    energy against the ceiling.  A subclass picks the values: `_take`
-    returns the value at a choice site and adds its free energy, and
-    `_observe` records evidence.  `_RunState` replaces `choose` with one
-    that samples inline, so a sampled choice costs one Python call."""
+    It is the run itself: it checks evidence and hypothesis values,
+    counts events against the cap and keeps the running free energy
+    against the ceiling.  Each subclass has its own `choose`, which
+    checks the prior, picks the value, adds its free energy and counts
+    the event (`_RunState` samples, `enumeration._ForcedRun` replays and
+    grows the tree), and its own `_observe`, which records evidence."""
 
     __slots__ = ("max_events", "n_events", "fe", "log_evidence", "hypothesis")
     ceiling = math.inf
@@ -332,17 +332,6 @@ class ModelContext:
         self.log_evidence = 0.0
         self.hypothesis = 1.0
 
-    def choose(self, prior: Dist, label: Optional[str] = None) -> Value:
-        if not isinstance(prior, Dist):
-            raise _ContractError(f"choose() needs a Dist, got {type(prior).__name__}")
-        value = self._take(prior, label)
-        self.n_events += 1  # counted inline here and below: a call per event is measurable
-        if self.n_events > self.max_events:
-            raise _EventCapError(self.max_events)
-        if self.fe > self.ceiling:
-            raise _Abort()
-        return value
-
     def evidence(self, p) -> None:
         if p is True:  # the common case, as `finite_nonneg` and `log_nonneg` would map it
             log_p = 0.0
@@ -353,7 +342,7 @@ class ModelContext:
         self.log_evidence += log_p
         self.fe -= log_p
         self._observe(log_p)
-        self.n_events += 1
+        self.n_events += 1  # counted inline in each event method: a call per event is measurable
         if self.n_events > self.max_events:
             raise _EventCapError(self.max_events)
         if self.fe > self.ceiling:
@@ -414,7 +403,7 @@ class _RunState(ModelContext):
         self.extra_values: tuple[Value, ...] = ()  # rebuilt only by `extra_choice`
         self.completed_trace: Optional[Trace] = None  # built early for extra-choice conditionals
         self.rng = rng
-        self._uniform = iter(rng.random(_FIRST_BLOCK).tolist()).__next__  # StopIteration: call `_refill`
+        self._uniform = iter(rng.random(_FIRST_BLOCK).tolist()).__next__  # read only by `_draw`
 
     def choose(self, prior: Dist, label: Optional[str] = None) -> Value:
         if not isinstance(prior, Dist):
@@ -431,11 +420,7 @@ class _RunState(ModelContext):
                 guide_dist = prior
             elif not isinstance(guide_dist, Dist):
                 raise _ContractError(f"guide returned {type(guide_dist).__name__}, not a Dist")
-        try:
-            u = self._uniform()
-        except StopIteration:
-            u = self._refill()
-        i = bisect_right(guide_dist._cum, u)
+        i = self._draw(guide_dist)
         chosen = guide_dist.values[i]
         log_guide = guide_dist._logs[i]  # finite: a sampled atom has positive mass
         if guide_dist is prior:
@@ -459,12 +444,18 @@ class _RunState(ModelContext):
             raise _Abort()
         return chosen
 
-    def _refill(self) -> float:
-        """The first uniform of the next block, which holds as many as
-        the run has used, up to `_MAX_BLOCK`."""
-        used = len(self.history) + len(self.extras)
-        self._uniform = next_uniform = iter(self.rng.random(min(used, _MAX_BLOCK)).tolist()).__next__
-        return next_uniform()
+    def _draw(self, dist: Dist) -> int:
+        """The index of the atom of `dist` that the run's next uniform
+        picks, as `Dist.sample` maps it.  When a block of uniforms runs
+        out, the next holds as many as the run has used, up to
+        `_MAX_BLOCK`."""
+        try:
+            u = self._uniform()
+        except StopIteration:
+            used = len(self.history) + len(self.extras)
+            self._uniform = next_uniform = iter(self.rng.random(min(used, _MAX_BLOCK)).tolist()).__next__
+            u = next_uniform()
+        return bisect_right(dist._cum, u)
 
     def _observe(self, log_p: float) -> None:
         self.evidence_at.append(len(self.history))
@@ -473,11 +464,7 @@ class _RunState(ModelContext):
     def extra_choice(self, guide_dist: Dist, conditional: Callable[[Trace], Dist]) -> Value:
         if not isinstance(guide_dist, Dist):
             raise _ContractError(f"extra_choice() needs a Dist, got {type(guide_dist).__name__}")
-        try:
-            u = self._uniform()
-        except StopIteration:
-            u = self._refill()
-        i = bisect_right(guide_dist._cum, u)
+        i = self._draw(guide_dist)
         chosen = guide_dist.values[i]
         self.extras.append(ExtraChoiceRecord(len(self.extras), guide_dist, chosen, guide_dist._logs[i], conditional))
         self.extra_values += (chosen,)
