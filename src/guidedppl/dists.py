@@ -69,10 +69,7 @@ class Dist:
         cum[-1] = 1.0  # absorb last-ulp normalization slack
         self._cum = cum
         self._index = {v: i for i, v in enumerate(self.values)}
-        try:
-            self._logs = tuple(map(math.log, self.masses))
-        except ValueError:  # a zero mass: from a direct Dist(...) call, or a weight ratio that underflows
-            self._logs = tuple(map(log_nonneg, self.masses))
+        self._logs = tuple(map(log_nonneg, self.masses))
 
     def __len__(self) -> int:
         return len(self.values)
