@@ -69,7 +69,8 @@ class Dist:
         cum[-1] = 1.0  # absorb last-ulp normalization slack
         self._cum = cum
         self._index = {v: i for i, v in enumerate(self.values)}
-        self._logs = tuple(map(log_nonneg, self.masses))
+        log_of = {m: log_nonneg(m) for m in set(self.masses)}  # one float per distinct mass
+        self._logs = tuple(map(log_of.__getitem__, self.masses))
 
     def __len__(self) -> int:
         return len(self.values)
