@@ -391,6 +391,42 @@ def test_golden_long_traces():
         GOLDEN_LONG_TRACE_DIGEST)
 
 
+_RECORD_FIELDS = ("index", "label", "prior", "guide", "chosen", "log_prior", "log_guide")
+
+# SHA-256 of the reprs of every `ChoiceRecord` of these golden traces,
+# seeds 0..39, one per line; recorded while `ChoiceRecord` was a frozen
+# dataclass, whose repr the record type keeps.
+GOLDEN_RECORD_REPR_DIGESTS = {
+    "expr/tabular_table": "974a4ac96868ba07a899a0beb6e9814ab4e3e8f8f6a00b0bbcdb4249b87c2b0d",
+    "monkey/pattern_insert": "5b251bfad6aa4017e2528debb8abcd1e1f2dbe0132652def59764f88e209114c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RECORD_REPR_DIGESTS))
+def test_choice_records_keep_their_interface(name):
+    model, make_guide = _golden_trace_configs()[name]
+    traces = list(run_traces(model, make_guide(), GOLDEN_TRACE_SEEDS))
+    again = [run_trace(model, make_guide(), s) for s in GOLDEN_TRACE_SEEDS]
+    assert ChoiceRecord.__match_args__ == _RECORD_FIELDS
+    h = hashlib.sha256()
+    for t, u in zip(traces, again):
+        for i, rec in enumerate(t.choices):
+            assert rec.index == i
+            assert isinstance(rec.prior, Dist) and isinstance(rec.guide, Dist)
+            assert rec.log_prior == rec.prior.log_prob(rec.chosen)
+            assert rec.log_guide == rec.guide.log_prob(rec.chosen)
+            assert rec.label is None or isinstance(rec.label, str)
+            twin = u.choices[i]
+            assert twin is not rec and twin == rec and hash(twin) == hash(rec)
+            assert [getattr(twin, f) for f in _RECORD_FIELDS] == [getattr(rec, f) for f in _RECORD_FIELDS]
+            for f in _RECORD_FIELDS:
+                with pytest.raises(AttributeError):
+                    setattr(rec, f, 0)
+            h.update(repr(rec).encode())
+            h.update(b"\n")
+    assert h.hexdigest() == GOLDEN_RECORD_REPR_DIGESTS[name]
+
+
 class TestBatchSeeding:
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     @example(0)
