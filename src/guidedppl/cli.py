@@ -79,12 +79,14 @@ def _format_float(x: float) -> str:
     return "Infinity" if x > 0 else "-Infinity"
 
 
-def _emit(value, indent: int, out: list) -> None:
+def _emit(value, indent: int, out: list, escaped: dict) -> None:
+    """Append the JSON text of `value` to `out`.  `escaped` maps each
+    string escaped so far to its `_escape`, so that a key or value that
+    repeats (every event of a long trace has the same keys) is escaped
+    once."""
     kind = type(value)  # the exact types first: they are nearly every value of a long trace
     if kind is float:
         out.append(_format_float(value))
-    elif kind is str:
-        out.append(_escape(value))
     elif kind is int:
         out.append(str(value))
     elif value is None:
@@ -95,8 +97,11 @@ def _emit(value, indent: int, out: list) -> None:
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
         out.append(_format_float(float(value)))
-    elif isinstance(value, str):
-        out.append(_escape(value))
+    elif isinstance(value, str):  # a str subclass (np.str_) escapes as the equal str does
+        text = escaped.get(value)
+        if text is None:
+            text = escaped[value] = _escape(value)
+        out.append(text)
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -104,8 +109,23 @@ def _emit(value, indent: int, out: list) -> None:
         inner = "  " * (indent + 1)
         sep = "{\n"
         for k, v in value.items():
-            out.append(f"{sep}{inner}{_escape(str(k))}: ")
-            _emit(v, indent + 1, out)
+            k = str(k)
+            key = escaped.get(k)
+            if key is None:
+                key = escaped[k] = _escape(k)
+            kind = type(v)  # a float, str or int value inline, as `_emit` would write it
+            if kind is float:
+                out.append(f"{sep}{inner}{key}: {_format_float(v)}")
+            elif kind is str:
+                text = escaped.get(v)
+                if text is None:
+                    text = escaped[v] = _escape(v)
+                out.append(f"{sep}{inner}{key}: {text}")
+            elif kind is int:
+                out.append(f"{sep}{inner}{key}: {v}")
+            else:
+                out.append(f"{sep}{inner}{key}: ")
+                _emit(v, indent + 1, out, escaped)
             sep = ",\n"
         out.append("\n" + "  " * indent + "}")
     elif isinstance(value, (list, tuple, np.ndarray)):
@@ -117,7 +137,7 @@ def _emit(value, indent: int, out: list) -> None:
         sep = "[\n"
         for v in items:
             out.append(sep + inner)
-            _emit(v, indent + 1, out)
+            _emit(v, indent + 1, out, escaped)
             sep = ",\n"
         out.append("\n" + "  " * indent + "]")
     else:
@@ -153,7 +173,7 @@ def _escape(s: str) -> str:
 
 def dumps(doc) -> str:
     out: list[str] = []
-    _emit(doc, 0, out)
+    _emit(doc, 0, out, {})
     return "".join(out)
 
 

@@ -69,6 +69,8 @@ class Dist:
         cum[-1] = 1.0  # absorb last-ulp normalization slack
         self._cum = cum
         self._index = {v: i for i, v in enumerate(self.values)}
+        if len(self._index) != len(self.values):
+            raise DuplicateValueError(f"duplicate support value in {self.values!r}")
         log_of = {m: log_nonneg(m) for m in set(self.masses)}  # one float per distinct mass
         self._logs = tuple(map(log_of.__getitem__, self.masses))
 

@@ -65,7 +65,8 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
+from itertools import islice, repeat
+from operator import sub
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -192,8 +193,12 @@ class EventFE(NamedTuple):
     fe: float
 
 
-@dataclass(frozen=True, slots=True)
-class ChoiceRecord:
+class ChoiceRecord(NamedTuple):
+    """One choice of a finished run: its site, the prior and the guide's
+    `Dist`, the value drawn and both log-masses.  A named tuple, so that
+    `_RunState.trace` builds a run's records in C from its columns;
+    ``rec._replace(...)`` makes a changed copy."""
+
     index: int
     label: Optional[str]
     prior: Dist
@@ -479,10 +484,11 @@ class _RunState(ModelContext):
             return self.completed_trace
         labels, log_priors, log_guides = self.labels, self.log_priors, self.log_guides
         n = len(log_priors)
-        choices = tuple(map(ChoiceRecord, range(n), labels, self.priors, self.guides, self.history,
-                            log_priors, log_guides))
-        chosen_fe = [_tuple_new(EventFE, ("choose", i, label, log_guide - log_prior))
-                     for i, label, log_prior, log_guide in zip(range(n), labels, log_priors, log_guides)]
+        # tuple.__new__ over zipped columns: the records are made in C, with no Python call per record.
+        choices = tuple(map(_tuple_new, repeat(ChoiceRecord), zip(
+            range(n), labels, self.priors, self.guides, self.history, log_priors, log_guides)))
+        chosen_fe = list(map(_tuple_new, repeat(EventFE), zip(
+            repeat("choose"), range(n), labels, map(sub, log_guides, log_priors))))
         per_event: list[EventFE] = []
         done = 0
         for j, (at, fe) in enumerate(zip(self.evidence_at, self.evidence_fe)):

@@ -396,5 +396,19 @@ _documents = st.recursive(
               "": {}, "empty": [], "t": (), "a": np.array([]), "flags": [True, np.bool_(False), None],
               "ints": [np.int64(-2**63), 2**70]})
 @example(doc=[c + "x" for c in _CONTROL + ['"', "\\", "\u00e9"]])  # one character to escape per string
+@example(doc=[{'k"\n': i, "v": [{'k"\n': -0.5}]} for i in range(6)])  # one key to escape in many dicts
+@example(doc={'a\\b': 'a\\b', "x": {"x": ["x", 'a\\b']}})  # a string as both key and value
+@example(doc=[{1: "1"}, {"1": 1}, {True: "True"}, {"True": True}])  # keys that are equal once made str
+@example(doc={"s": np.str_('q"\t'), "t": [np.str_('q"\t'), 'q"\t', np.str_("")]})
 def test_dumps_matches_the_reference_emitter(doc):
     assert cli.dumps(doc) == reference_dumps(doc)
+
+
+def test_dumps_escapes_each_distinct_string_once(monkeypatch):
+    seen = []
+    escape = cli._escape
+    monkeypatch.setattr(cli, "_escape", lambda s: seen.append(s) or escape(s))
+    doc = {"events": [{"kind": "choose", "label": 'l"1', "n": i, 1: np.str_("kind")} for i in range(50)],
+           "kind": ["kind", 'l"1']}
+    assert cli.dumps(doc) == reference_dumps(doc)
+    assert sorted(seen) == sorted({"events", "kind", "choose", "label", 'l"1', "n", "1"})

@@ -218,3 +218,12 @@ def test_zero_mass_has_log_mass_minus_inf():
         assert d.sample(np.random.default_rng(seed)) == 2
     underflow = dist_from_weights([(1, 5e-324), (2, 1e300)])
     assert underflow.masses == (0.0, 1.0) and underflow.log_prob(1) == -math.inf
+
+
+@pytest.mark.parametrize("values", [[1, 1], ["a", "b", "a"], [1, True], [0, False, 2]])
+def test_direct_construction_rejects_repeated_values(values):
+    """`Dist(...)` raises for a repeated value (``1 == True`` counts), as
+    `dist_from_weights` does: one value must have one mass."""
+    with pytest.raises(DuplicateValueError):
+        Dist(values, [1.0 / len(values)] * len(values))
+    Dist(values[:1], [1.0])

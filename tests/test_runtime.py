@@ -302,7 +302,9 @@ def _canon(x):
         return ("Dist", x.values, x.masses)
     if isinstance(x, ExtraChoiceRecord):
         return tuple(_canon(getattr(x, f)) for f in x.__slots__ if f != "conditional")
-    if isinstance(x, (ChoiceRecord, Trace)):
+    if isinstance(x, ChoiceRecord):
+        return tuple(_canon(getattr(x, f)) for f in x._fields)
+    if isinstance(x, Trace):
         return tuple(_canon(getattr(x, f)) for f in x.__slots__)
     if isinstance(x, tuple):
         return tuple(_canon(v) for v in x)
