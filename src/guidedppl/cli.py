@@ -79,11 +79,17 @@ def _format_float(x: float) -> str:
     return "Infinity" if x > 0 else "-Infinity"
 
 
-def _emit(value, indent: int, out: list, escaped: dict) -> None:
-    """Append the JSON text of `value` to `out`.  `escaped` maps each
-    string escaped so far to its `_escape`, so that a key or value that
-    repeats (every event of a long trace has the same keys) is escaped
-    once."""
+class _Escapes(dict):
+    """The `_escape` of each string, computed on its first lookup: one
+    `dumps` call escapes a string that repeats (each event of a long
+    trace has the same keys) once."""
+
+    def __missing__(self, s: str) -> str:
+        text = self[s] = _escape(s)
+        return text
+
+
+def _emit(value, indent: int, out: list, escaped: _Escapes) -> None:
     kind = type(value)  # the exact types first: they are nearly every value of a long trace
     if kind is float:
         out.append(_format_float(value))
@@ -98,10 +104,7 @@ def _emit(value, indent: int, out: list, escaped: dict) -> None:
     elif isinstance(value, (float, np.floating)):
         out.append(_format_float(float(value)))
     elif isinstance(value, str):  # a str subclass (np.str_) escapes as the equal str does
-        text = escaped.get(value)
-        if text is None:
-            text = escaped[value] = _escape(value)
-        out.append(text)
+        out.append(escaped[value])
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -109,18 +112,12 @@ def _emit(value, indent: int, out: list, escaped: dict) -> None:
         inner = "  " * (indent + 1)
         sep = "{\n"
         for k, v in value.items():
-            k = str(k)
-            key = escaped.get(k)
-            if key is None:
-                key = escaped[k] = _escape(k)
+            key = escaped[str(k)]
             kind = type(v)  # a float, str or int value inline, as `_emit` would write it
             if kind is float:
                 out.append(f"{sep}{inner}{key}: {_format_float(v)}")
             elif kind is str:
-                text = escaped.get(v)
-                if text is None:
-                    text = escaped[v] = _escape(v)
-                out.append(f"{sep}{inner}{key}: {text}")
+                out.append(f"{sep}{inner}{key}: {escaped[v]}")
             elif kind is int:
                 out.append(f"{sep}{inner}{key}: {v}")
             else:
@@ -173,7 +170,7 @@ def _escape(s: str) -> str:
 
 def dumps(doc) -> str:
     out: list[str] = []
-    _emit(doc, 0, out, {})
+    _emit(doc, 0, out, _Escapes())
     return "".join(out)
 
 

@@ -54,7 +54,9 @@ running totals in event order, and where each evidence call falls with
 its free energy.  Batch drivers (`estimators.batch_stats` and guide
 search) read each run's row from these columns.  A `Trace` is built from
 them only by `run_trace` and `run_traces`, and for a run with extra
-choices, whose conditionals read the finished `Trace`.
+choices, whose conditionals read the finished `Trace`.  Its
+`ChoiceRecord`s and `EventFE`s are named tuples, made in C by
+``tuple.__new__`` over the zipped columns: no Python call per event.
 """
 
 from __future__ import annotations

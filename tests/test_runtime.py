@@ -730,6 +730,28 @@ def test_cost_per_event_is_flat_in_run_length():
     assert long / short < 2, (short, long)
 
 
+def test_building_a_trace_makes_no_python_call_per_event():
+    """`_RunState.trace` makes its records and per-event entries in C:
+    the Python calls it makes do not grow with the run."""
+    entry = MODELS["monkey"]
+
+    def python_calls(length):
+        guide = entry.guides["pattern_insert"](length=length)
+        run = runtime._run(entry.build(length=length), guide, *runtime._hooks(guide), 3,
+                           np.random.default_rng(3), runtime.DEFAULT_MAX_EVENTS)
+        run.completed_trace = None  # built by `_run` for the extra choice; build it again
+        calls = []
+        sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code) if event == "call" else None)
+        try:
+            t = run.trace()
+        finally:
+            sys.setprofile(None)
+        assert t.completed and len(t.choices) == length
+        return len(calls)
+
+    assert python_calls(10) == python_calls(2000)
+
+
 # ---------------------------------------------------------------------------
 # One uniform per event, in event order, read in blocks
 
