@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import math
 import operator
@@ -741,11 +742,14 @@ def test_building_a_trace_makes_no_python_call_per_event():
                            np.random.default_rng(3), runtime.DEFAULT_MAX_EVENTS)
         run.completed_trace = None  # built by `_run` for the extra choice; build it again
         calls = []
+        gc.collect()
+        gc.disable()  # a collection may run finalizers of unrelated objects, which are Python calls
         sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code) if event == "call" else None)
         try:
             t = run.trace()
         finally:
             sys.setprofile(None)
+            gc.enable()
         assert t.completed and len(t.choices) == length
         return len(calls)
 
