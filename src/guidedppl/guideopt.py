@@ -46,11 +46,9 @@ from .runtime import (
     Guide,
     ModelProgram,
     RunStatus,
-    _pcg64_states,
-    _reseedable_rng,
     _run_batch,
-    _run_seeded,
     _RunState,
+    _SeededRuns,
     derive_seeds,
 )
 
@@ -227,16 +225,6 @@ def _utility(seeds: np.ndarray, runs: Sequence[_Run], cfg: UtilityConfig) -> flo
     return est.adjusted_fe + cfg.k * (est.total_events / est.n_accepted)
 
 
-def _utility_on_seeds(
-    model: ModelProgram,
-    guide: Guide,
-    seeds: np.ndarray,
-    cfg: UtilityConfig,
-    max_events: int,
-) -> float:
-    return _utility(seeds, _run_all(guide, _run_batch(model, guide, seeds, max_events)), cfg)
-
-
 def guide_utility(
     model: ModelProgram,
     family,
@@ -248,7 +236,8 @@ def guide_utility(
 ) -> float:
     """U = adjusted free energy + k * (events per accepted run), estimated
     from n guided runs; +inf when no run is accepted."""
-    return _utility_on_seeds(model, family.bind(params), derive_seeds(seed, n), cfg, max_events)
+    guide, seeds = family.bind(params), derive_seeds(seed, n)
+    return _utility(seeds, _run_all(guide, _run_batch(model, guide, seeds, max_events)), cfg)
 
 
 def _key_index(runs: Sequence[_Run]) -> dict[str, list[int]]:
@@ -303,13 +292,11 @@ def optimize_guide(
     if accept_margin < 0.0:
         raise ValueError("accept margin must be nonnegative")
     crn = derive_seeds(seed, n, stream=3)
-    crn_seeds, crn_states = crn.tolist(), _pcg64_states(crn)  # computed once for every re-run
-    run_rng = _reseedable_rng()
+    crn_runs = _SeededRuns(crn)  # each seed's first uniforms, computed once for every re-run
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(4,)))
 
     def run_all(guide, indices) -> list[_Run]:
-        seeded = ((crn_seeds[i], crn_states[i]) for i in indices)
-        return _run_all(guide, _run_seeded(model, guide, seeded, run_rng, max_events))
+        return _run_all(guide, crn_runs.runs(model, guide, indices, max_events))
 
     cells: dict[str, tuple] = {}  # key -> (init cell, support values)
 

@@ -43,10 +43,13 @@ a value as `Dist.sample` does; `Dist.sample`, one ``rng.random()`` call
 per draw, is the reference.  A run reads its uniforms in blocks, as
 ``rng.random(k)``, which gives the same doubles as k single calls; what
 a run leaves unread changes nothing, since every run is seeded anew.
-`run_trace` seeds the stream one run at a time.  `run_traces` yields the
-same traces for a whole seed array: it computes the PCG64 states of
-``default_rng`` in bulk and sets them on one reused generator, after a
-check, once per process, that this numpy seeds as it does.
+`run_trace` seeds the stream one run at a time and is the reference for
+batches.  `run_traces`, `batch_stats` and guide search yield the same
+runs for a whole seed array without a generator per run (`_SeededRuns`):
+numpy array arithmetic computes every seed's first `_FIRST_BLOCK`
+uniforms and its PCG64 state after them, and only a run that reads past
+its first block sets a shared generator to that state.  A check, once
+per process, compares this arithmetic with numpy's own ``default_rng``.
 
 While it runs, a sampled run is kept in flat per-run columns (`_RunState`):
 chosen values, labels, prior and guide `Dist`s, log-masses with their
@@ -64,7 +67,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice, repeat
@@ -79,11 +82,11 @@ DEFAULT_MAX_EVENTS = 100_000
 
 _tuple_new = tuple.__new__
 
-# A sampled run reads its uniforms from its generator in blocks: the
-# first of `_FIRST_BLOCK` when the run starts, then, whenever a block
-# runs out, as many as it has used so far, up to `_MAX_BLOCK`.  A short
-# run makes one ``rng.random(k)`` call; a long one makes a few per
-# thousand events.
+# A sampled run reads its uniforms in blocks: the first of `_FIRST_BLOCK`
+# when the run starts, then, whenever a block runs out, as many as it has
+# used so far, up to `_MAX_BLOCK`, from its generator.  A short batch run
+# reads only its precomputed first block; a long one makes a few
+# ``rng.random(k)`` calls per thousand events.
 _FIRST_BLOCK = 8
 _MAX_BLOCK = 1024
 
@@ -378,17 +381,19 @@ class _RunState(ModelContext):
     drivers read a run's row from them; `trace` builds its `Trace`.
 
     Each choose and each extra choice draws as `Dist.sample` does, from
-    the next uniform of the run's generator (read in blocks, see
-    `_FIRST_BLOCK`), and reads the value and its log-mass by index.
-    `propose` is the guide's, or None for a guide that keeps
-    `Guide.propose`: then no `ChoiceSite` is made."""
+    the run's next uniform, and reads the value and its log-mass by
+    index.  The run starts on `first`, the first `_FIRST_BLOCK` uniforms
+    of its stream; `resume` returns the generator that goes on after
+    them, and is called only if the run reads past them.  `propose` is
+    the guide's, or None for a guide that keeps `Guide.propose`: then no
+    `ChoiceSite` is made."""
 
     __slots__ = ("propose", "seed", "ceiling", "status", "reason", "history", "labels", "priors", "guides",
                  "log_priors", "log_guides", "log_prior_total", "log_guide_total", "evidence_at", "evidence_fe",
-                 "extras", "extra_values", "completed_trace", "rng", "_uniform")
+                 "extras", "extra_values", "completed_trace", "rng", "_resume", "_uniform")
 
     def __init__(self, guide: Guide, propose: Optional[Callable[[ChoiceSite], Optional[Dist]]],
-                 rng: np.random.Generator, max_events: int, seed: int):
+                 first: list[float], resume: Callable[[], np.random.Generator], max_events: int, seed: int):
         super().__init__(max_events)
         self.propose = propose
         self.seed = seed
@@ -409,8 +414,9 @@ class _RunState(ModelContext):
         self.extras: list[ExtraChoiceRecord] = []
         self.extra_values: tuple[Value, ...] = ()  # rebuilt only by `extra_choice`
         self.completed_trace: Optional[Trace] = None  # built early for extra-choice conditionals
-        self.rng = rng
-        self._uniform = iter(rng.random(_FIRST_BLOCK).tolist()).__next__  # read only by `_draw`
+        self.rng: Optional[np.random.Generator] = None  # until the first block runs out
+        self._resume = resume
+        self._uniform = iter(first).__next__  # read only by `_draw`
 
     def choose(self, prior: Dist, label: Optional[str] = None) -> Value:
         if not isinstance(prior, Dist):
@@ -455,12 +461,15 @@ class _RunState(ModelContext):
         """The index of the atom of `dist` that the run's next uniform
         picks, as `Dist.sample` maps it.  When a block of uniforms runs
         out, the next holds as many as the run has used, up to
-        `_MAX_BLOCK`."""
+        `_MAX_BLOCK`, from the generator that `resume` returned."""
         try:
             u = self._uniform()
         except StopIteration:
             used = len(self.history) + len(self.extras)
-            self._uniform = next_uniform = iter(self.rng.random(min(used, _MAX_BLOCK)).tolist()).__next__
+            rng = self.rng
+            if rng is None:
+                rng = self.rng = self._resume()
+            self._uniform = next_uniform = iter(rng.random(min(used, _MAX_BLOCK)).tolist()).__next__
             u = next_uniform()
         return bisect_right(dist._cum, u)
 
@@ -520,7 +529,9 @@ def run_trace(model: ModelProgram, guide: Guide, seed: int, max_events: int = DE
     log P_G(y_i | x, y_1..y_{i-1}) from their conditionals.
     """
     seed = int(seed)
-    return _run(model, guide, *_hooks(guide), seed, np.random.default_rng(seed), max_events).trace()
+    rng = np.random.default_rng(seed)
+    return _run(model, guide, *_hooks(guide), seed, rng.random(_FIRST_BLOCK).tolist(), lambda: rng,
+                max_events).trace()
 
 
 def run_traces(
@@ -532,38 +543,53 @@ def run_traces(
 
 
 def _run_batch(model: ModelProgram, guide: Guide, seeds, max_events: int) -> Iterator[_RunState]:
-    """The finished run of each seed in order, as `run_trace` runs it.
-
-    One generator serves every run; its PCG64 state is set per run from
-    states computed for `_STATE_BLOCK` seeds at a time, instead of
-    seeding a new ``default_rng`` per run.
-    """
+    """The finished run of each seed in order, as `run_trace` runs it,
+    seeded `_STATE_BLOCK` seeds at a time."""
     seeds = np.asarray(seeds, dtype=np.uint64)
-    rng = _reseedable_rng()
     for start in range(0, len(seeds), _STATE_BLOCK):
-        block = seeds[start:start + _STATE_BLOCK]
-        yield from _run_seeded(model, guide, zip(block.tolist(), _pcg64_states(block)), rng, max_events)
+        block = _SeededRuns(seeds[start:start + _STATE_BLOCK])
+        yield from block.runs(model, guide, range(len(block.seeds)), max_events)
 
 
-def _run_seeded(model: ModelProgram, guide: Guide, seeded, rng: np.random.Generator,
-                max_events: int) -> Iterator[_RunState]:
-    """One finished run per ``(seed, (state, inc))`` of `seeded`, in
-    order, with `rng` set to that PCG64 state before each run."""
-    propose, begin = _hooks(guide)
-    inner: dict = {}
-    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    bit_generator = rng.bit_generator
-    for seed, (pcg_state, inc) in seeded:
-        inner["state"], inner["inc"] = pcg_state, inc
-        bit_generator.state = state
-        yield _run(model, guide, propose, begin, seed, rng, max_events)
+class _SeededRuns:
+    """Runs on the seeds of an array, each as `run_trace` runs it, with
+    no generator made per run.
 
+    For every seed, `_first_uniforms` computes the first `_FIRST_BLOCK`
+    uniforms of ``default_rng(seed)`` (its row) and the PCG64 state after
+    them, `_STATE_BLOCK` seeds at a time.  A run reads its row; only a run
+    that reads past it sets the one shared generator to its state.  The
+    rows are kept, so the runs of a seed can be run again (guide search).
+    """
 
-def _reseedable_rng() -> np.random.Generator:
-    """A generator for `_run_seeded`; its initial state is never used.
-    Every batch makes one, so this is where the seeding check runs."""
-    _check_pcg64_states_once()
-    return np.random.Generator(np.random.PCG64(0))
+    __slots__ = ("seeds", "rows", "_states", "_rng")
+
+    def __init__(self, seeds: np.ndarray):
+        _check_pcg64_states_once()
+        self.seeds: list[int] = seeds.tolist()
+        self.rows: list[list[float]] = []
+        states = []
+        for start in range(0, len(seeds), _STATE_BLOCK):
+            rows, block_states = _first_uniforms(seeds[start:start + _STATE_BLOCK])
+            self.rows += rows.tolist()
+            states.append(block_states)
+        self._states = np.concatenate(states)
+        self._rng: Optional[np.random.Generator] = None  # made when a run first reads past its row
+
+    def runs(self, model: ModelProgram, guide: Guide, indices: Iterable[int], max_events: int) -> Iterator[_RunState]:
+        """The finished run of the seed at each position of `indices`, in order."""
+        propose, begin = _hooks(guide)
+        seeds, rows, resume = self.seeds, self.rows, self._resume
+        for i in indices:
+            yield _run(model, guide, propose, begin, seeds[i], rows[i], functools.partial(resume, i), max_events)
+
+    def _resume(self, i: int) -> np.random.Generator:
+        """The shared generator, set to seed i's state after its row."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = np.random.Generator(np.random.PCG64(0))  # this initial state is never used
+        _set_pcg64_state(rng.bit_generator, self._states[i])
+        return rng
 
 
 def _hooks(guide: Guide) -> tuple[Optional[Callable], Optional[Callable]]:
@@ -577,11 +603,12 @@ def _hooks(guide: Guide) -> tuple[Optional[Callable], Optional[Callable]]:
 
 
 def _run(model: ModelProgram, guide: Guide, propose: Optional[Callable], begin: Optional[Callable],
-         seed: int, rng: np.random.Generator, max_events: int) -> _RunState:
+         seed: int, first: list[float], resume: Callable[[], np.random.Generator], max_events: int) -> _RunState:
     """The finished run of `model` under `guide`, whose `_hooks` are
-    `propose` and `begin`, on a generator that the caller has seeded for
-    `seed`, with its status and crash reason."""
-    run = _RunState(guide, propose, rng, max_events, seed)
+    `propose` and `begin`, on the stream of `seed` (its `first` block of
+    uniforms, and `resume` to go on; see `_RunState`), with its status
+    and crash reason."""
+    run = _RunState(guide, propose, first, resume, max_events, seed)
     try:
         if begin is not None:
             begin(GuideContext(run.extra_choice))
@@ -603,11 +630,14 @@ def _run(model: ModelProgram, guide: Guide, propose: Optional[Callable], begin: 
 
 # Seeding a whole batch.  ``default_rng(s)`` hashes the integer s with
 # numpy's SeedSequence (O'Neill's seed_seq) into four 64-bit words and
-# seeds PCG64 with them (O'Neill, "PCG", HMC-CS-2014-0905).
-# `_pcg64_states` repeats both steps for an array of seeds in uint32
-# arithmetic with wraparound; `_check_pcg64_states` compares it with
-# numpy once per process, before the first batch.
-_STATE_BLOCK = 256  # seeds per `_pcg64_states` call in `run_traces`: bounds its temporaries
+# seeds PCG64 with them (O'Neill, "PCG", HMC-CS-2014-0905).  PCG64 is a
+# 128-bit LCG, state <- M state + inc; each step outputs the XSL-RR of the
+# new state (its two halves xored, rotated right by its top 6 bits), and
+# ``random()`` is that output's top 53 bits times 2**-53.  `_first_uniforms`
+# repeats all of it for an array of seeds in numpy integer arithmetic
+# with wraparound; `_check_pcg64_states` compares it with numpy once per
+# process, before the first batch.
+_STATE_BLOCK = 1024  # seeds per `_first_uniforms` call: bounds its temporaries
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _INIT_A = 0x43B0D7E5
@@ -616,65 +646,136 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
-_XSHIFT = np.uint32(16)
+_XSHIFT = 16
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_XSL_RR_SHIFT = 58
 
 
-def _hash_constants(init: int, mult: int, n: int) -> list[tuple[np.uint32, np.uint32]]:
-    """(xor, multiply) constants of a SeedSequence hash's first n calls:
-    each call xors with the running constant, steps it and multiplies."""
-    out = []
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiply) constants of a SeedSequence hash's first n calls,
+    as two (n, 1) uint32 columns: each call xors with the running
+    constant, steps it and multiplies."""
+    xors, muls = [], []
     for _ in range(n):
-        step = (init * mult) & _MASK32
-        out.append((np.uint32(init), np.uint32(step)))
-        init = step
-    return out
+        xors.append(init)
+        init = (init * mult) & _MASK32
+        muls.append(init)
+    return np.array(xors, dtype=np.uint32)[:, None], np.array(muls, dtype=np.uint32)[:, None]
 
 
-def _pcg64_states(seeds) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``default_rng(s)`` for each 64-bit seed s."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    consts = iter(_hash_constants(_INIT_A, _MULT_A, 16))
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ (v >> _XSHIFT)
 
-    def hashmix(v):
-        xor, mul = next(consts)
-        v = (v ^ xor) * mul
-        return v ^ (v >> _XSHIFT)
 
-    def mix(x, y):
-        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return r ^ (r >> _XSHIFT)
-
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """The four 64-bit words that SeedSequence hashes each seed into, as
+    an (8, n) uint32 array: rows 2j and 2j + 1 are the low and high
+    halves of word j."""
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, 16)
     # The entropy is the seed's 32-bit words, low first; a seed below
     # 2**32 has one word, but its zero high word hashes as the padding does.
-    zero = np.zeros(len(seeds), dtype=np.uint32)
-    words = [(seeds & np.uint64(_MASK32)).astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
-    pool = [hashmix(w) for w in words]
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0], pool[1] = seeds & _MASK32, seeds >> 32
+    pool = _hashmix(pool, xor[:4], mul[:4])
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    out = []
-    for k, (xor, mul) in enumerate(_hash_constants(_INIT_B, _MULT_B, 8)):
-        v = (pool[k % 4] ^ xor) * mul
-        out.append((v ^ (v >> _XSHIFT)).astype(np.uint64))
-    w0, w1, w2, w3 = ((out[2 * j] | (out[2 * j + 1] << np.uint64(32))).tolist() for j in range(4))
-    states = []
-    for a, b, c, d in zip(w0, w1, w2, w3):
-        inc = (((c << 64) | d) << 1 | 1) & _MASK128
-        # Two LCG steps from state 0, adding the initial state after the first.
-        states.append((((inc + ((a << 64) | b)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+        # Each other word mixes in its own hash of this one, which they leave unchanged.
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        r = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(pool[src], xor[k:k + 3], mul[k:k + 3])
+        pool[dst] = r ^ (r >> _XSHIFT)
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, 8)
+    return _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], xor, mul)
+
+
+@functools.cache
+def _jump_weights(mult: int) -> np.ndarray:
+    """The (8 _FIRST_BLOCK, 9) float64 matrix that maps a seed's limbs to
+    the 16-bit limb sums of its states after each of its first draws.
+
+    Seeding sets inc = 2q + 1 and the state to M (a + inc) + inc, for the
+    seed's words a = w0 2**64 + w1 and q = w2 2**64 + w3.  After j draws
+    the state is M^(j+1) a + S_(j+2) inc, with S_i = 1 + M + ... +
+    M^(i-1), that is M^(j+1) a + 2 S_(j+2) q + S_(j+2), mod 2**128.
+    Row _FIRST_BLOCK p + j - 1 sums bits 16p to 16p + 15 of those
+    products: it weights each 32-bit limb i of a (columns 0-3) and of q
+    (columns 4-7) by the coefficient's 16-bit limb p - 2i, and a constant
+    1 (column 8) by limb p of S_(j+2).  Its terms are below 2**48 and at
+    most 9, so the sums are exact in float64, in any order."""
+    powers, sums = [1], [0]
+    for _ in range(_FIRST_BLOCK + 2):
+        sums.append((sums[-1] + powers[-1]) & _MASK128)
+        powers.append((powers[-1] * mult) & _MASK128)
+
+    def limbs(c: int) -> list[int]:
+        return [(c >> (16 * p)) & 0xFFFF for p in range(8)]
+
+    w = np.zeros((8, _FIRST_BLOCK, 9))
+    for j in range(1, _FIRST_BLOCK + 1):
+        a, q, one = limbs(powers[j + 1]), limbs((2 * sums[j + 2]) & _MASK128), limbs(sums[j + 2])
+        for p in range(8):
+            for i in range(p // 2 + 1):
+                w[p, j - 1, i], w[p, j - 1, 4 + i] = a[p - 2 * i], q[p - 2 * i]
+            w[p, j - 1, 8] = one[p]
+    w = w.reshape(-1, 9)
+    w.flags.writeable = False
+    return w
+
+
+def _first_uniforms(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each 64-bit seed s of a uint64 array: the first `_FIRST_BLOCK`
+    doubles of ``default_rng(s).random()``, as a row of an
+    (n, _FIRST_BLOCK) float64 array, and its PCG64 state after them, as a
+    row (state high, state low, inc high, inc low) of an (n, 4) uint64
+    array.  No Python int and no Python call per seed."""
+    n = len(seeds)
+    words = _seed_words(seeds)
+    x = np.empty((9, n))
+    x[:8] = words[[2, 3, 0, 1, 6, 7, 4, 5]]  # the 32-bit limbs of a, then of q, low first
+    x[8] = 1.0
+    limbs = np.empty((8, _FIRST_BLOCK, n), dtype=np.uint64)  # limb p of the state after each draw
+    # Summed in float64 and stored as integers.  einsum, not matmul: a
+    # BLAS call may start threads, which cost more than the product.
+    np.einsum("ki,in->kn", _jump_weights(_PCG64_MULT), x, out=limbs.reshape(-1, n), dtype=np.float64,
+              casting="unsafe")
+    for p in range(7):  # carry each limb's excess into the next
+        limbs[p + 1] += limbs[p] >> 16
+        limbs[p] &= 0xFFFF
+    # Shifting the top limb by 48 drops what passes bit 127: mod 2**128.
+    lo = limbs[0] | limbs[1] << 16 | limbs[2] << 32 | limbs[3] << 48
+    hi = limbs[4] | limbs[5] << 16 | limbs[6] << 32 | limbs[7] << 48
+    xored, rot = hi ^ lo, hi >> _XSL_RR_SHIFT
+    out = xored >> rot | xored << (-rot & 63)
+    rows = (out >> 11) * 2.0**-53
+    q = words[4:].astype(np.uint64)
+    q_hi, q_lo = q[0] | q[1] << 32, q[2] | q[3] << 32
+    states = np.stack([hi[-1], lo[-1], q_hi << 1 | q_lo >> 63, q_lo << 1 | 1], axis=1)
+    return rows.T, states
+
+
+def _set_pcg64_state(bit_generator: np.random.PCG64, state: np.ndarray) -> None:
+    """Set `bit_generator` to a row of the states of `_first_uniforms`."""
+    state_hi, state_lo, inc_hi, inc_lo = state.tolist()
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state_hi << 64 | state_lo,
+                                                               "inc": inc_hi << 64 | inc_lo},
+                           "has_uint32": 0, "uinteger": 0}
 
 
 def _check_pcg64_states() -> None:
-    """Raise unless `_pcg64_states` reproduces numpy's own seeding."""
+    """Raise unless `_first_uniforms` reproduces numpy's own seeding and
+    draws: each seed's first block, and 16 more doubles from the state
+    it gives for after the block."""
     seeds = (0, 2**32, 2**64 - 1)
-    for s, (state, inc) in zip(seeds, _pcg64_states(np.array(seeds, dtype=np.uint64))):
-        if np.random.default_rng(s).bit_generator.state["state"] != {"state": state, "inc": inc}:
+    rows, states = _first_uniforms(np.array(seeds, dtype=np.uint64))
+    resumed = np.random.Generator(np.random.PCG64(0))
+    for s, row, state in zip(seeds, rows, states):
+        want = np.random.default_rng(s)
+        _set_pcg64_state(resumed.bit_generator, state)
+        if (row.tobytes() != want.random(_FIRST_BLOCK).tobytes()
+                or resumed.random(16).tobytes() != want.random(16).tobytes()):
             raise RuntimeError(
-                f"numpy {np.__version__} seeds default_rng({s}) differently from "
-                "guidedppl.runtime._pcg64_states; batch runs would not match run_trace"
+                f"numpy {np.__version__} seeds or draws default_rng({s}) differently from "
+                "guidedppl.runtime._first_uniforms; batch runs would not match run_trace"
             )
 
 

@@ -23,8 +23,10 @@ from guidedppl import (
     run_trace,
     uniform_range,
 )
+from guidedppl import guideopt, runtime
 from guidedppl.estimators import estimate_from_batch
 from guidedppl.guideopt import UtilityConfig
+from guidedppl.runtime import _run_batch
 from guidedppl.models import (
     dice_point_family,
     dice_tabular_family,
@@ -80,17 +82,36 @@ class TestGuideUtility:
 
 class TestOptimizeGuide:
     def test_budget_one_echoes_initial_utility(self):
-        from guidedppl.guideopt import _utility_on_seeds
-        from guidedppl import derive_seeds
-
         family = dice_tabular_family()
         report = optimize_guide(three_dice, family, UtilityConfig(), budget=1, seed=3, n=200)
         assert report.evaluations == 1
         assert report.best_params == {}
-        want = _utility_on_seeds(
-            three_dice, family.bind({}), derive_seeds(3, 200, stream=3), UtilityConfig(), 100_000
-        )
+        guide, seeds = family.bind({}), derive_seeds(3, 200, stream=3)
+        want = guideopt._utility(seeds, guideopt._run_all(guide, _run_batch(three_dice, guide, seeds, 100_000)),
+                                 UtilityConfig())
         assert report.best_utility == want
+
+    def test_reruns_of_long_runs_equal_run_trace(self, monkeypatch):
+        """Search re-runs its CRN seeds from rows computed once; a run that
+        reads past its first block resumes the generator each time."""
+        runs_seen = []
+        run_all = guideopt._run_all
+
+        def recording_run_all(guide, runs):
+            params = dict(guide.params)
+            return run_all(guide, (runs_seen.append((params, run)) or run for run in runs))
+
+        monkeypatch.setattr(guideopt, "_run_all", recording_run_all)
+        model, family, n = make_expr_model(3), expr_tabular_family(), 40
+        report = optimize_guide(model, family, UtilityConfig(k=0.02), budget=30, seed=6, n=n)
+        assert report.evaluations == 30
+        crn = derive_seeds(6, n, stream=3).tolist()
+        reruns = [(params, run) for params, run in runs_seen[n:]
+                  if len(run.history) + len(run.extras) > runtime._FIRST_BLOCK]
+        assert len({id(params) for params, _ in reruns}) > 1
+        for params, run in reruns:
+            assert run.seed in crn
+            assert run.trace() == run_trace(model, family.bind(params), run.seed)
 
     def test_deterministic_given_seed(self):
         family = dice_tabular_family()

@@ -430,28 +430,86 @@ def test_choice_records_keep_their_interface(name):
     assert h.hexdigest() == GOLDEN_RECORD_REPR_DIGESTS[name]
 
 
+def _first_uniforms_of(seed):
+    rows, states = runtime._first_uniforms(np.array([seed], dtype=np.uint64))
+    return rows[0], states[0]
+
+
+_SEED_RANGE_EXAMPLES = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+
+def _with_seed_range_examples(test):
+    for seed in _SEED_RANGE_EXAMPLES:
+        test = example(seed)(test)
+    return settings(max_examples=300, deadline=None)(given(st.integers(min_value=0, max_value=2**64 - 1))(test))
+
+
 class TestBatchSeeding:
-    @given(st.integers(min_value=0, max_value=2**64 - 1))
-    @example(0)
-    @example(1)
-    @example(2**32 - 1)
-    @example(2**32)
-    @example(2**64 - 1)
-    @settings(max_examples=300, deadline=None)
+    @_with_seed_range_examples
     def test_states_match_default_rng(self, seed):
-        [(state, inc)] = runtime._pcg64_states([seed])
-        assert np.random.default_rng(seed).bit_generator.state["state"] == {"state": state, "inc": inc}
+        """The PCG64 state after a seed's first block is that of
+        ``default_rng(seed)`` after as many draws."""
+        rng = np.random.Generator(np.random.PCG64(0))
+        runtime._set_pcg64_state(rng.bit_generator, _first_uniforms_of(seed)[1])
+        want = np.random.default_rng(seed)
+        want.random(runtime._FIRST_BLOCK)
+        assert rng.bit_generator.state == want.bit_generator.state
+
+    @_with_seed_range_examples
+    def test_rows_and_resumed_runs_match_default_rng(self, seed):
+        """A seed's row is ``default_rng(seed).random(_FIRST_BLOCK)`` bit
+        for bit, and a batch run that reads past it goes on as
+        ``default_rng(seed)`` does."""
+        row, _ = _first_uniforms_of(seed)
+        assert row.tobytes() == np.random.default_rng(seed).random(runtime._FIRST_BLOCK).tobytes()
+        length = runtime._FIRST_BLOCK + 20
+        [run] = runtime._SeededRuns(np.array([seed], dtype=np.uint64)).runs(
+            lambda ctx: _choose_chain(ctx, length), _ExtraFirstGuide(), [0], runtime.DEFAULT_MAX_EVENTS)
+        assert _values(run.trace()) == _reference_values(seed, length)
 
     def test_states_of_an_array_match_one_by_one(self):
         seeds = derive_seeds(3, 300)
-        states = runtime._pcg64_states(seeds)
-        assert states == [runtime._pcg64_states([s])[0] for s in seeds]
+        rows, states = runtime._first_uniforms(seeds)
+        singles = [_first_uniforms_of(s) for s in seeds.tolist()]
+        assert rows.tobytes() == np.array([row for row, _ in singles]).tobytes()
+        assert states.tobytes() == np.array([state for _, state in singles]).tobytes()
 
     @pytest.mark.parametrize("constant", ["_INIT_A", "_MULT_B", "_PCG64_MULT"])
     def test_guard_names_numpy_version_on_mismatch(self, monkeypatch, constant):
         monkeypatch.setattr(runtime, constant, getattr(runtime, constant) ^ 1)
         with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} "):
             runtime._check_pcg64_states()
+
+    # A bit of the multiplier's low 16-bit limb, and of the XSL-RR rotation shift.
+    @pytest.mark.parametrize("constant, bit", [("_PCG64_MULT", 1 << 9), ("_XSL_RR_SHIFT", 1)])
+    def test_guard_checks_the_draws(self, monkeypatch, constant, bit):
+        monkeypatch.setattr(runtime, constant, getattr(runtime, constant) ^ bit)
+        with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} "):
+            runtime._check_pcg64_states()
+
+    def test_guard_checks_the_state_after_the_block(self, monkeypatch):
+        """The rows alone would pass: only the resumed draws show a wrong state."""
+        set_state = runtime._set_pcg64_state
+
+        def off_by_one_inc(bit_generator, state):
+            set_state(bit_generator, state ^ np.array([0, 0, 0, 2], dtype=np.uint64))
+
+        monkeypatch.setattr(runtime, "_set_pcg64_state", off_by_one_inc)
+        with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} "):
+            runtime._check_pcg64_states()
+
+    def test_runs_within_their_first_block_set_no_generator_state(self, monkeypatch):
+        calls = []
+        set_state = runtime._set_pcg64_state
+        monkeypatch.setattr(runtime, "_set_pcg64_state", lambda *args: calls.append(1) or set_state(*args))
+        model, guide = MODELS["three_dice"].build(), MODELS["three_dice"].guides["prior_reject"]()
+        seeds = derive_seeds(25, 3000)
+        stats = batch_stats(model, guide, seeds)
+        assert len(stats.accepted) == 3000 and not stats.accepted.all()
+        assert calls == []
+        # A run that reads one uniform past its row sets the state once.
+        chain = list(run_traces(lambda ctx: _choose_chain(ctx, runtime._FIRST_BLOCK), _ExtraFirstGuide(), seeds[:5]))
+        assert len(calls) == 5 and all(len(t.choices) == runtime._FIRST_BLOCK for t in chain)
 
     def test_batch_runs_check_before_the_first_run(self, monkeypatch):
         # A fresh once-cache, so that an earlier batch in this process
@@ -475,12 +533,21 @@ def _batch_configs():
     return configs
 
 
-# 600 seeds cross two boundaries of the 256-seed blocks of `run_traces`.
+# Seed blocks of this size let the batch tests cross block boundaries
+# with a few hundred runs.
+SMALL_STATE_BLOCK = 256
+
+# 600 seeds cross two boundaries of 256-seed blocks.
 BATCH_SEEDS = derive_seeds(21, 600)
 
 
+@pytest.fixture
+def small_state_blocks(monkeypatch):
+    monkeypatch.setattr(runtime, "_STATE_BLOCK", SMALL_STATE_BLOCK)
+
+
 @pytest.mark.parametrize("name", sorted(_batch_configs()))
-def test_run_traces_equals_run_trace(name):
+def test_run_traces_equals_run_trace(name, small_state_blocks):
     model, guide = _batch_configs()[name]
     assert runtime._STATE_BLOCK * 2 < len(BATCH_SEEDS)
     single = [run_trace(model, guide, int(s)) for s in BATCH_SEEDS]
@@ -553,7 +620,7 @@ _ROW_CASE_SHOWN = {
         t.status is RunStatus.REJECTED_THRESHOLD and t.n_events < 4 for t in ts),
 }
 
-# 300 seeds cross one boundary of the 256-seed blocks of `run_traces`.
+# 300 seeds cross one boundary of 256-seed blocks.
 ROW_SEEDS = derive_seeds(22, 300)
 
 
@@ -565,7 +632,7 @@ def _outcome(make_stats):
 
 
 @pytest.mark.parametrize("name", sorted(_row_configs()))
-def test_batch_rows_equal_trace_summaries(name):
+def test_batch_rows_equal_trace_summaries(name, small_state_blocks):
     model, make_guide = _row_configs()[name]
     assert runtime._STATE_BLOCK < len(ROW_SEEDS)
     traces = [run_trace(model, make_guide(), int(s)) for s in ROW_SEEDS]
@@ -738,8 +805,9 @@ def test_building_a_trace_makes_no_python_call_per_event():
 
     def python_calls(length):
         guide = entry.guides["pattern_insert"](length=length)
+        rng = np.random.default_rng(3)
         run = runtime._run(entry.build(length=length), guide, *runtime._hooks(guide), 3,
-                           np.random.default_rng(3), runtime.DEFAULT_MAX_EVENTS)
+                           rng.random(runtime._FIRST_BLOCK).tolist(), lambda: rng, runtime.DEFAULT_MAX_EVENTS)
         run.completed_trace = None  # built by `_run` for the extra choice; build it again
         calls = []
         gc.collect()
@@ -816,9 +884,9 @@ def test_run_trace_reads_one_uniform_per_event_in_order(length):
         assert _values(trace) == _reference_values(seed, length)
 
 
-def test_run_traces_reads_one_uniform_per_event_across_a_block_boundary():
+def test_run_traces_reads_one_uniform_per_event_across_a_block_boundary(small_state_blocks):
     """Run i of one batch has length STREAM_LENGTHS[i % n]; the batch's
-    runs cross a boundary of the 256-seed blocks of `run_traces`."""
+    runs cross a boundary of the seed blocks of `run_traces`."""
     seeds = derive_seeds(23, runtime._STATE_BLOCK + 2)
     runs = iter(range(len(seeds)))
 
@@ -835,7 +903,7 @@ def test_run_traces_reads_one_uniform_per_event_across_a_block_boundary():
 
 @pytest.mark.parametrize("ceiling", [None, 4.0])
 @pytest.mark.parametrize("model_name", ["three_dice", "expr", "monkey"])
-def test_prior_guide_equals_a_guide_that_proposes_none(model_name, ceiling):
+def test_prior_guide_equals_a_guide_that_proposes_none(model_name, ceiling, small_state_blocks):
     model = MODELS[model_name].build()
     prior, function = PriorGuide(ceiling), FunctionGuide(lambda site: None, ceiling)
     assert runtime._hooks(prior) == (None, None) and runtime._hooks(function)[0] is not None
