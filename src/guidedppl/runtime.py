@@ -560,28 +560,27 @@ class _SeededRuns:
     them, `_STATE_BLOCK` seeds at a time.  A run reads its row; only a run
     that reads past it sets the one shared generator to its state.  The
     rows are kept, so the runs of a seed can be run again (guide search).
+    They stay in numpy until a run starts: a block's rows as Python lists
+    would hold about 300 bytes per seed, against 64 in numpy.
     """
 
-    __slots__ = ("seeds", "rows", "_states", "_rng")
+    __slots__ = ("seeds", "_rows", "_states", "_rng")
 
     def __init__(self, seeds: np.ndarray):
         _check_pcg64_states_once()
         self.seeds: list[int] = seeds.tolist()
-        self.rows: list[list[float]] = []
-        states = []
-        for start in range(0, len(seeds), _STATE_BLOCK):
-            rows, block_states = _first_uniforms(seeds[start:start + _STATE_BLOCK])
-            self.rows += rows.tolist()
-            states.append(block_states)
-        self._states = np.concatenate(states)
+        rows, states = zip(*(_first_uniforms(seeds[start:start + _STATE_BLOCK])
+                             for start in range(0, len(seeds), _STATE_BLOCK)))
+        self._rows, self._states = np.concatenate(rows), np.concatenate(states)
         self._rng: Optional[np.random.Generator] = None  # made when a run first reads past its row
 
     def runs(self, model: ModelProgram, guide: Guide, indices: Iterable[int], max_events: int) -> Iterator[_RunState]:
         """The finished run of the seed at each position of `indices`, in order."""
         propose, begin = _hooks(guide)
-        seeds, rows, resume = self.seeds, self.rows, self._resume
+        seeds, rows, resume = self.seeds, self._rows, self._resume
         for i in indices:
-            yield _run(model, guide, propose, begin, seeds[i], rows[i], functools.partial(resume, i), max_events)
+            yield _run(model, guide, propose, begin, seeds[i], rows[i].tolist(), functools.partial(resume, i),
+                       max_events)
 
     def _resume(self, i: int) -> np.random.Generator:
         """The shared generator, set to seed i's state after its row."""
