@@ -6,7 +6,7 @@ Each pair runs ``python3 perfbench/run.py --workload W --seed SEED
 --seconds S --trace 0`` once in each checkout, one after the other, with
 the same seed; the side that runs first alternates from pair to pair.
 Each checkout runs its own benchmark files on its own source.  The script
-writes ``BENCH_<workload>.json`` (in the current directory, or `--out`):
+writes ``BENCH_<workload>.json`` in the current directory:
 every run's result and `info` line, and for each end-to-end metric of
 CHANGE_DIR's ``BENCHMARK.json`` the median and quartiles of each side,
 the ratio of the medians (change over parent), the number of pairs the
@@ -36,7 +36,6 @@ def _parse_args(argv=None):
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", type=Path, help="default: BENCH_<workload>.json in the current directory")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -117,7 +116,7 @@ def main(argv=None) -> int:
         "summary": summarize(pairs, metrics),
         "runs": pairs,
     }
-    out = args.out or Path(f"BENCH_{args.workload}.json")
+    out = Path(f"BENCH_{args.workload}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     for name, s in record["summary"].items():
         print(f"{name:<12} parent {s['parent_quartiles'][1]:.6g} change {s['change_quartiles'][1]:.6g} "
