@@ -9,6 +9,8 @@ for desk-scale models, parameterized guide families with a search loop,
 and worked example models behind a CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from .dists import (
     Dist,
     DuplicateValueError,
@@ -44,7 +46,6 @@ from .estimators import (
     NoAcceptedRunsError,
     StatusError,
     UndefinedRatioError,
-    WeightedSample,
     WeightError,
     batch_stats,
     estimate_free_energy,
@@ -55,7 +56,6 @@ from .estimators import (
     importance_weight,
     lower_confidence_bound,
     lower_confidence_bound_batch,
-    one_run_free_energy,
 )
 from .enumeration import (
     ConditioningOnNullError,
@@ -68,9 +68,7 @@ from .enumeration import (
     enumerate_paths,
     exact_conditional_expectation,
     exact_evidence,
-    exact_free_energy,
     exact_guided_profile,
-    guided_paths,
 )
 from .guideopt import (
     PointGuideFamily,
@@ -83,4 +81,5 @@ from .guideopt import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -184,6 +184,8 @@ class UsageError(Exception):
 
 
 def _guide_config(args) -> dict:
+    if args.ceiling is not None and math.isnan(args.ceiling):
+        raise ValueError("ceiling must be a number, got NaN")
     cfg = {"ceiling": args.ceiling, "alphabet": args.alphabet, "length": args.length,
            "pattern": args.pattern, "depth_cap": args.depth_cap}
     if args.params:
@@ -201,8 +203,8 @@ def _load_params(path: str) -> dict:
         raise UsageError(f"cannot read guide parameter file {path}: {exc.strerror or exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"guide parameter file {path} must hold a JSON object")
-    for k, v in raw.items():
-        if not isinstance(v, list) or not all(type(x) in (int, float) and not math.isnan(x) for x in v):
+    for k, v in raw.items():  # the bound rejects NaN, the infinities and ints past the float range
+        if not isinstance(v, list) or not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in v):
             raise ValueError(f"guide parameter file {path}: {k!r} must map to a list of numbers")
     return {k: [float(x) for x in v] for k, v in raw.items()}
 

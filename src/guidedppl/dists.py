@@ -44,10 +44,13 @@ def _as_value(v) -> Value:
 
 
 def log_nonneg(p: float) -> float:
-    """Natural log of a nonnegative number, with log(0) = -inf."""
+    """Natural log of a nonnegative number, with log(0) = -inf; a NaN or
+    a negative raises `ValueError`."""
+    if p > 0.0:
+        return math.log(p)
     if p == 0.0:
         return NEG_INF
-    return math.log(p)
+    raise ValueError(f"mass {p!r} is not a nonnegative number")
 
 
 class Dist:

@@ -106,9 +106,6 @@ class PathEnumeration:
     crashes: tuple[CrashEntry, ...]
     root: Union[_Node, _Leaf]
 
-    def prior_mass(self) -> float:
-        return math.fsum(math.exp(e.log_prior) for e in self.entries)
-
     def crash_mass(self) -> float:
         return math.fsum(math.exp(c.log_prior) for c in self.crashes)
 
@@ -271,21 +268,6 @@ def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> 
             stack.append((child, prefix, log_guide + lg, child_fe, events, child_rejected, child_observed))
 
 
-def guided_paths(pe: PathEnumeration, guide: Guide) -> Iterator[tuple[PathEntry, float]]:
-    """Yield ``(entry, log G(x))`` for every completed path the guide can sample."""
-    for entry, log_guide, *_ in _walk(pe, guide, []):
-        if type(entry) is PathEntry:
-            yield entry, log_guide
-
-
-def exact_free_energy(pe: PathEnumeration, guide: Guide) -> GuidedSamplingProfile:
-    """Exact F(G) = sum over G-reachable paths of G(x) (log(G(x)/P(x)) - log P(e|x)),
-    read from the profile's `free_energy` and `kl` fields; without
-    rejection it is +inf whenever G puts mass on a prior-impossible value,
-    a path with zero evidence or a crash leaf."""
-    return exact_guided_profile(pe, guide)
-
-
 @dataclass(frozen=True, slots=True)
 class GuidedSamplingProfile:
     """Exact sampling behavior of a guide, rejection included; field
@@ -348,3 +330,8 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
     acceptance = acc_mass + leak_mass if unbounded else acc_mass
     adjusted = math.inf if (leaks and unbounded) or not acc_mass else acc_fe / acc_mass - math.log(acc_mass)
     return GuidedSamplingProfile(free_energy, kl, acceptance, adjusted, mean_events)
+
+
+# The exact F(G) is the profile's `free_energy`; only the benchmark's
+# probes and tracer still use this name.
+exact_free_energy = exact_guided_profile

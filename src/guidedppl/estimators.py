@@ -38,7 +38,7 @@ from .runtime import (
 
 
 class StatusError(ValueError):
-    """Operation needs a completed trace."""
+    """A trace's extra choices have no model conditional yet."""
 
 
 class NoAcceptedRunsError(RuntimeError):
@@ -83,12 +83,6 @@ class FreeEnergyEstimate:
 
 
 @dataclass(frozen=True, slots=True)
-class WeightedSample:
-    weight: float
-    trace_seed: int
-
-
-@dataclass(frozen=True, slots=True)
 class LowerBoundResult:
     """A 1-delta DKW lower confidence bound on a mean; field order is the CLI's JSON key order."""
 
@@ -111,19 +105,7 @@ class HypothesisEstimate:
     self_normalized_se: Optional[float]  # delta-method standard error
 
 
-def one_run_free_energy(trace: Trace) -> float:
-    """log(G(x)/P(x)) - log P(e|x) for one completed run, in nats.
-
-    Equals the sum of the trace's per-event contributions exactly (same
-    summation order); +inf when the guide proposed a prior-impossible
-    value or the evidence was impossible.
-    """
-    if trace.status is not RunStatus.COMPLETED:
-        raise StatusError(f"trace was not completed (status {trace.status.value})")
-    return trace.fe_total
-
-
-def importance_weight(trace: Trace, f: Callable[[Trace], float]) -> WeightedSample:
+def importance_weight(trace: Trace, f: Callable[[Trace], float]) -> float:
     """One importance sample f(x) * P_G(x, y) / G(x, y).
 
     Rejected traces and traces whose path probability vanishes (under the
@@ -131,12 +113,12 @@ def importance_weight(trace: Trace, f: Callable[[Trace], float]) -> WeightedSamp
     only evaluated when the probability ratio is nonzero.
     """
     if trace.status is not RunStatus.COMPLETED:
-        return WeightedSample(0.0, trace.seed)
+        return 0.0
     log_num, log_den = _path_log_masses(trace)
     if log_num == NEG_INF:
-        return WeightedSample(0.0, trace.seed)
+        return 0.0
     fx = _checked_weight(float(f(trace)))
-    return WeightedSample(fx * math.exp(log_num - log_den), trace.seed)
+    return fx * math.exp(log_num - log_den)
 
 
 def _path_log_masses(run) -> tuple[float, float]:
@@ -196,24 +178,12 @@ class BatchStats:
 TraceSummary = tuple[int, bool, float, float, float, float]
 
 
-def summarize_trace(t: Trace) -> TraceSummary:
-    """The batch row of one trace; rejected runs weigh zero.  The
-    reference for `summarize_run`, which batches use."""
-    if t.status is RunStatus.COMPLETED:
-        return (
-            t.n_events,
-            True,
-            t.fe_total,
-            importance_weight(t, evidence_functional).weight,
-            importance_weight(t, hypothesis_evidence_functional).weight,
-            t.hypothesis,
-        )
-    return (t.n_events, False, math.nan, 0.0, 0.0, 0.0)
-
-
 def summarize_run(run: _RunState) -> TraceSummary:
-    """``summarize_trace`` of a finished run's `Trace`, bit for bit,
-    read from the run's columns without building the `Trace`."""
+    """The batch row of a finished run, read from its columns without
+    building its `Trace`.  A rejected run weighs zero; a completed run's
+    weights are `importance_weight` of its `Trace` under
+    `evidence_functional` and `hypothesis_evidence_functional`, bit for
+    bit."""
     n_events = len(run.history) + len(run.evidence_fe)
     if run.status is not RunStatus.COMPLETED:
         return (n_events, False, math.nan, 0.0, 0.0, 0.0)

@@ -64,7 +64,7 @@ class UtilityConfig:
     k: float = 0.0
 
     def __post_init__(self):
-        if self.k < 0.0:
+        if not self.k >= 0.0:
             raise ValueError("impatience constant k must be nonnegative")
 
 
@@ -260,7 +260,6 @@ def optimize_guide(
     n: int = 300,
     sigma: float = 1.0,
     accept_margin: float = 0.0,
-    restart_after: Optional[int] = None,
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> SearchReport:
     """Stochastic hill climbing over single table cells.
@@ -272,9 +271,8 @@ def optimize_guide(
     the current table and is accepted when it improves on the incumbent
     by more than `accept_margin` (a nonzero margin stops the climb from
     chasing quirks of the fixed seed set; only accepted tables are ever
-    reported).  With `restart_after`, a stretch of that many rejected
-    proposals resets the climb to the initial table (the best accepted
-    table is kept).
+    reported).  The climb never moves to a worse table, so the current
+    table is the best one found.
 
     Evaluation is incremental.  The family binds tables to `TableGuide`s,
     which propose at a site from the site's prior and cell alone, so a
@@ -289,7 +287,7 @@ def optimize_guide(
         raise ValueError("need at least one evaluation")
     if not sigma >= 0.0:
         raise ValueError("mutation scale sigma must be nonnegative")
-    if accept_margin < 0.0:
+    if not accept_margin >= 0.0:
         raise ValueError("accept margin must be nonnegative")
     crn = derive_seeds(seed, n, stream=3)
     crn_runs = _SeededRuns(crn)  # each seed's first uniforms, computed once for every re-run
@@ -307,17 +305,14 @@ def optimize_guide(
             if key not in cells:
                 cells[key] = (family.cell_init(prior), prior.values)
 
-    initial: dict = {}
-    guide = family.bind(initial)
-    initial_runs = run_all(guide, range(n))
+    current: dict = {}
+    guide = family.bind(current)
+    current_runs = run_all(guide, range(n))
     discover(guide)
-    initial_u = _utility(crn, initial_runs, cfg)
-    initial_index = _key_index(initial_runs)
-    current, current_u, current_runs, current_index = initial, initial_u, initial_runs, initial_index
-    best, best_u, best_runs = initial, initial_u, initial_runs
+    current_u = _utility(crn, current_runs, cfg)
+    current_index = _key_index(current_runs)
     evaluations = 1
-    trace = [(1, best_u)]
-    stall = 0
+    trace = [(1, current_u)]
 
     while evaluations < budget and cells:
         keys = sorted(cells)
@@ -336,22 +331,14 @@ def optimize_guide(
         evaluations += 1
         if u < current_u - accept_margin:
             current, current_u, current_runs, current_index = cand, u, runs, _key_index(runs)
-            stall = 0
-            if u < best_u:
-                best, best_u, best_runs = cand, u, runs
-                trace.append((evaluations, u))
-        else:
-            stall += 1
-        if restart_after is not None and stall >= restart_after:
-            current, current_u, current_runs, current_index = initial, initial_u, initial_runs, initial_index
-            stall = 0
+            trace.append((evaluations, u))
 
     return SearchReport(
-        best_params=dict(best),
-        best_utility=best_u,
+        best_params=dict(current),
+        best_utility=current_u,
         utility_trace=tuple(trace),
         evaluations=evaluations,
-        cell_mean_fe=_cell_fe_profile(best_runs),
+        cell_mean_fe=_cell_fe_profile(current_runs),
     )
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Optional, Union
 
 from .dists import Dist, dist_from_weights, point_mass, uniform_range
@@ -193,13 +192,6 @@ def monkey_evidence_dp(alphabet_size: int, length: int, pattern: str) -> float:
                     nxt[t] += ps * p_char
         state_p = nxt
     return matched
-
-
-def monkey_evidence_bruteforce(alphabet_size: int, length: int, pattern: str) -> float:
-    """Exact P(pattern occurs) by enumerating every string (small lengths)."""
-    alphabet = _ALPHABET[:alphabet_size]
-    hits = sum(1 for chars in product(alphabet, repeat=length) if pattern in "".join(chars))
-    return hits / alphabet_size**length
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,23 @@
 
 import math
 import zlib
+from itertools import product
 
 import numpy as np
 
-from guidedppl import FunctionGuide, dist_from_weights, point_mass, uniform_range
-from guidedppl.models import _DIE2_GIVEN_DIE1, _POINTS
+from guidedppl import (
+    FunctionGuide,
+    PathEntry,
+    RunStatus,
+    dist_from_weights,
+    evidence_functional,
+    hypothesis_evidence_functional,
+    importance_weight,
+    point_mass,
+    uniform_range,
+)
+from guidedppl.enumeration import _walk
+from guidedppl.models import _ALPHABET, _DIE2_GIVEN_DIE1, _POINTS
 
 DICE_FE_TARGET = 2.667228206581955  # ln(216/15)
 
@@ -113,6 +125,33 @@ def forcing_guide_for(model_values):
         return point_mass(model_values[site.index])
 
     return FunctionGuide(fn)
+
+
+def guided_paths(pe, guide):
+    """``(entry, log G(x))`` for every completed path the guide can sample."""
+    return [(entry, log_guide) for entry, log_guide, *_ in _walk(pe, guide, []) if type(entry) is PathEntry]
+
+
+def summarize_trace(t):
+    """The batch row of one trace, built from its `Trace`; rejected runs
+    weigh zero.  The reference for `estimators.summarize_run`."""
+    if t.status is RunStatus.COMPLETED:
+        return (
+            t.n_events,
+            True,
+            t.fe_total,
+            importance_weight(t, evidence_functional),
+            importance_weight(t, hypothesis_evidence_functional),
+            t.hypothesis,
+        )
+    return (t.n_events, False, math.nan, 0.0, 0.0, 0.0)
+
+
+def monkey_evidence_bruteforce(alphabet_size, length, pattern):
+    """Exact P(pattern occurs) by enumerating every string (small lengths)."""
+    alphabet = _ALPHABET[:alphabet_size]
+    hits = sum(1 for chars in product(alphabet, repeat=length) if pattern in "".join(chars))
+    return hits / alphabet_size**length
 
 
 # The JSON emitter of `guidedppl.cli` before its fast paths, kept verbatim

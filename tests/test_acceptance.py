@@ -21,12 +21,10 @@ from guidedppl import (
     evidence_lower_bound,
     exact_conditional_expectation,
     exact_evidence,
-    exact_free_energy,
     exact_guided_profile,
     hypothesis_estimate,
     importance_weight,
     lower_confidence_bound_batch,
-    one_run_free_energy,
     optimize_guide,
     run_trace,
 )
@@ -38,7 +36,6 @@ from guidedppl.models import (
     expr_tabular_family,
     make_expr_model,
     make_monkey_model,
-    monkey_evidence_bruteforce,
     monkey_evidence_dp,
     three_dice,
     PatternInsertGuide,
@@ -46,6 +43,7 @@ from guidedppl.models import (
 
 from helpers import (
     DICE_FE_TARGET,
+    monkey_evidence_bruteforce,
     random_structured_dice_guide,
     random_table_dice_guide,
     structured_dice_guide,
@@ -83,7 +81,9 @@ def test_02_perfect_guide_constancy():
     guide = DicePosteriorGuide()
     fes = np.empty(10_000)
     for i, seed in enumerate(derive_seeds(2024, 10_000)):
-        fes[i] = one_run_free_energy(run_trace(three_dice, guide, int(seed)))
+        t = run_trace(three_dice, guide, int(seed))
+        assert t.completed
+        fes[i] = t.fe_total
     max_dev = float(np.abs(fes - DICE_FE_TARGET).max())
     se = float(fes.std(ddof=1) / math.sqrt(len(fes)))
     # "std error 0" up to float rounding: the per-run values agree to 1e-9
@@ -96,18 +96,18 @@ def test_03_free_energy_floor(dice_pe):
     t0 = time.perf_counter()
     problems = []
     for seed in range(10):
-        rep = exact_free_energy(dice_pe, random_table_dice_guide(seed))
+        rep = exact_guided_profile(dice_pe, random_table_dice_guide(seed))
         if not (rep.free_energy >= DICE_FE_TARGET - 1e-9 and rep.kl >= 0.0):
             problems.append(f"table{seed}")
         if rep.free_energy <= DICE_FE_TARGET + 1e-9:
             problems.append(f"table{seed} at floor")
     for seed in range(10):
-        rep = exact_free_energy(dice_pe, random_structured_dice_guide(seed))
+        rep = exact_guided_profile(dice_pe, random_structured_dice_guide(seed))
         if not (math.isfinite(rep.free_energy) and rep.free_energy > DICE_FE_TARGET + 1e-9):
             problems.append(f"structured{seed}")
         if rep.kl < 0.0:
             problems.append(f"structured{seed} kl")
-    perfect = exact_free_energy(dice_pe, structured_dice_guide(POSTERIOR_TABLE))
+    perfect = exact_guided_profile(dice_pe, structured_dice_guide(POSTERIOR_TABLE))
     if abs(perfect.free_energy - DICE_FE_TARGET) > 1e-9 or abs(perfect.kl) > 1e-9:
         problems.append("perfect guide off the floor")
     elapsed = time.perf_counter() - t0
@@ -200,7 +200,7 @@ def test_07a_perfect_guide_importance_weights():
     devs = []
     for seed in derive_seeds(7, 100):
         t = run_trace(three_dice, guide, int(seed))
-        devs.append(abs(importance_weight(t, evidence_functional).weight - P_E))
+        devs.append(abs(importance_weight(t, evidence_functional) - P_E))
     ok = max(devs) <= 1e-12
     report("07a", "perfect-guide weights", ok, f"max|w-15/216|={max(devs):.2e}")
 
@@ -240,7 +240,7 @@ def test_09_extra_choices_marginalization():
     guide = PatternInsertGuide(2, 12, "aba")
     ws = np.array(
         [
-            importance_weight(run_trace(model, guide, int(s)), evidence_functional).weight
+            importance_weight(run_trace(model, guide, int(s)), evidence_functional)
             for s in derive_seeds(5, 3000)
         ]
     )

@@ -258,8 +258,10 @@ class TestErrorsAndDeterminism:
         assert (code, captured.out) == (2, "")
         assert captured.err == f"cannot write output file {path}: No such file or directory\n"
 
-    @pytest.mark.parametrize("value", [3, [None], [1.0, "2"], [True], [math.nan], "12", {"a": 1.0}],
-                             ids=["number", "null", "string-item", "bool-item", "nan-item", "string", "object"])
+    @pytest.mark.parametrize("value", [3, [None], [1.0, "2"], [True], [math.nan], "12", {"a": 1.0},
+                                       [math.inf, 0.0], [0.0, -math.inf], [10**400]],
+                             ids=["number", "null", "string-item", "bool-item", "nan-item", "string", "object",
+                                  "inf-item", "minus-inf-item", "huge-int-item"])
     def test_malformed_params_values_are_structured(self, capsys, tmp_path, value):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"die1": value}))
@@ -268,6 +270,19 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert doc["error"] == {"type": "ValueError",
                                 "message": f"guide parameter file {path}: 'die1' must map to a list of numbers"}
+
+    @pytest.mark.parametrize("command", [
+        ("run", "--model", "three_dice", "--n", "20"),
+        ("bound", "--model", "three_dice", "--n", "20"),
+        ("oracle", "--model", "three_dice", "--guide", "prior"),
+        ("optimize", "--model", "three_dice", "--budget", "2", "--eval-n", "20"),
+        ("trace", "--model", "three_dice"),
+    ], ids=lambda argv: argv[0])
+    def test_nan_ceiling_is_structured(self, capsys, command):
+        # NaN fails every comparison, so a NaN ceiling would reject no run.
+        code, doc = invoke_json(capsys, *command, "--ceiling", "nan")
+        assert code == 1
+        assert doc["error"] == {"type": "ValueError", "message": "ceiling must be a number, got NaN"}
 
     def test_no_accepted_runs_is_structured(self, capsys):
         code, doc = invoke_json(

@@ -10,6 +10,8 @@ from guidedppl import (
     Dist,
     DuplicateValueError,
     EmptyRangeError,
+    FunctionGuide,
+    RunStatus,
     ZeroMassError,
     dist_from_weights,
     point_mass,
@@ -227,3 +229,19 @@ def test_direct_construction_rejects_repeated_values(values):
     with pytest.raises(DuplicateValueError):
         Dist(values, [1.0 / len(values)] * len(values))
     Dist(values[:1], [1.0])
+
+
+@pytest.mark.parametrize("mass", [math.nan, -0.5])
+def test_direct_construction_rejects_a_nan_or_negative_mass(mass):
+    """`Dist(...)` raises one clear error for a NaN or negative mass, and a
+    guide that builds such a `Dist` has its run rejected as a crash that
+    names the mass, rather than a NaN free energy."""
+    with pytest.raises(ValueError, match=f"mass {mass!r} is not a nonnegative number"):
+        Dist([1, 2], [mass, 1.0])
+
+    def model(ctx):
+        ctx.choose(uniform_range(1, 2))
+
+    t = run_trace(model, FunctionGuide(lambda site: Dist([1, 2], [mass, 1.0])), 0)
+    assert t.status is RunStatus.REJECTED_CRASH
+    assert t.crash_reason == f"ValueError: mass {mass!r} is not a nonnegative number"

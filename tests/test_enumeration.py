@@ -24,9 +24,7 @@ from guidedppl import (
     enumerate_paths,
     exact_conditional_expectation,
     exact_evidence,
-    exact_free_energy,
     exact_guided_profile,
-    guided_paths,
     point_mass,
     run_trace,
     uniform_range,
@@ -37,6 +35,7 @@ from helpers import (
     DICE_FE_TARGET,
     always_false_model,
     crash_on_three_model,
+    guided_paths,
     make_hashed_model,
     no_choice_model,
     no_evidence_model,
@@ -63,7 +62,7 @@ class TestEnumerateDice:
         assert len(dice_pe.entries) == 216
         for e in dice_pe.entries:
             assert e.log_prior == pytest.approx(-3 * math.log(6), abs=1e-12)
-        assert dice_pe.prior_mass() == pytest.approx(1.0, abs=1e-9)
+        assert math.fsum(math.exp(e.log_prior) for e in dice_pe.entries) == pytest.approx(1.0, abs=1e-9)
 
     def test_entries_sorted_by_choice_sequence(self, dice_pe):
         seqs = [e.choices for e in dice_pe.entries]
@@ -268,45 +267,45 @@ def test_same_verdict_per_path_in_sampling_and_enumeration(structure_seed, guide
     pe = enumerate_paths(model)
     prof = exact_guided_profile(pe, PriorGuide())
     assert prof.acceptance_rate == pytest.approx(1.0 - pe.crash_mass(), abs=1e-12)
-    assert pe.prior_mass() + pe.crash_mass() == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(math.exp(e.log_prior) for e in pe.entries) + pe.crash_mass() == pytest.approx(1.0, abs=1e-12)
     for guide in (PriorGuide(), _random_full_support_guide(guide_seed)):
         _assert_same_verdicts(model, pe, guide, seeds=range(200))
 
 
 class TestExactFreeEnergy:
     def test_posterior_guide_hits_the_floor(self, dice_pe):
-        rep = exact_free_energy(dice_pe, DicePosteriorGuide())
+        rep = exact_guided_profile(dice_pe, DicePosteriorGuide())
         assert rep.free_energy == pytest.approx(DICE_FE_TARGET, abs=1e-9)
         assert rep.kl == pytest.approx(0.0, abs=1e-9)
 
     def test_prior_guide_is_infinite_on_boolean_evidence(self, dice_pe):
         # The prior reaches sum != 7 paths, where -log P(e|x) blows up.
-        rep = exact_free_energy(dice_pe, PriorGuide())
+        rep = exact_guided_profile(dice_pe, PriorGuide())
         assert rep.free_energy == math.inf
         assert rep.kl == math.inf
 
     def test_structured_guides_stay_above_the_floor(self, dice_pe):
         for seed in range(10):
-            rep = exact_free_energy(dice_pe, random_structured_dice_guide(seed))
+            rep = exact_guided_profile(dice_pe, random_structured_dice_guide(seed))
             assert math.isfinite(rep.free_energy)
             assert rep.free_energy > DICE_FE_TARGET + 1e-9
             assert rep.kl > 0.0
             assert rep.kl == pytest.approx(rep.free_energy - DICE_FE_TARGET, abs=1e-9)
 
     def test_posterior_table_is_the_unique_structured_optimum(self, dice_pe):
-        rep = exact_free_energy(
+        rep = exact_guided_profile(
             dice_pe, structured_dice_guide([1 / 3, 4 / 15, 1 / 5, 2 / 15, 1 / 15])
         )
         assert rep.free_energy == pytest.approx(DICE_FE_TARGET, abs=1e-9)
 
     def test_guide_mass_on_prior_impossible_value_is_infinite(self, dice_pe):
         leaky = FunctionGuide(lambda site: uniform_range(1, 7))
-        rep = exact_free_energy(dice_pe, leaky)
+        rep = exact_guided_profile(dice_pe, leaky)
         assert rep.free_energy == math.inf
 
     def test_no_evidence_prior_guide_is_zero(self):
         pe = enumerate_paths(no_evidence_model)
-        rep = exact_free_energy(pe, PriorGuide())
+        rep = exact_guided_profile(pe, PriorGuide())
         assert rep.free_energy == 0.0
         assert rep.kl == pytest.approx(0.0, abs=1e-12)
 
@@ -316,7 +315,7 @@ class TestExactFreeEnergy:
                 ctx.extra_choice(point_mass(0), lambda trace: point_mass(0))
 
         with pytest.raises(ExtraChoicesUnsupportedError):
-            exact_free_energy(dice_pe, G())
+            exact_guided_profile(dice_pe, G())
 
 
 class TestGuidedProfile:
@@ -363,7 +362,7 @@ class TestGuidedProfile:
     def test_no_ceiling_profile_matches_plain_free_energy(self, dice_pe):
         guide = structured_dice_guide([0.3, 0.3, 0.2, 0.1, 0.1])
         prof = exact_guided_profile(dice_pe, guide)
-        rep = exact_free_energy(dice_pe, guide)
+        rep = exact_guided_profile(dice_pe, guide)
         assert prof.acceptance_rate == pytest.approx(1.0, abs=1e-12)
         assert prof.adjusted_fe == pytest.approx(rep.free_energy, abs=1e-9)
 
@@ -372,7 +371,7 @@ def test_sampling_floor_holds_for_random_full_tables(dice_pe):
     # Full-support tables reach evidence-violating paths: infinite free
     # energy, which still respects the floor.
     for seed in range(5):
-        rep = exact_free_energy(dice_pe, random_table_dice_guide(seed))
+        rep = exact_guided_profile(dice_pe, random_table_dice_guide(seed))
         assert rep.free_energy >= DICE_FE_TARGET - 1e-9
         assert rep.kl >= 0.0
 
@@ -401,17 +400,16 @@ def _reachable_internal_nodes(pe, guide):
 @pytest.mark.parametrize("inner, nodes", [(PriorGuide(), 43), (DicePosteriorGuide(), 21)])
 def test_one_propose_per_reachable_site(dice_pe, inner, nodes):
     assert len(_reachable_internal_nodes(dice_pe, inner)) == nodes
-    for score in (exact_guided_profile, exact_free_energy):
-        guide = _CountingGuide(inner)
-        score(dice_pe, guide)
-        assert guide.begin_calls == 1
-        assert guide.propose_calls == nodes
+    guide = _CountingGuide(inner)
+    exact_guided_profile(dice_pe, guide)
+    assert guide.begin_calls == 1
+    assert guide.propose_calls == nodes
 
 
 # Recorded from the per-path replay implementation that the tree walk
 # replaced: repr of (acceptance_rate, adjusted_fe, mean_events_per_run,
-# free_energy, kl) of exact_guided_profile.  Its exact_free_energy gave
-# the last two values in every case.
+# free_energy, kl) of exact_guided_profile.  The last two values were
+# recorded from the replay's separate free-energy function.
 GOLDEN = {
     "dice_prior_500": ("0.06944444444444442", "2.6672282065819553", "4.0000000000000115", "inf", "inf"),
     "dice_posterior": ("0.9999999999999999", "2.6672282065819557", "3.9999999999999996", "2.6672282065819553", "0.0"),
@@ -483,7 +481,7 @@ def test_golden_values_are_bit_identical(name, request):
     prof = exact_guided_profile(pe, make_guide())
     got = (prof.acceptance_rate, prof.adjusted_fe, prof.mean_events_per_run, prof.free_energy, prof.kl)
     assert tuple(map(repr, got)) == GOLDEN[name]
-    rep = exact_free_energy(pe, make_guide())
+    rep = exact_guided_profile(pe, make_guide())
     assert (repr(rep.free_energy), repr(rep.kl)) == GOLDEN[name][3:]
 
 

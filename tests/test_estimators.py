@@ -11,7 +11,6 @@ from guidedppl import (
     NoAcceptedRunsError,
     PriorGuide,
     RunStatus,
-    StatusError,
     UndefinedRatioError,
     WeightError,
     batch_stats,
@@ -20,12 +19,10 @@ from guidedppl import (
     evidence_functional,
     evidence_lower_bound,
     exact_evidence,
-    guided_paths,
     hypothesis_estimate,
     importance_weight,
     lower_confidence_bound,
     lower_confidence_bound_batch,
-    one_run_free_energy,
     point_mass,
     run_trace,
     uniform_range,
@@ -33,7 +30,7 @@ from guidedppl import (
 from guidedppl.estimators import merge_batch_stats
 from guidedppl.models import DicePosteriorGuide, three_dice
 
-from helpers import DICE_FE_TARGET, always_false_model, single_choice_model
+from helpers import DICE_FE_TARGET, always_false_model, guided_paths, single_choice_model
 
 P_E = 15 / 216
 
@@ -46,11 +43,13 @@ class TestOneRunFreeEnergy:
     def test_posterior_guide_is_constant_across_paths(self):
         for seed in range(100):
             t = run_trace(three_dice, DicePosteriorGuide(), seed)
-            assert one_run_free_energy(t) == pytest.approx(DICE_FE_TARGET, abs=1e-9)
+            assert t.completed
+            assert t.fe_total == pytest.approx(DICE_FE_TARGET, abs=1e-9)
 
     def test_prior_guide_no_evidence_is_zero(self):
         t = run_trace(single_choice_model, PriorGuide(), 3)
-        assert one_run_free_energy(t) == 0.0
+        assert t.completed
+        assert t.fe_total == 0.0
 
     def test_single_evidence_quarter(self):
         def model(ctx):
@@ -58,13 +57,8 @@ class TestOneRunFreeEnergy:
             ctx.evidence(0.25)
 
         t = run_trace(model, PriorGuide(), 3)
-        assert one_run_free_energy(t) == pytest.approx(math.log(4), abs=1e-12)
-
-    def test_rejected_trace_raises(self):
-        t = run_trace(always_false_model, PriorGuide(ceiling=10.0), 0)
-        assert t.status is RunStatus.REJECTED_THRESHOLD
-        with pytest.raises(StatusError):
-            one_run_free_energy(t)
+        assert t.completed
+        assert t.fe_total == pytest.approx(math.log(4), abs=1e-12)
 
 
 class TestEstimateFreeEnergy:
@@ -85,7 +79,8 @@ class TestEstimateFreeEnergy:
     def test_single_run(self):
         est = estimate_free_energy(three_dice, DicePosteriorGuide(), 1, 5)
         t = run_trace(three_dice, DicePosteriorGuide(), int(derive_seeds(5, 1)[0]))
-        assert est.adjusted_fe == one_run_free_energy(t)
+        assert t.completed
+        assert est.adjusted_fe == t.fe_total
         assert est.std_error == 0.0
 
     def test_all_rejected_raises(self):
@@ -115,13 +110,11 @@ class TestImportanceWeights:
     def test_posterior_guide_weights_are_constant(self):
         for seed in range(200):
             t = run_trace(three_dice, DicePosteriorGuide(), seed)
-            w = importance_weight(t, evidence_functional)
-            assert w.weight == pytest.approx(P_E, abs=1e-12)
-            assert w.trace_seed == seed
+            assert importance_weight(t, evidence_functional) == pytest.approx(P_E, abs=1e-12)
 
     def test_prior_guide_weights_are_boolean(self):
         ws = [
-            importance_weight(run_trace(three_dice, PriorGuide(), s), evidence_functional).weight
+            importance_weight(run_trace(three_dice, PriorGuide(), s), evidence_functional)
             for s in range(2000)
         ]
         assert set(round(w, 12) for w in ws) == {0.0, 1.0}
@@ -134,7 +127,7 @@ class TestImportanceWeights:
         def f(trace):
             raise AssertionError("must not be called")
 
-        assert importance_weight(t, f).weight == 0.0
+        assert importance_weight(t, f) == 0.0
 
     def test_zero_ratio_skips_f(self):
         guide = FunctionGuide(lambda site: point_mass(5))
@@ -144,7 +137,7 @@ class TestImportanceWeights:
         def f(trace):
             raise AssertionError("must not be called")
 
-        assert importance_weight(t, f).weight == 0.0
+        assert importance_weight(t, f) == 0.0
 
     def test_bad_f_values_raise(self):
         t = run_trace(three_dice, DicePosteriorGuide(), 0)

@@ -45,6 +45,11 @@ class TestUtilityConfig:
         with pytest.raises(ValueError):
             UtilityConfig(k=-1.0)
 
+    def test_nan_k_rejected(self):
+        # NaN fails every comparison, so a `k < 0` check lets it through.
+        with pytest.raises(ValueError, match="impatience"):
+            UtilityConfig(k=math.nan)
+
 
 class TestGuideUtility:
     def test_k_zero_equals_adjusted_fe(self):
@@ -154,6 +159,14 @@ class TestOptimizeGuide:
             optimize_guide(model, dice_tabular_family(), UtilityConfig(), budget=5, seed=1, sigma=sigma)
         assert model.calls == 0
 
+    def test_nan_margin_rejected_before_any_evaluation(self):
+        # NaN fails every comparison: a NaN margin would reject every
+        # candidate.
+        model = CountingModel(three_dice)
+        with pytest.raises(ValueError, match="margin"):
+            optimize_guide(model, dice_tabular_family(), UtilityConfig(), budget=5, seed=1, accept_margin=math.nan)
+        assert model.calls == 0
+
     def test_empty_dice_table_already_samples_the_posterior(self, dice_pe):
         # Uniform front sites with the forced completion accept exactly the
         # 15 valid (d1, d2) prefixes, uniformly: the floor is met from the
@@ -196,21 +209,6 @@ class TestOptimizeGuide:
         report = optimize_guide(three_dice, family, UtilityConfig(), budget=40, seed=2, n=120)
         assert "die1" in report.cell_mean_fe
         assert all(math.isfinite(v) for v in report.cell_mean_fe.values())
-
-    def test_restart_keeps_best(self):
-        family = dice_tabular_family()
-        report = optimize_guide(
-            three_dice,
-            family,
-            UtilityConfig(),
-            budget=120,
-            seed=13,
-            n=120,
-            accept_margin=0.05,
-            restart_after=20,
-        )
-        utilities = [u for _, u in report.utility_trace]
-        assert utilities == sorted(utilities, reverse=True)
 
 
 class TestPointFamily:
@@ -304,14 +302,6 @@ def _plain(report: SearchReport) -> str:
 # credited to them; nothing else changed.
 GOLDEN_CONFIGS = {
     "dice": (three_dice, dice_tabular_family, UtilityConfig(), dict(budget=60, seed=5, n=120)),
-    "dice_restart": (
-        three_dice, dice_tabular_family, UtilityConfig(),
-        dict(budget=120, seed=13, n=120, accept_margin=0.05, restart_after=20),
-    ),
-    "dice_restart_k1": (
-        three_dice, dice_tabular_family, UtilityConfig(k=1.0),
-        dict(budget=120, seed=13, n=120, accept_margin=0.05, restart_after=10),
-    ),
     "dice_point": (
         three_dice, dice_point_family, UtilityConfig(k=1.0),
         dict(budget=80, seed=5, n=100, accept_margin=0.02),
@@ -338,30 +328,6 @@ GOLDEN_REPORTS = {
         " (20, 2.619829754449514), (27, 2.6155979980321846), (52, 2.615431019064022)), "
         "evaluations=60, cell_mean_fe={'die1': 0.0, 'die2|1': 0.1403799533288534, 'die2|2': 0.0, "
         "'die2|3': 0.0, 'die2|4': 0.16939070086473906, 'die2|5': -0.1549964584757637})"
-    ),
-    "dice_restart": (
-        "SearchReport(best_params={}, best_utility=2.6874309138994743, utility_trace=((1, "
-        "2.6874309138994743),), evaluations=120, cell_mean_fe={'die1': 0.0, 'die2|1': 0.0, "
-        "'die2|2': 0.0, 'die2|3': 0.0, 'die2|4': 0.0, 'die2|5': 0.0})"
-    ),
-    "dice_restart_k1": (
-        "SearchReport(best_params={'die1': [0.6109832923967679, -0.24661484533774908, "
-        "-1.689629296192324, -3.0222419971806334, -2.225084740764073, -3.193560106803625], "
-        "'die2|2': [-0.8626226679853516, -1.3916335881774857, -2.0241946406047617, "
-        "0.3293709885553522, -2.4893535139749083, -4.594481528068929], 'die2|1': "
-        "[-4.783931660358279, -1.9635213196858898, -2.031147819661346, -1.5546530678441968, "
-        "-2.807114725991607, -3.9734578524438797], 'die2|4': [-1.909951509662743, "
-        "0.38033253897004293, -1.5314880447250916, -1.6291831249618618, -0.6529865980048561, "
-        "-0.8550211259490896], 'die2|5': [-0.8267476446052164, -2.6613385159101504, "
-        "-0.5864778823070242, -1.3139829827723755, -2.3316511718959334, -2.4803847343646837]}, "
-        "best_utility=7.820694120477944, utility_trace=((1, 11.034369689409678), (14, "
-        "10.913577537476865), (25, 9.749906556561472), (28, 9.476225575128684), (30, "
-        "9.090140195656696), (33, 8.96469387354343), (82, 8.567546376807204), (86, "
-        "8.448537320398358), (90, 8.357939622096197), (91, 8.13181764886945), (92, "
-        "8.072733198501766), (100, 8.014674154197278), (107, 7.8837925848211015), (114, "
-        "7.820694120477944)), evaluations=120, cell_mean_fe={'die1': 0.8648985887653637, "
-        "'die2|1': 0.32315863732209055, 'die2|2': 0.6061884470854079, 'die2|3': 0.0, 'die2|4': "
-        "-1.1832478270074338, 'die2|5': 0.5465403209870032})"
     ),
     "dice_point": (
         "SearchReport(best_params={'2|1,1': 5}, best_utility=9.375278407684164, "
@@ -407,7 +373,7 @@ def test_golden_search_reports(name):
     assert _plain(optimize_guide(model, family(), cfg, **kwargs)) == GOLDEN_REPORTS[name]
 
 
-def _reference_search(model, family, cfg, budget, seed, n, sigma=1.0, accept_margin=0.0, restart_after=None):
+def _reference_search(model, family, cfg, budget, seed, n, sigma=1.0, accept_margin=0.0):
     """The hill climb with every candidate scored on all n CRN runs."""
     crn = derive_seeds(seed, n, stream=3)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(4,)))
@@ -427,10 +393,9 @@ def _reference_search(model, family, cfg, budget, seed, n, sigma=1.0, accept_mar
             return math.inf
         return est.adjusted_fe + cfg.k * (est.total_events / est.n_accepted)
 
-    initial = {}
-    current = best = initial
-    current_u = best_u = initial_u = evaluate(initial)
-    evaluations, trace, stall = 1, [(1, best_u)], 0
+    current = best = {}
+    current_u = best_u = evaluate(current)
+    evaluations, trace = 1, [(1, best_u)]
     while evaluations < budget and cells:
         keys = sorted(cells)
         key = keys[int(rng.integers(len(keys)))]
@@ -440,14 +405,10 @@ def _reference_search(model, family, cfg, budget, seed, n, sigma=1.0, accept_mar
         u = evaluate(cand)
         evaluations += 1
         if u < current_u - accept_margin:
-            current, current_u, stall = cand, u, 0
+            current, current_u = cand, u
             if u < best_u:
                 best, best_u = cand, u
                 trace.append((evaluations, u))
-        else:
-            stall += 1
-        if restart_after is not None and stall >= restart_after:
-            current, current_u, stall = initial, initial_u, 0
 
     # Credit each choose event of an accepted run to the cell it read;
     # forced sites read no cell.
@@ -488,13 +449,12 @@ def _history_key(index, label, history):
     ceiling=st.sampled_from([None, 2.5]),
     k=st.sampled_from([0.0, 0.1]),
     accept_margin=st.sampled_from([0.0, 0.02, 0.2]),
-    restart_after=st.sampled_from([None, 1, 4]),
     budget=st.integers(1, 20),
     n=st.integers(1, 25),
     seed=st.integers(0, 2**31),
 )
 def test_incremental_search_matches_full_reevaluation(
-    structure_seed, kind, keyed_by, ceiling, k, accept_margin, restart_after, budget, n, seed
+    structure_seed, kind, keyed_by, ceiling, k, accept_margin, budget, n, seed
 ):
     # Label keys share a cell between sites whose priors differ, so a
     # guide's per-key cache must rebuild a key's proposal when the prior
@@ -504,7 +464,7 @@ def test_incremental_search_matches_full_reevaluation(
     model = make_hashed_model(structure_seed)
     site_key = _label_key if keyed_by == "label" else _history_key
     family = kind(site_key, ceiling=ceiling)
-    kwargs = dict(budget=budget, seed=seed, n=n, accept_margin=accept_margin, restart_after=restart_after)
+    kwargs = dict(budget=budget, seed=seed, n=n, accept_margin=accept_margin)
     got = optimize_guide(model, family, UtilityConfig(k=k), **kwargs)
     want = _reference_search(model, family, UtilityConfig(k=k), **kwargs)
     assert repr(got) == repr(want)

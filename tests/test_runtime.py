@@ -31,7 +31,7 @@ from guidedppl import (
 )
 from guidedppl import runtime
 from guidedppl.enumeration import enumerate_paths, exact_guided_profile
-from guidedppl.estimators import WeightError, stats_from_summaries, summarize_trace
+from guidedppl.estimators import WeightError, stats_from_summaries
 from guidedppl.models import MODELS, DicePosteriorGuide, dice_point_family, dice_tabular_family, three_dice
 
 from helpers import (
@@ -39,6 +39,7 @@ from helpers import (
     forcing_guide_for,
     make_hashed_model,
     single_choice_model,
+    summarize_trace,
 )
 
 LN6 = math.log(6)
