@@ -307,7 +307,7 @@ def _canon(x):
     if isinstance(x, ChoiceRecord):
         return tuple(_canon(getattr(x, f)) for f in x._fields)
     if isinstance(x, Trace):
-        return tuple(_canon(getattr(x, f)) for f in x.__slots__)
+        return tuple(_canon(getattr(x, f)) for f in _TRACE_FIELDS)
     if isinstance(x, tuple):
         return tuple(_canon(v) for v in x)
     return x
@@ -429,6 +429,46 @@ def test_choice_records_keep_their_interface(name):
             h.update(repr(rec).encode())
             h.update(b"\n")
     assert h.hexdigest() == GOLDEN_RECORD_REPR_DIGESTS[name]
+
+
+_TRACE_FIELDS = ("seed", "status", "choices", "extras", "log_evidence", "hypothesis", "per_event_fe",
+                 "log_prior_total", "log_guide_total", "fe_total", "crash_reason")
+
+# SHA-256 of repr(t.choices) and repr(t.per_event_fe) of these golden
+# traces, seeds 0..39, one per line; recorded while `Trace` was a
+# dataclass that held both tuples.
+GOLDEN_TRACE_RECORDS_DIGESTS = {
+    "expr/tabular_table": "497f907b5c63828bb541583887e2b9ebb2b19646c8c55c4042ae2b1cb77ef263",
+    "monkey/pattern_insert": "23b5f1a0a097f5ad417bd2f9d7e0c2bb7e6947b59e49f5e834d1082a219eda70",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_RECORDS_DIGESTS))
+def test_traces_keep_their_interface(name):
+    """A `Trace`'s fields, in order; equality over all of them; its
+    counts; and its records, read twice as the same tuples."""
+    model, make_guide = _golden_trace_configs()[name]
+    traces = list(run_traces(model, make_guide(), GOLDEN_TRACE_SEEDS))
+    again = [run_trace(model, make_guide(), s) for s in GOLDEN_TRACE_SEEDS]
+    assert Trace.__match_args__ == _TRACE_FIELDS
+    h = hashlib.sha256()
+    for i, (t, u) in enumerate(zip(traces, again)):
+        assert t is not u and t == u and not t != u
+        other = again[i - 1]  # another seed's trace
+        assert t != other and not t == other and t != (t.seed,)
+        with pytest.raises(TypeError):
+            hash(t)
+        assert [getattr(t, f) for f in _TRACE_FIELDS] == [getattr(u, f) for f in _TRACE_FIELDS]
+        assert t.choices is t.choices and t.per_event_fe is t.per_event_fe
+        n_evidence = sum(e.kind == "evidence" for e in t.per_event_fe)
+        assert t.n_events == len(t.per_event_fe) == len(t.choices) + n_evidence
+        assert t.completed is (t.status is RunStatus.COMPLETED)
+        if not t.extras:  # an extra choice's repr shows its conditional's address
+            assert repr(t) == f"Trace({', '.join(f'{f}={getattr(t, f)!r}' for f in _TRACE_FIELDS)})"
+        for part in (t.choices, t.per_event_fe):
+            h.update(repr(part).encode())
+            h.update(b"\n")
+    assert h.hexdigest() == GOLDEN_TRACE_RECORDS_DIGESTS[name]
 
 
 def _first_uniforms_of(seed):
