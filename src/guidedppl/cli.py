@@ -184,8 +184,12 @@ class UsageError(Exception):
 
 
 def _guide_config(args) -> dict:
+    """The model and guide options; every command reads them, so the
+    options that every command shares are checked here."""
     if args.ceiling is not None and math.isnan(args.ceiling):
         raise ValueError("ceiling must be a number, got NaN")
+    if args.max_events < 1:  # a cap that every run exceeds would read as rejected runs
+        raise ValueError(f"--max-events must be at least 1, got {args.max_events}")
     cfg = {"ceiling": args.ceiling, "alphabet": args.alphabet, "length": args.length,
            "pattern": args.pattern, "depth_cap": args.depth_cap}
     if args.params:
@@ -339,15 +343,16 @@ def _cmd_trace(args, notes: list) -> dict:
     entry, model = build_model(args.model, cfg)
     guide = build_guide(entry, args.guide, cfg)
     t = run_trace(model, guide, args.seed, max_events=args.max_events)
-    events = []
-    for kind, index, label, fe in t.per_event_fe:
-        item = {"kind": kind, "index": index, "label": label, "fe": fe}
-        if kind == "choose":
-            rec = t.choices[index]
-            item["chosen"] = rec.chosen
-            item["prior_mass"] = math.exp(rec.log_prior)
-            item["guide_mass"] = math.exp(rec.log_guide)
-        events.append(item)
+    # Each event's dict straight from the trace's columns; no `ChoiceRecord` or `EventFE` is built.
+    chosen = [
+        {"kind": "choose", "index": i, "label": label, "fe": log_guide - log_prior, "chosen": value,
+         "prior_mass": prior_mass, "guide_mass": guide_mass}
+        for i, (label, log_prior, log_guide, value, prior_mass, guide_mass) in enumerate(zip(
+            t._labels, t._log_priors, t._log_guides, t.values, map(math.exp, t._log_priors),
+            map(math.exp, t._log_guides)))
+    ]
+    events = t._in_event_order(chosen, [{"kind": "evidence", "index": j, "label": None, "fe": fe}
+                                        for j, fe in enumerate(t._evidence_fe)])
     extras = [
         {
             "index": x.index,

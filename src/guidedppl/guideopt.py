@@ -64,8 +64,8 @@ class UtilityConfig:
     k: float = 0.0
 
     def __post_init__(self):
-        if not self.k >= 0.0:
-            raise ValueError("impatience constant k must be nonnegative")
+        if not 0.0 <= self.k < math.inf:
+            raise ValueError("impatience constant k must be finite and nonnegative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,8 +285,8 @@ def optimize_guide(
     """
     if budget < 1:
         raise ValueError("need at least one evaluation")
-    if not sigma >= 0.0:
-        raise ValueError("mutation scale sigma must be nonnegative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("mutation scale sigma must be finite and nonnegative")
     if not accept_margin >= 0.0:
         raise ValueError("accept margin must be nonnegative")
     crn = derive_seeds(seed, n, stream=3)

@@ -135,7 +135,7 @@ class PatternInsertGuide(Guide):
         ctx.extra_choice(self._start, self._first_occurrence)
 
     def _first_occurrence(self, trace: Trace) -> Dist:
-        s = "".join(trace.choices[i].chosen for i in range(self.length))
+        s = "".join(trace.values[:self.length])
         return point_mass(s.find(self.pattern))
 
     def propose(self, site: ChoiceSite) -> Optional[Dist]:

@@ -71,7 +71,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice, repeat
-from operator import sub
+from operator import attrgetter, sub
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -227,30 +227,96 @@ class ExtraChoiceRecord:
     log_model_conditional: Optional[float] = None
 
 
-@dataclass(slots=True)
 class Trace:
-    """One finalized execution path.  Immutable once returned."""
+    """One finished run.  Immutable once returned.
 
-    seed: int
-    status: RunStatus
-    choices: tuple[ChoiceRecord, ...]
-    extras: tuple[ExtraChoiceRecord, ...]
-    log_evidence: float
-    hypothesis: float
-    per_event_fe: tuple[EventFE, ...]
-    log_prior_total: float
-    log_guide_total: float
-    fe_total: float  # running free-energy sum at end of run (event order)
-    crash_reason: Optional[str] = None
+    Its fields are those of `__match_args__`, in that order; two traces
+    are equal when all of them are, and a trace has no hash.  A trace
+    holds its run's columns, which no longer grow: its chosen values as
+    the tuple `values`, and the labels, prior and guide `Dist`s, the
+    log-masses and where each evidence call falls with its free energy.
+    `choices` and `per_event_fe` are built from them on their first
+    read, in C by ``tuple.__new__`` over the zipped columns (no Python
+    call per event), and kept; a reader that needs only the chosen values
+    reads `values` and builds neither.  A trace keeps nothing else of the
+    run that made it: not its context, its guide's `propose` or its
+    random stream."""
+
+    __match_args__ = ("seed", "status", "choices", "extras", "log_evidence", "hypothesis", "per_event_fe",
+                      "log_prior_total", "log_guide_total", "fe_total", "crash_reason")
+    __slots__ = ("seed", "status", "extras", "log_evidence", "hypothesis", "log_prior_total", "log_guide_total",
+                 "fe_total", "crash_reason", "values", "_labels", "_priors", "_guides", "_log_priors",
+                 "_log_guides", "_evidence_at", "_evidence_fe", "_choices", "_per_event_fe")
+    __hash__ = None
+
+    def __init__(self, run: "_RunState"):
+        self.seed = run.seed
+        self.status = run.status
+        self.extras: tuple[ExtraChoiceRecord, ...] = tuple(run.extras)
+        self.log_evidence = run.log_evidence
+        self.hypothesis = run.hypothesis
+        self.log_prior_total = run.log_prior_total
+        self.log_guide_total = run.log_guide_total
+        self.fe_total = run.fe  # running free-energy sum at end of run (event order)
+        self.crash_reason: Optional[str] = run.reason
+        self.values: tuple[Value, ...] = tuple(run.history)
+        self._labels, self._priors, self._guides = run.labels, run.priors, run.guides
+        self._log_priors, self._log_guides = run.log_priors, run.log_guides
+        self._evidence_at, self._evidence_fe = run.evidence_at, run.evidence_fe
+        self._choices: Optional[tuple[ChoiceRecord, ...]] = None
+        self._per_event_fe: Optional[tuple[EventFE, ...]] = None
+
+    @property
+    def choices(self) -> tuple[ChoiceRecord, ...]:
+        """Each choice's `ChoiceRecord`, in choice order."""
+        if self._choices is None:
+            self._choices = tuple(map(_tuple_new, repeat(ChoiceRecord), zip(
+                range(len(self.values)), self._labels, self._priors, self._guides, self.values,
+                self._log_priors, self._log_guides)))
+        return self._choices
+
+    @property
+    def per_event_fe(self) -> tuple[EventFE, ...]:
+        """Each choose and evidence event's free energy, in event order."""
+        if self._per_event_fe is None:
+            chosen = list(map(_tuple_new, repeat(EventFE), zip(
+                repeat("choose"), range(len(self.values)), self._labels, map(sub, self._log_guides, self._log_priors))))
+            evidence = map(_tuple_new, repeat(EventFE), zip(
+                repeat("evidence"), range(len(self._evidence_fe)), repeat(None), self._evidence_fe))
+            self._per_event_fe = tuple(self._in_event_order(chosen, evidence))
+        return self._per_event_fe
+
+    def _in_event_order(self, chosen: list, evidence: Iterable) -> list:
+        """One item per choice (`chosen`) and one per evidence call
+        (`evidence`), each in call order, merged into event order."""
+        events: list = []
+        done = 0
+        for at, item in zip(self._evidence_at, evidence):
+            events += chosen[done:at]
+            events.append(item)
+            done = at
+        events += chosen[done:]
+        return events
 
     @property
     def n_events(self) -> int:
         """Runtime events executed: choose and evidence calls."""
-        return len(self.per_event_fe)
+        return len(self.values) + len(self._evidence_fe)
 
     @property
     def completed(self) -> bool:
         return self.status is RunStatus.COMPLETED
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _trace_fields(self) == _trace_fields(other)
+
+    def __repr__(self) -> str:
+        return f"Trace({', '.join(f'{f}={getattr(self, f)!r}' for f in self.__match_args__)})"
+
+
+_trace_fields = attrgetter(*Trace.__match_args__)
 
 
 class Guide:
@@ -378,7 +444,7 @@ class _RunState(ModelContext):
     The run is kept in flat columns: one item per choice (value, label,
     prior, guide `Dist`, log-masses), one per evidence call (how many
     choices precede it, its free energy) and running totals.  Batch
-    drivers read a run's row from them; `trace` builds its `Trace`.
+    drivers read a run's row from them; a `Trace` holds them.
 
     Each choose and each extra choice draws as `Dist.sample` does, from
     the run's next uniform, and reads the value and its log-mass by
@@ -390,7 +456,7 @@ class _RunState(ModelContext):
 
     __slots__ = ("propose", "seed", "ceiling", "status", "reason", "history", "labels", "priors", "guides",
                  "log_priors", "log_guides", "log_prior_total", "log_guide_total", "evidence_at", "evidence_fe",
-                 "extras", "extra_values", "completed_trace", "rng", "_resume", "_uniform")
+                 "extras", "extra_values", "rng", "_resume", "_uniform")
 
     def __init__(self, guide: Guide, propose: Optional[Callable[[ChoiceSite], Optional[Dist]]],
                  first: list[float], resume: Callable[[], np.random.Generator], max_events: int, seed: int):
@@ -413,7 +479,6 @@ class _RunState(ModelContext):
         self.evidence_fe: list[float] = []
         self.extras: list[ExtraChoiceRecord] = []
         self.extra_values: tuple[Value, ...] = ()  # rebuilt only by `extra_choice`
-        self.completed_trace: Optional[Trace] = None  # built early for extra-choice conditionals
         self.rng: Optional[np.random.Generator] = None  # until the first block runs out
         self._resume = resume
         self._uniform = iter(first).__next__  # read only by `_draw`
@@ -489,31 +554,6 @@ class _RunState(ModelContext):
             raise _EventCapError(self.max_events)
         return chosen
 
-    def trace(self) -> Trace:
-        """The run as a `Trace`."""
-        if self.completed_trace is not None:
-            return self.completed_trace
-        labels, log_priors, log_guides = self.labels, self.log_priors, self.log_guides
-        n = len(log_priors)
-        # tuple.__new__ over zipped columns: the records are made in C, with no Python call per record.
-        choices = tuple(map(_tuple_new, repeat(ChoiceRecord), zip(
-            range(n), labels, self.priors, self.guides, self.history, log_priors, log_guides)))
-        chosen_fe = list(map(_tuple_new, repeat(EventFE), zip(
-            repeat("choose"), range(n), labels, map(sub, log_guides, log_priors))))
-        per_event: list[EventFE] = []
-        done = 0
-        for j, (at, fe) in enumerate(zip(self.evidence_at, self.evidence_fe)):
-            per_event += chosen_fe[done:at]
-            per_event.append(_tuple_new(EventFE, ("evidence", j, None, fe)))
-            done = at
-        per_event += chosen_fe[done:]
-        return Trace(
-            seed=self.seed, status=self.status, choices=choices, extras=tuple(self.extras),
-            log_evidence=self.log_evidence, hypothesis=self.hypothesis, per_event_fe=tuple(per_event),
-            log_prior_total=self.log_prior_total, log_guide_total=self.log_guide_total, fe_total=self.fe,
-            crash_reason=self.reason,
-        )
-
 
 ModelProgram = Callable[[ModelContext], None]
 
@@ -530,8 +570,8 @@ def run_trace(model: ModelProgram, guide: Guide, seed: int, max_events: int = DE
     """
     seed = int(seed)
     rng = np.random.default_rng(seed)
-    return _run(model, guide, *_hooks(guide), seed, rng.random(_FIRST_BLOCK).tolist(), lambda: rng,
-                max_events).trace()
+    return Trace(_run(model, guide, *_hooks(guide), seed, rng.random(_FIRST_BLOCK).tolist(), lambda: rng,
+                      max_events))
 
 
 def run_traces(
@@ -539,7 +579,7 @@ def run_traces(
 ) -> Iterator[Trace]:
     """Yield ``run_trace(model, guide, s, max_events)`` for each seed in
     order, trace for trace the same, at a fraction of the per-run cost."""
-    return map(_RunState.trace, _run_batch(model, guide, seeds, max_events))
+    return map(Trace, _run_batch(model, guide, seeds, max_events))
 
 
 def _run_batch(model: ModelProgram, guide: Guide, seeds, max_events: int) -> Iterator[_RunState]:
@@ -613,13 +653,12 @@ def _run(model: ModelProgram, guide: Guide, propose: Optional[Callable], begin: 
             begin(GuideContext(run.extra_choice))
         model(run)
         if run.extras:  # their conditionals read the completed run's Trace
-            trace = run.trace()
+            trace = Trace(run)
             for rec in trace.extras:
                 d = rec.conditional(trace)
                 if not isinstance(d, Dist):
                     raise _ContractError(f"extra-choice conditional returned {type(d).__name__}, not a Dist")
                 rec.log_model_conditional = d.log_prob(rec.chosen)
-            run.completed_trace = trace
     except _Abort:
         run.status = RunStatus.REJECTED_THRESHOLD
     except Exception as exc:  # model/guide bugs become rejected runs

@@ -284,6 +284,32 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert doc["error"] == {"type": "ValueError", "message": "ceiling must be a number, got NaN"}
 
+    @pytest.mark.parametrize("command", [
+        ("run", "--model", "three_dice", "--n", "10"),
+        ("bound", "--model", "three_dice", "--n", "10"),
+        ("bound", "--model", "three_dice", "--n", "10", "--hypothesis"),
+        ("oracle", "--model", "three_dice"),
+        ("optimize", "--model", "three_dice", "--budget", "2", "--eval-n", "10"),
+        ("trace", "--model", "three_dice"),
+    ], ids=["run", "bound", "bound-hypothesis", "oracle", "optimize", "trace"])
+    @pytest.mark.parametrize("max_events", ["0", "-5"])
+    def test_event_cap_below_one_is_structured(self, capsys, command, max_events):
+        # Every run exceeded such a cap, so `run` reported "all 10 runs were rejected".
+        code, doc = invoke_json(capsys, *command, "--max-events", max_events)
+        assert code == 1
+        assert doc["error"] == {"type": "ValueError", "message": f"--max-events must be at least 1, got {max_events}"}
+
+    @pytest.mark.parametrize("option, message", [
+        ("--sigma", "mutation scale sigma must be finite and nonnegative"),
+        ("--k", "impatience constant k must be finite and nonnegative"),
+    ])
+    def test_infinite_search_option_is_structured(self, capsys, option, message):
+        # --sigma inf used to exit 0 with nothing accepted, --k inf with best_utility Infinity.
+        code, doc = invoke_json(capsys, "optimize", "--model", "three_dice", "--budget", "30", "--eval-n", "50",
+                                option, "inf")
+        assert code == 1
+        assert doc["error"] == {"type": "ValueError", "message": message}
+
     def test_no_accepted_runs_is_structured(self, capsys):
         code, doc = invoke_json(
             capsys, "run", "--model", "monkey", "--pattern", "aaaaaaaaaaaaaaa",

@@ -14,6 +14,7 @@ from guidedppl import (
     RunStatus,
     SearchReport,
     TabularGuideFamily,
+    Trace,
     batch_stats,
     derive_seeds,
     estimate_free_energy,
@@ -49,6 +50,11 @@ class TestUtilityConfig:
         # NaN fails every comparison, so a `k < 0` check lets it through.
         with pytest.raises(ValueError, match="impatience"):
             UtilityConfig(k=math.nan)
+
+    def test_infinite_k_rejected(self):
+        # An infinite k made every utility infinite: the search accepted nothing.
+        with pytest.raises(ValueError, match="impatience constant k must be finite"):
+            UtilityConfig(k=math.inf)
 
 
 class TestGuideUtility:
@@ -116,7 +122,7 @@ class TestOptimizeGuide:
         assert len({id(params) for params, _ in reruns}) > 1
         for params, run in reruns:
             assert run.seed in crn
-            assert run.trace() == run_trace(model, family.bind(params), run.seed)
+            assert Trace(run) == run_trace(model, family.bind(params), run.seed)
 
     def test_deterministic_given_seed(self):
         family = dice_tabular_family()
@@ -150,7 +156,7 @@ class TestOptimizeGuide:
             optimize_guide(model, dice_tabular_family(), UtilityConfig(), budget=5, seed=1, n=0)
         assert model.calls == 0
 
-    @pytest.mark.parametrize("sigma", [-1.0, math.nan])
+    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
     def test_bad_sigma_rejected_before_any_evaluation(self, sigma):
         # A negative sigma used to fail only at the first mutation, after
         # a full evaluation of the initial table.

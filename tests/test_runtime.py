@@ -6,6 +6,8 @@ import operator
 import re
 import sys
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -506,7 +508,7 @@ class TestBatchSeeding:
         length = runtime._FIRST_BLOCK + 20
         [run] = runtime._SeededRuns(np.array([seed], dtype=np.uint64)).runs(
             lambda ctx: _choose_chain(ctx, length), _ExtraFirstGuide(), [0], runtime.DEFAULT_MAX_EVENTS)
-        assert _values(run.trace()) == _reference_values(seed, length)
+        assert _values(Trace(run)) == _reference_values(seed, length)
 
     def test_states_of_an_array_match_one_by_one(self):
         seeds = derive_seeds(3, 300)
@@ -840,8 +842,8 @@ def test_cost_per_event_is_flat_in_run_length():
 
 
 def test_building_a_trace_makes_no_python_call_per_event():
-    """`_RunState.trace` makes its records and per-event entries in C:
-    the Python calls it makes do not grow with the run."""
+    """A `Trace` of a run, and its records and per-event entries, are
+    made in C: the Python calls they make do not grow with the run."""
     entry = MODELS["monkey"]
 
     def python_calls(length):
@@ -849,13 +851,13 @@ def test_building_a_trace_makes_no_python_call_per_event():
         rng = np.random.default_rng(3)
         run = runtime._run(entry.build(length=length), guide, *runtime._hooks(guide), 3,
                            rng.random(runtime._FIRST_BLOCK).tolist(), lambda: rng, runtime.DEFAULT_MAX_EVENTS)
-        run.completed_trace = None  # built by `_run` for the extra choice; build it again
         calls = []
         gc.collect()
         gc.disable()  # a collection may run finalizers of unrelated objects, which are Python calls
         sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code) if event == "call" else None)
         try:
-            t = run.trace()
+            t = Trace(run)
+            t.choices, t.per_event_fe
         finally:
             sys.setprofile(None)
             gc.enable()
@@ -863,6 +865,52 @@ def test_building_a_trace_makes_no_python_call_per_event():
         return len(calls)
 
     assert python_calls(10) == python_calls(2000)
+
+
+def test_batch_runs_with_extra_choices_build_no_records():
+    """`batch_stats` over monkey/`pattern_insert`, whose conditional reads
+    each run's `Trace`, allocates at most 150 bytes per event at its
+    peak: the run's columns take about 65, and building its
+    `ChoiceRecord`s or `EventFE`s would add about 100 each."""
+    entry = MODELS["monkey"]
+    length = 16_000
+    model, guide = entry.build(length=length), entry.guides["pattern_insert"](length=length)
+    batch_stats(model, guide, range(1))  # the seeding check and numpy's first draws, outside the measure
+    tracemalloc.start()
+    try:
+        stats = batch_stats(model, guide, range(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.accepted.all() and (stats.events == length + 1).all()
+    assert peak / length < 150, peak
+
+
+def test_traces_keep_nothing_of_their_runs(monkeypatch):
+    """A trace holds its run's columns only: once the batch is done, the
+    guide's bound `propose` that the runs called and the seed block that
+    seeded them (with its shared generator) are gone."""
+    refs = []
+    hooks = runtime._hooks
+
+    def recording_hooks(guide):
+        propose, begin = hooks(guide)
+        refs.append(weakref.ref(propose))
+        return propose, begin
+
+    class RecordingSeededRuns(runtime._SeededRuns):  # without __slots__: it takes weak references
+        def __init__(self, seeds):
+            super().__init__(seeds)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(runtime, "_hooks", recording_hooks)
+    monkeypatch.setattr(runtime, "_SeededRuns", RecordingSeededRuns)
+    entry = MODELS["monkey"]
+    traces = list(run_traces(entry.build(), entry.guides["pattern_insert"](), range(40)))
+    gc.collect()
+    assert len(refs) == 2 and [r() for r in refs] == [None, None]
+    assert all(t.extras[0].log_model_conditional is not None for t in traces if t.completed)
+    assert any(t.n_events + len(t.extras) > runtime._FIRST_BLOCK for t in traces)  # the generator was made
 
 
 # ---------------------------------------------------------------------------
