@@ -226,8 +226,9 @@ def batch_stats(
     seeds,
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> BatchStats:
-    """Run once per seed and summarize; no `Trace` is built for a run
-    without extra choices, and no run is retained."""
+    """Run once per seed and summarize from each run's columns; only a
+    run with extra choices gets a `Trace`, for its conditionals, and no
+    run is retained."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     return stats_from_summaries(seeds, map(summarize_run, _run_batch(model, guide, seeds, max_events)))
 

@@ -55,11 +55,14 @@ While it runs, a sampled run is kept in flat per-run columns (`_RunState`):
 chosen values, labels, prior and guide `Dist`s, log-masses with their
 running totals in event order, and where each evidence call falls with
 its free energy.  Batch drivers (`estimators.batch_stats` and guide
-search) read each run's row from these columns.  A `Trace` is built from
-them only by `run_trace` and `run_traces`, and for a run with extra
-choices, whose conditionals read the finished `Trace`.  Its
-`ChoiceRecord`s and `EventFE`s are named tuples, made in C by
-``tuple.__new__`` over the zipped columns: no Python call per event.
+search) read each run's row from these columns.  A `Trace` holds the
+finished run's columns and its totals, and costs no Python work per
+event to make: `run_trace` and `run_traces` return one, and a run with
+extra choices gets one for its conditionals.  Its chosen values are the
+tuple `Trace.values`; its `ChoiceRecord`s and `EventFE`s are built on
+their first read, as named tuples made in C by ``tuple.__new__`` over
+the zipped columns.  No run, batch or CLI command builds them unless a
+caller reads `Trace.choices` or `Trace.per_event_fe`.
 """
 
 from __future__ import annotations
@@ -250,6 +253,7 @@ class Trace:
     __hash__ = None
 
     def __init__(self, run: "_RunState"):
+        """The trace of a finished run; the runtime makes traces."""
         self.seed = run.seed
         self.status = run.status
         self.extras: tuple[ExtraChoiceRecord, ...] = tuple(run.extras)
