@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from guidedppl import PriorGuide, batch_stats, derive_seeds, lower_confidence_bound
+from guidedppl import PriorGuide, Trace, batch_stats, derive_seeds, lower_confidence_bound
 from guidedppl import cli
 from guidedppl.cli import main
 from guidedppl.models import three_dice
@@ -391,6 +391,20 @@ class TestGoldenOutput:
     def test_stdout_digest(self, capsys, argv, code, digest):
         got_code, out = invoke(capsys, *argv.split())
         assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+    def test_sampling_commands_build_no_records(self, capsys, monkeypatch):
+        """`run`, `bound` and `trace` print their golden documents without
+        building a `ChoiceRecord` or an `EventFE`."""
+        def unbuilt(trace):
+            raise AssertionError("a command built a trace's records")
+
+        monkeypatch.setattr(Trace, "choices", property(unbuilt))
+        monkeypatch.setattr(Trace, "per_event_fe", property(unbuilt))
+        sampled = [case for case in GOLDEN_STDOUT if case[0].split()[0] in ("run", "bound", "trace")]
+        assert any("pattern_insert" in argv for argv, _, _ in sampled)
+        for argv, code, digest in sampled:
+            got_code, out = invoke(capsys, *argv.split())
+            assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), argv
 
     def test_optimize_then_tabular_run(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)  # --save-params is echoed in config
