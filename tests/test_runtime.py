@@ -448,7 +448,8 @@ GOLDEN_TRACE_RECORDS_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_RECORDS_DIGESTS))
 def test_traces_keep_their_interface(name):
     """A `Trace`'s fields, in order; equality over all of them; its
-    counts; and its records, read twice as the same tuples."""
+    counts and chosen values; and its records, read twice as the same
+    tuples."""
     model, make_guide = _golden_trace_configs()[name]
     traces = list(run_traces(model, make_guide(), GOLDEN_TRACE_SEEDS))
     again = [run_trace(model, make_guide(), s) for s in GOLDEN_TRACE_SEEDS]
@@ -462,6 +463,7 @@ def test_traces_keep_their_interface(name):
             hash(t)
         assert [getattr(t, f) for f in _TRACE_FIELDS] == [getattr(u, f) for f in _TRACE_FIELDS]
         assert t.choices is t.choices and t.per_event_fe is t.per_event_fe
+        assert type(t.values) is tuple and t.values == tuple(c.chosen for c in t.choices)
         n_evidence = sum(e.kind == "evidence" for e in t.per_event_fe)
         assert t.n_events == len(t.per_event_fe) == len(t.choices) + n_evidence
         assert t.completed is (t.status is RunStatus.COMPLETED)
