@@ -204,7 +204,7 @@ class EventFE(NamedTuple):
 class ChoiceRecord(NamedTuple):
     """One choice of a finished run: its site, the prior and the guide's
     `Dist`, the value drawn and both log-masses.  A named tuple, so that
-    `_RunState.trace` builds a run's records in C from its columns;
+    `Trace.choices` builds a run's records in C from its columns;
     ``rec._replace(...)`` makes a changed copy."""
 
     index: int
