@@ -287,14 +287,15 @@ def _weighted_histogram(stats: BatchStats) -> dict:
 def _cmd_oracle(args, notes: list) -> dict:
     cfg = _guide_config(args)
     entry, model = build_model(args.model, cfg)
+    guide = None if args.guide is None else build_guide(entry, args.guide, cfg)
     pe = enumerate_paths(model, max_paths=args.max_paths, max_events=args.max_events)
     evidence = exact_evidence(pe)
     results = {"paths": len(pe.entries), "evidence": evidence, "crash_mass": pe.crash_mass(),
                "conditional_h": exact_conditional_expectation(pe) if evidence > 0.0 else None}
     if args.model == "monkey":
         results["dp_evidence"] = monkey_evidence_dp(args.alphabet, args.length, args.pattern)
-    if args.guide is not None:
-        results["guide"] = asdict(exact_guided_profile(pe, build_guide(entry, args.guide, cfg)))
+    if guide is not None:
+        results["guide"] = asdict(exact_guided_profile(pe, guide))
     return results
 
 

@@ -25,9 +25,9 @@ Guides are scored without running the model again: one depth-first walk
 of the tree calls ``guide.begin`` once, then ``guide.propose`` once at
 each site the guide can reach, and carries the values chosen so far,
 log G(x), the running free energy and the ceiling trigger down each edge.
-The values chosen so far are a `HistoryView` linked to the parent's, the
-same view type that sampled sites carry; it costs O(1) per edge and is
-turned into a list only when a guide reads it.
+The values chosen so far are a `HistoryView`, as at sampled sites, of
+the parent's list with the edge's value appended: in place unless a
+sibling's subtree has extended that list (then to a copy of the prefix).
 That yields ground-truth evidence probabilities, conditional expectations,
 free energies, KL divergences, acceptance rates and run costs at desk
 scale.  Guides that insert extra choices are rejected.
@@ -230,42 +230,43 @@ def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> 
     """
     guide.begin(GuideContext(_no_extra_choice))
     ceiling = guide.ceiling
-    # (node, values chosen above it, log G of them, fe, events, rejected, events at rejection)
-    stack: list = [(pe.root, HistoryView([], 0), 0.0, 0.0, 0, False, None)]
+    # (node, depth, parent's value list, edge value, log G above it, fe, events, events at rejection)
+    stack: list = [(pe.root, 0, [], None, 0.0, 0.0, 0, None)]
     while stack:
-        node, history, log_guide, fe, events, rejected, observed = stack.pop()
+        node, depth, values, v, log_guide, fe, events, observed = stack.pop()
         for lp in node.log_evidence:
             events += 1
-            if not rejected:
+            if observed is None:
                 fe += -lp
                 if ceiling is not None and fe > ceiling:
-                    rejected = True
                     observed = events
         if type(node) is _Leaf:
             entry = node.entry
-            yield entry, log_guide, fe, entry.n_events if observed is None else observed, rejected
+            yield entry, log_guide, fe, entry.n_events if observed is None else observed, observed is not None
             continue
+        if depth:  # extend the parent's list in place, or a copy of its prefix once a sibling has
+            if len(values) != depth - 1:
+                values = values[:depth - 1]
+            values.append(v)
         prior = node.prior
-        g = guide.propose(ChoiceSite(len(history), node.label, prior, history, ()))
+        g = guide.propose(ChoiceSite(depth, node.label, prior, HistoryView(values, depth), ()))
         if g is None:
             g = prior
         events += 1
         if g is not prior:
             leaked = math.fsum(gm for gv, gm in g if prior.prob(gv) == 0.0)
             if leaked > 0.0:
-                leaks.append((math.exp(log_guide) * leaked, observed if rejected else events))
+                leaks.append((math.exp(log_guide) * leaked, events if observed is None else observed))
         for v, child in zip(reversed(node.values), reversed(node.children)):
             lg = g.log_prob(v)
             if lg == NEG_INF:
                 continue  # G never samples this subtree
-            child_fe, child_rejected, child_observed = fe, rejected, observed
-            if not rejected:
+            child_fe, child_observed = fe, observed
+            if observed is None:
                 child_fe = fe + (lg - prior.log_prob(v))
                 if ceiling is not None and child_fe > ceiling:
-                    child_rejected = True
                     child_observed = events
-            prefix = history._child(v) if type(child) is _Node else None  # a leaf needs no prefix
-            stack.append((child, prefix, log_guide + lg, child_fe, events, child_rejected, child_observed))
+            stack.append((child, depth + 1, values, v, log_guide + lg, child_fe, events, child_observed))
 
 
 @dataclass(frozen=True, slots=True)

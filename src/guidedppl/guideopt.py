@@ -287,8 +287,8 @@ def optimize_guide(
         raise ValueError("need at least one evaluation")
     if not 0.0 <= sigma < math.inf:
         raise ValueError("mutation scale sigma must be finite and nonnegative")
-    if not accept_margin >= 0.0:
-        raise ValueError("accept margin must be nonnegative")
+    if not 0.0 <= accept_margin < math.inf:
+        raise ValueError("accept margin must be finite and nonnegative")
     crn = derive_seeds(seed, n, stream=3)
     crn_runs = _SeededRuns(crn)  # each seed's first uniforms, computed once for every re-run
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(4,)))

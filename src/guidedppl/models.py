@@ -99,6 +99,8 @@ def make_monkey_model(alphabet_size: int = 2, length: int = 12, pattern: str = "
     alphabet = _ALPHABET[:alphabet_size]
     if any(c not in alphabet for c in pattern):
         raise ValueError(f"pattern {pattern!r} uses characters outside {alphabet!r}")
+    if length < 1:
+        raise ValueError("length must be at least 1")
     char = _char_dist(alphabet_size)
 
     def monkey(ctx: ModelContext) -> None:

@@ -108,50 +108,25 @@ class HistoryView(Sequence):
 
     A view reads the first n items of a list that only ever grows, so it
     stays a correct snapshot after the run moves on or ends.  A sampled
-    run shares its own value list among its views.  The exact walk makes
-    each child's view from its parent's with `_child`, as a link that the
-    first read resolves: it extends the nearest resolved ancestor's list,
-    in place unless another view has extended that list already, so a
-    chain of sites costs O(1) per site whether or not its guide reads it.
+    run shares its own value list among its views; the exact walk extends
+    a parent's list in place, or a copy of its prefix once a sibling has
+    extended it, so a chain of sites costs O(1) per site.
     """
 
     __slots__ = ("_values", "_n")
 
     def __init__(self, values: list, n: int):
-        self._values = values  # or (parent view, last value) until the first read
+        self._values = values
         self._n = n
-
-    def _child(self, value: Value) -> "HistoryView":
-        """This history followed by `value`."""
-        return HistoryView((self, value), self._n + 1)
-
-    def _list(self) -> list:
-        """The list whose first n items are this history, after resolving
-        this view and its unresolved ancestors."""
-        if type(self._values) is list:
-            return self._values
-        chain = []
-        view = self
-        while type(view._values) is not list:
-            chain.append(view)
-            view = view._values[0]
-        values, n = view._values, view._n
-        for view in reversed(chain):
-            if len(values) != n:  # another view extended this list: copy the shared prefix
-                values = values[:n]
-            values.append(view._values[1])
-            n += 1
-            view._values = values
-        return values
 
     def __len__(self) -> int:
         return self._n
 
     def __getitem__(self, i):
         n = self._n
+        values = self._values
         if type(i) is int and -n <= i < n:  # the common case, without a range object
-            return self._list()[i % n]
-        values = self._list()
+            return values[i % n]
         if isinstance(i, slice):
             return tuple(map(values.__getitem__, range(n)[i]))
         try:
@@ -162,7 +137,7 @@ class HistoryView(Sequence):
             raise TypeError(f"tuple indices must be integers or slices, not {type(i).__name__}") from None
 
     def __iter__(self) -> Iterator[Value]:
-        return islice(self._list(), self._n)
+        return islice(self._values, self._n)
 
     def __eq__(self, other):
         if isinstance(other, HistoryView):

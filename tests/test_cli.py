@@ -235,6 +235,16 @@ class TestErrorsAndDeterminism:
         code, out = invoke(capsys, "run", "--model", "three_dice", "--guide", "wat", "--n", "5")
         assert code == 2
 
+    def test_unknown_oracle_guide_exits_2_before_enumerating(self, capsys, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("the model was enumerated before --guide was resolved")
+
+        monkeypatch.setattr(cli, "enumerate_paths", no_enumeration)
+        code = main(["oracle", "--model", "expr", "--depth-cap", "3", "--guide", "nope"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("unknown guide 'nope' for model 'expr'; known: ")
+
     def test_missing_params_file_exits_2(self, capsys, tmp_path):
         missing = tmp_path / "nonexistent.json"
         code = main(["run", "--model", "three_dice", "--guide", "tabular", "--params", str(missing), "--n", "5"])
@@ -302,13 +312,23 @@ class TestErrorsAndDeterminism:
     @pytest.mark.parametrize("option, message", [
         ("--sigma", "mutation scale sigma must be finite and nonnegative"),
         ("--k", "impatience constant k must be finite and nonnegative"),
+        ("--margin", "accept margin must be finite and nonnegative"),
     ])
     def test_infinite_search_option_is_structured(self, capsys, option, message):
-        # --sigma inf used to exit 0 with nothing accepted, --k inf with best_utility Infinity.
+        # --sigma and --margin inf used to exit 0 with nothing accepted, --k inf with best_utility Infinity.
         code, doc = invoke_json(capsys, "optimize", "--model", "three_dice", "--budget", "30", "--eval-n", "50",
                                 option, "inf")
         assert code == 1
         assert doc["error"] == {"type": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("command", [("run", "--n", "10"), ("bound", "--n", "10"), ("oracle",), ("optimize",),
+                                         ("trace",)], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("length", ["0", "-5"])
+    def test_monkey_length_below_one_is_structured(self, capsys, command, length):
+        # --length -5 made no choice: `run` exited 0 with mean_fe Infinity, `oracle` with one path.
+        code, doc = invoke_json(capsys, *command, "--model", "monkey", "--length", length)
+        assert code == 1
+        assert doc["error"] == {"type": "ValueError", "message": "length must be at least 1"}
 
     def test_no_accepted_runs_is_structured(self, capsys):
         code, doc = invoke_json(

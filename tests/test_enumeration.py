@@ -552,3 +552,20 @@ class TestLongPaths:
             tracemalloc.stop()
         assert prof.acceptance_rate == 1.0 and len(pe.entries) == 1
         assert peak < 16 * 2**20
+
+    def test_walk_extends_one_list_along_a_chain(self):
+        # A guide that keeps every site of a 4,000-choice chain: a copy of
+        # the prefix per site would keep about 64 MB alive.
+        pe = enumerate_paths(make_monkey_model(1, 4_000, "a"))
+        kept = []
+        guide = FunctionGuide(lambda site: kept.append(site))
+        tracemalloc.start()
+        try:
+            exact_guided_profile(pe, guide)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        (path,) = (e.choices for e in pe.entries)
+        assert [site.index for site in kept] == list(range(4_000))
+        assert all(site.history == path[:site.index] for site in kept)

@@ -813,17 +813,6 @@ def test_history_views_of_the_walk(structure_seed, crash, order):
         assert site.extras == () and site.index == len(site.history)
 
 
-def test_history_view_copies_only_when_siblings_share_a_list():
-    root = runtime.HistoryView([], 0)
-    a = root._child("a")
-    ab, ac = a._child("b"), a._child("c")
-    abd = ab._child("d")
-    assert tuple(ac) == ("a", "c")  # resolves a and ac by extending root's list in place
-    assert tuple(abd) == ("a", "b", "d") and tuple(ab) == ("a", "b")  # a's list has moved on: copy
-    assert tuple(a) == ("a",) and tuple(root) == ()
-    assert ac._list() is a._list() and abd._list() is ab._list() and ab._list() is not a._list()
-
-
 def test_cost_per_event_is_flat_in_run_length():
     """Monkey under `pattern_insert` costs the same per event at 100 and
     at 16,000 events; a history copy per site made it about 5x dearer."""

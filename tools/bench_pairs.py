@@ -10,9 +10,15 @@ writes ``BENCH_<workload>.json`` in the current directory:
 every run's result and `info` line, and for each end-to-end metric of
 CHANGE_DIR's ``BENCHMARK.json`` the median and quartiles of each side,
 the ratio of the medians (change over parent), the number of pairs the
-change won (ties count for neither side) and whether that makes a gain:
-the change wins at least nine pairs in ten and its median is better by
-more than the distance between the parent's quartiles.  It also records
+change won (ties count for neither side), whether that makes a gain
+(the change wins at least nine pairs in ten and its median is better by
+more than the distance between the parent's quartiles) and a verdict on
+regression.  With the metric's `bound` (a fraction) times the parent's
+median as the allowed amount, the verdict is `regression` when the
+change's median is worse than the parent's by more than that amount,
+`unresolved` when it is not but either side's quartile spread exceeds
+that amount and some change run does not beat every parent run, and
+`within_bound` otherwise.  It also records
 each side's git commit, the Python and numpy versions, and whether the
 first cycle's output digest is the same on both sides.  It changes no
 file in either checkout.
@@ -73,7 +79,8 @@ def quartiles(values: list[float]) -> list[float]:
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: each side's quartiles, the median ratio,
-    the pairs won by the change and whether that makes a gain."""
+    the pairs won by the change, whether that makes a gain and the
+    regression verdict."""
     out = {}
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
@@ -82,12 +89,21 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
         pq, cq = quartiles(parent), quartiles(change)
         better_by = (cq[1] - pq[1]) if higher else (pq[1] - cq[1])
+        allowed = m["bound"] * pq[1]
+        all_beat = min(change) > max(parent) if higher else max(change) < min(parent)
+        if -better_by > allowed:
+            verdict = "regression"
+        elif max(pq[2] - pq[0], cq[2] - cq[0]) > allowed and not all_beat:
+            verdict = "unresolved"
+        else:
+            verdict = "within_bound"
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent_quartiles": pq, "change_quartiles": cq,
             "median_ratio": cq[1] / pq[1],
             "pairs_won": won, "pairs": len(pairs),
             "gain": won >= 0.9 * len(pairs) and better_by > pq[2] - pq[0],
+            "verdict": verdict,
         }
     return out
 
@@ -120,7 +136,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(record, indent=1) + "\n")
     for name, s in record["summary"].items():
         print(f"{name:<12} parent {s['parent_quartiles'][1]:.6g} change {s['change_quartiles'][1]:.6g} "
-              f"ratio {s['median_ratio']:.3f} won {s['pairs_won']}/{s['pairs']} gain {s['gain']}")
+              f"ratio {s['median_ratio']:.3f} won {s['pairs_won']}/{s['pairs']} gain {s['gain']} {s['verdict']}")
     print(f"wrote {out}")
     return 0
 
