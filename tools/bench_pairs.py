@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(record, indent=1) + "\n")
     for name, s in record["summary"].items():
         print(f"{name:<12} parent {s['parent_quartiles'][1]:.6g} change {s['change_quartiles'][1]:.6g} "
-              f"ratio {s['median_ratio']:.3f} won {s['pairs_won']}/{s['pairs']} gain {s['gain']} {s['verdict']}")
+              f"ratio {s['median_ratio']:.3f} won {s['pairs_won']}/{s['pairs']} gain {s['gain']} verdict {s['verdict']}")
     print(f"wrote {out}")
     return 0
 
