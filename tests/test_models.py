@@ -222,3 +222,19 @@ class TestRegistry:
                 assert run_trace(model, PriorGuide(), int(seed)) == run_trace(
                     model, PriorGuide(), int(seed)
                 )
+
+    @pytest.mark.parametrize("model, factory, default", [
+        ("three_dice", "family", 30.0),
+        ("expr", "family", 100.0),
+        ("three_dice", "prior_reject", 500.0),
+        *((m, g, None) for m, gs in (("three_dice", ("prior", "posterior", "die1_is_5")),
+                                     ("monkey", ("prior", "pattern_insert")), ("expr", ("prior",)))
+          for g in gs),
+    ])
+    def test_table_ceilings(self, model, factory, default):
+        # With no ceiling a factory gives its default (None: no ceiling); a given ceiling wins.
+        entry = MODELS[model]
+        make = entry.family if factory == "family" else entry.guides[factory]
+        assert make().ceiling == default
+        assert make(ceiling=None).ceiling == default
+        assert make(ceiling=7.0).ceiling == 7.0
