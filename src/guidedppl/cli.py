@@ -141,31 +141,14 @@ def _emit(value, indent: int, out: list, escaped: _Escapes) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-# What `_escape` rewrites: a quote, a backslash or a control character below 0x20.
+# What `_escape` rewrites (a quote, a backslash or a control character below 0x20), and to what.
 _NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+_ESCAPES = {chr(i): f"\\u{i:04x}" for i in range(0x20)} | {
+    '"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
 
 def _escape(s: str) -> str:
-    if _NEEDS_ESCAPE.search(s) is None:
-        return '"' + s + '"'
-    parts = ['"']
-    for ch in s:
-        if ch == '"':
-            parts.append('\\"')
-        elif ch == "\\":
-            parts.append("\\\\")
-        elif ch == "\n":
-            parts.append("\\n")
-        elif ch == "\t":
-            parts.append("\\t")
-        elif ch == "\r":
-            parts.append("\\r")
-        elif ord(ch) < 0x20:
-            parts.append(f"\\u{ord(ch):04x}")
-        else:
-            parts.append(ch)
-    parts.append('"')
-    return "".join(parts)
+    return '"' + _NEEDS_ESCAPE.sub(lambda m: _ESCAPES[m.group()], s) + '"'
 
 
 def dumps(doc) -> str:
@@ -179,8 +162,8 @@ def dumps(doc) -> str:
 
 
 class UsageError(Exception):
-    """Unknown model or guide name, or a file that cannot be read or
-    written (exit code 2)."""
+    """Unknown model or guide name, a file that cannot be read or written,
+    or ``--params`` given to ``optimize`` (exit code 2)."""
 
 
 def _guide_config(args) -> dict:
@@ -225,8 +208,7 @@ def build_model(model_name: str, cfg: dict):
     entry = MODELS.get(model_name)
     if entry is None:
         raise UsageError(f"unknown model {model_name!r}; known: {', '.join(sorted(MODELS))}")
-    kwargs = {k: cfg[k] for k in entry.model_args if cfg.get(k) is not None}
-    return entry, entry.build(**kwargs)
+    return entry, entry.build(**cfg)
 
 
 def build_guide(entry, guide_name: str, cfg: dict):
@@ -301,6 +283,11 @@ def _cmd_oracle(args, notes: list) -> dict:
 
 def _cmd_bound(args, notes: list) -> dict:
     check_delta(args.delta)
+    if args.hypothesis:  # resolve both guide names before the first batch
+        cfg = _guide_config(args)
+        entry, _ = build_model(args.model, cfg)
+        for name in (args.guide, args.guide_num or args.guide):
+            build_guide(entry, name, cfg)
     den_stats = _collect_stats(args, stream=2 if args.hypothesis else 0)
     if not args.hypothesis:
         return {"evidence_bound": asdict(lower_confidence_bound(den_stats.weight_evidence, args.delta))}
@@ -311,6 +298,8 @@ def _cmd_bound(args, notes: list) -> dict:
 
 
 def _cmd_optimize(args, notes: list) -> dict:
+    if args.params is not None:
+        raise UsageError("optimize searches from the empty table; --params does not apply")
     cfg = _guide_config(args)
     entry, model = build_model(args.model, cfg)
     if entry.family is None:

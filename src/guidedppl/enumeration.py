@@ -2,14 +2,16 @@
 
 `enumerate_paths` runs the model once per terminating path and keeps the
 execution as a prefix tree.  Each run replays a forced prefix of choices,
-then takes the first value, in sorted order, at every later site and sets
-the siblings aside as prefixes for later runs; so every run ends at a new
-leaf, and leaves come out in sorted order.  An internal node holds the
-log evidence declared since its parent choice, the site's label and prior
-and one child per prior value; a leaf holds its trailing log evidence and
-the path's `PathEntry`, the one place that stores the path's values.
-This needs nothing from the host language beyond the determinism
-contract the runtime already imposes.
+then takes the first positive-mass value, in sorted order, at every later
+site and sets the other positive-mass values aside as prefixes for later
+runs; so every run ends at a new leaf, and leaves come out in sorted
+order.  A value of zero prior mass gets no child: sampling never draws
+it.  An internal node holds the log evidence declared since its parent
+choice, the site's label and prior and one child per positive-mass prior
+value; a leaf holds its trailing log evidence and the path's
+`PathEntry`, the one place that stores the path's values.  This needs
+nothing from the host language beyond the determinism contract the
+runtime already imposes.
 
 Each run goes through the runtime's context core (`ModelContext`) with
 replay as its value policy.  A run that crashes after its forced prefix
@@ -87,13 +89,13 @@ class _Leaf:
 @dataclass(slots=True, eq=False)
 class _Node:
     """A choice site: the log evidence declared since the parent choice,
-    its label and prior, and one child per prior value, in `_value_key`
-    order.  The values chosen before it are the edges above it."""
+    its label and prior, and one child per positive-mass prior value, in
+    `_value_key` order.  The values chosen before it are the edges above it."""
 
     log_evidence: tuple[float, ...]
     label: Optional[str]
     prior: Dist
-    values: list[Value]
+    values: tuple[Value, ...]
     children: list[Union[_Node, _Leaf, None]]
 
 
@@ -116,8 +118,9 @@ def _value_key(v: Value):
 
 class _ForcedRun(ModelContext):
     """Enumeration's value policy: replay a forced choice prefix, then grow
-    the tree to a new leaf: at each later site add a node, take the first
-    sorted value and push the siblings' prefixes onto `stack`."""
+    the tree to a new leaf: at each later site add a node over the prior's
+    positive-mass values, take the first of them in sorted order and push
+    the siblings' prefixes onto `stack`."""
 
     def __init__(self, forced: tuple, log_prior: float, slot: tuple, stack: list, max_events: int):
         super().__init__(max_events)
@@ -138,7 +141,7 @@ class _ForcedRun(ModelContext):
             if prior.prob(v) == 0.0:
                 raise RuntimeError(f"forced value {v!r} left the prior support")
         else:
-            values = sorted(prior.values, key=_value_key)
+            values = tuple(sorted((v for v, m in prior if m > 0.0), key=_value_key))  # sized exactly
             node = _Node(tuple(self.pending), label, prior, values, [None] * len(values))
             children, i = self.slot
             children[i] = node
@@ -229,7 +232,7 @@ def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> 
     an earlier rejection) to `leaks`.
     """
     guide.begin(GuideContext(_no_extra_choice))
-    ceiling = guide.ceiling
+    ceiling = math.inf if guide.ceiling is None else guide.ceiling  # as `run_trace` reads it
     # (node, depth, parent's value list, edge value, log G above it, fe, events, events at rejection)
     stack: list = [(pe.root, 0, [], None, 0.0, 0.0, 0, None)]
     while stack:
@@ -238,7 +241,7 @@ def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> 
             events += 1
             if observed is None:
                 fe += -lp
-                if ceiling is not None and fe > ceiling:
+                if fe > ceiling:
                     observed = events
         if type(node) is _Leaf:
             entry = node.entry
@@ -264,7 +267,7 @@ def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> 
             child_fe, child_observed = fe, observed
             if observed is None:
                 child_fe = fe + (lg - prior.log_prob(v))
-                if ceiling is not None and child_fe > ceiling:
+                if child_fe > ceiling:
                     child_observed = events
             stack.append((child, depth + 1, values, v, log_guide + lg, child_fe, events, child_observed))
 
@@ -290,10 +293,11 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
     equals the plain free energy.
 
     Guide mass leaked onto prior-impossible values gets +inf free energy
-    at the leaking choice, so a ceiling rejects those runs right there and
-    their cost is still exact; mass leaked below a prefix the ceiling has
-    already rejected costs the events up to that rejection.  Any leak
-    makes `free_energy` and `kl` +inf.  Without a ceiling a leaky guide's
+    at the leaking choice, so a finite ceiling rejects those runs right
+    there and their cost is still exact; mass leaked below a prefix the
+    ceiling has already rejected costs the events up to that rejection.
+    Any leak makes `free_energy` and `kl` +inf.  Without a ceiling, or
+    with an infinite one (the same to `run_trace`), a leaky guide's
     `adjusted_fe` is +inf and its run cost is a lower bound (the model's
     behavior past a prior-impossible value is not enumerable).
 
@@ -326,10 +330,10 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
     free_energy = math.inf if leaks else total
     evidence = exact_evidence(pe)
     kl = math.inf if (not math.isfinite(free_energy) or evidence == 0.0) else free_energy + math.log(evidence)
-    # With no ceiling nothing is rejected: leaked runs complete with +inf fe.
-    unbounded = guide.ceiling is None
-    acceptance = acc_mass + leak_mass if unbounded else acc_mass
-    adjusted = math.inf if (leaks and unbounded) or not acc_mass else acc_fe / acc_mass - math.log(acc_mass)
+    # A leaked run has +inf fe, so only a ceiling below +inf rejects it.
+    leaks_complete = guide.ceiling is None or not math.inf > guide.ceiling
+    acceptance = acc_mass + leak_mass if leaks_complete else acc_mass
+    adjusted = math.inf if (leaks and leaks_complete) or not acc_mass else acc_fe / acc_mass - math.log(acc_mass)
     return GuidedSamplingProfile(free_energy, kl, acceptance, adjusted, mean_events)
 
 

@@ -9,16 +9,17 @@ Three models exercise the whole runtime surface:
   a pattern.  Its natural guide inserts an extra choice (the position to
   plant the pattern at), exercising model extensions; an automaton
   dynamic program gives the exact evidence probability.
-* ``expr``: random arithmetic expression induction, generating a small
-  expression tree, observing f(3) == 9 and f(4) == 16, and asking
-  whether f(5) == 25.
+* ``expr``: random arithmetic expression induction: choosing a small
+  expression tree as the plain Python function f of x that it computes,
+  observing f(3) == 9 and f(4) == 16, and asking whether f(5) == 25.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Union
+from functools import lru_cache, partial
+from typing import Any, Callable, Optional
 
 from .dists import Dist, dist_from_weights, point_mass, uniform_range
 from .guideopt import PointGuideFamily, TabularGuideFamily
@@ -49,6 +50,9 @@ def three_dice(ctx: ModelContext) -> None:
 class DicePosteriorGuide(Guide):
     """Samples the exact posterior over dice: die1 from its posterior,
     die2 uniform over values that still allow a sum of 7, die3 forced."""
+
+    def __init__(self, ceiling: Optional[float] = None):
+        self.ceiling = ceiling
 
     def propose(self, site: ChoiceSite) -> Optional[Dist]:
         if site.index == 0:
@@ -206,52 +210,25 @@ _EXPR_TERMINALS = dist_from_weights([("var", 0.5), ("const", 0.5)])
 _EXPR_CONSTS = uniform_range(0, 9)
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    def evaluate(self, x: int) -> int:
-        return x
+def _identity(x: int) -> int:
+    return x
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
-    value: int
-
-    def evaluate(self, x: int) -> int:
-        return self.value
-
-
-@dataclass(frozen=True, slots=True)
-class Add:
-    left: "ExprNode"
-    right: "ExprNode"
-
-    def evaluate(self, x: int) -> int:
-        return self.left.evaluate(x) + self.right.evaluate(x)
-
-
-@dataclass(frozen=True, slots=True)
-class Mul:
-    left: "ExprNode"
-    right: "ExprNode"
-
-    def evaluate(self, x: int) -> int:
-        return self.left.evaluate(x) * self.right.evaluate(x)
-
-
-ExprNode = Union[Var, Const, Add, Mul]
-
-
-def generate_expr(ctx: ModelContext, depth: int, depth_cap: int, path: str) -> ExprNode:
+def generate_expr(ctx: ModelContext, depth: int, depth_cap: int, path: str) -> Callable[[int], int]:
+    """Choose an expression tree top-down, left subtree first, and return
+    the function of x that it computes."""
     # At the depth cap the production prior is truncated to terminals.
     prior = _EXPR_PRODUCTIONS if depth < depth_cap else _EXPR_TERMINALS
     production = ctx.choose(prior, label=f"prod@{path}")
     if production == "var":
-        return Var()
+        return _identity
     if production == "const":
-        return Const(ctx.choose(_EXPR_CONSTS, label=f"const@{path}"))
+        c = ctx.choose(_EXPR_CONSTS, label=f"const@{path}")
+        return lambda x: c
     left = generate_expr(ctx, depth + 1, depth_cap, path + "l")
     right = generate_expr(ctx, depth + 1, depth_cap, path + "r")
-    return Add(left, right) if production == "add" else Mul(left, right)
+    op = operator.add if production == "add" else operator.mul
+    return lambda x: op(left(x), right(x))
 
 
 def make_expr_model(depth_cap: int = 3) -> Callable[[ModelContext], None]:
@@ -262,9 +239,9 @@ def make_expr_model(depth_cap: int = 3) -> Callable[[ModelContext], None]:
 
     def expr_induction(ctx: ModelContext) -> None:
         f = generate_expr(ctx, 1, depth_cap, "e")
-        ctx.evidence(f.evaluate(3) == 9)
-        ctx.evidence(f.evaluate(4) == 16)
-        ctx.set_hypothesis(f.evaluate(5) == 25)
+        ctx.evidence(f(3) == 9)
+        ctx.evidence(f(4) == 16)
+        ctx.set_hypothesis(f(5) == 25)
 
     return expr_induction
 
@@ -285,66 +262,57 @@ def expr_tabular_family(ceiling: Optional[float] = 100.0) -> TabularGuideFamily:
 
 @dataclass(frozen=True)
 class ModelEntry:
+    """A model of the table, with its guide factories and, if it has one,
+    its tabular guide family.
+
+    The CLI calls `build`, each guide factory and `family` with every
+    option of the command as a keyword (``ceiling``, ``alphabet``,
+    ``length``, ``pattern``, ``depth_cap``, ``params``); each takes the
+    ones it needs and ignores the rest (``**_``).  A ceiling of None (no
+    ``--ceiling``) gives the factory's default.
+    """
+
     name: str
     build: Callable[..., Callable[[ModelContext], None]]
     guides: dict[str, Callable[..., Guide]]
     family: Optional[Callable[..., TabularGuideFamily]]
-    model_args: tuple[str, ...]  # config keys forwarded to build()
 
 
-def _dice_guides() -> dict:
-    return {
-        "prior": lambda ceiling=None, **_: PriorGuide(ceiling=ceiling),
-        "prior_reject": lambda ceiling=500.0, **_: PriorGuide(ceiling=ceiling if ceiling is not None else 500.0),
-        "posterior": lambda ceiling=None, **_: _with_ceiling(DicePosteriorGuide(), ceiling),
-        "die1_is_5": lambda ceiling=None, **_: _with_ceiling(
-            FunctionGuide(lambda site: {0: _POINTS[5], 1: _POINTS[1], 2: _POINTS[1]}[site.index]),
-            ceiling,
-        ),
-    }
+def _table_factory(factory: Callable[..., Any]) -> Callable[..., Any]:
+    """`factory` as the table calls it: other options are ignored, and a
+    ceiling of None takes the factory's own default."""
+    return lambda ceiling=None, **_: factory() if ceiling is None else factory(ceiling=ceiling)
 
 
-def _with_ceiling(guide: Guide, ceiling: Optional[float]) -> Guide:
-    if ceiling is not None:
-        guide.ceiling = ceiling
-    return guide
-
-
-def _monkey_guides() -> dict:
-    return {
-        "prior": lambda ceiling=None, **_: PriorGuide(ceiling=ceiling),
-        "pattern_insert": lambda alphabet=2, length=12, pattern="aba", ceiling=None, **_: PatternInsertGuide(
-            alphabet_size=alphabet, length=length, pattern=pattern, ceiling=ceiling
-        ),
-    }
-
-
-def _expr_guides() -> dict:
-    return {
-        "prior": lambda ceiling=None, **_: PriorGuide(ceiling=ceiling),
-    }
-
+_prior = _table_factory(PriorGuide)
 
 MODELS: dict[str, ModelEntry] = {
     "three_dice": ModelEntry(
         name="three_dice",
         build=lambda **_: three_dice,
-        guides=_dice_guides(),
-        family=lambda ceiling=30.0, **_: dice_tabular_family(ceiling=ceiling if ceiling is not None else 30.0),
-        model_args=(),
+        guides={
+            "prior": _prior,
+            "prior_reject": _table_factory(partial(PriorGuide, ceiling=500.0)),
+            "posterior": _table_factory(DicePosteriorGuide),
+            "die1_is_5": _table_factory(partial(
+                FunctionGuide, lambda site: (_POINTS[5], _POINTS[1], _POINTS[1])[site.index])),
+        },
+        family=_table_factory(dice_tabular_family),
     ),
     "monkey": ModelEntry(
         name="monkey",
         build=lambda alphabet=2, length=12, pattern="aba", **_: make_monkey_model(alphabet, length, pattern),
-        guides=_monkey_guides(),
+        guides={
+            "prior": _prior,
+            "pattern_insert": lambda alphabet=2, length=12, pattern="aba", ceiling=None, **_: PatternInsertGuide(
+                alphabet, length, pattern, ceiling),
+        },
         family=None,
-        model_args=("alphabet", "length", "pattern"),
     ),
     "expr": ModelEntry(
         name="expr",
         build=lambda depth_cap=3, **_: make_expr_model(depth_cap),
-        guides=_expr_guides(),
-        family=lambda ceiling=100.0, **_: expr_tabular_family(ceiling=ceiling if ceiling is not None else 100.0),
-        model_args=("depth_cap",),
+        guides={"prior": _prior},
+        family=_table_factory(expr_tabular_family),
     ),
 }

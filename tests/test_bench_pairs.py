@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,46 @@ def test_summarize_keeps_the_gain_rule():
     assert s["median_ratio"] == pytest.approx(106 / 101)
     s = bench_pairs.summarize(_pairs(HIGHER, parent, [p + 1 for p in parent]), [HIGHER])["work_per_s"]
     assert (s["pairs_won"], s["gain"]) == (10, False)  # better by less than the parent's quartile spread
+
+
+_FAKE_RUN = """import json, sys
+from pathlib import Path
+calls = Path("calls")
+n = int(calls.read_text()) + 1 if calls.exists() else 1
+calls.write_text(str(n))
+if n >= {fail_at}:
+    print("\\n".join(f"line {{i}}" for i in range(30)), file=sys.stderr)
+    sys.exit(1)
+print("info " + json.dumps({{"python": "3", "numpy": "2", "nproc": 2, "first_cycle_sha256": "x"}}))
+print(json.dumps({{"correct": True, "metrics": {{m: {{"value": {value}}} for m in
+                  ("setup_s", "peak_rss_mb", "call_p50_ms", "work_per_s")}}}}))
+"""
+
+
+def _checkout(root, name, value, fail_at=1000):
+    """A fake checkout whose benchmark prints a canned result until its
+    `fail_at`-th run, which exits 1 after 30 lines of stderr."""
+    (root / name / "perfbench").mkdir(parents=True)
+    (root / name / "perfbench" / "run.py").write_text(_FAKE_RUN.format(fail_at=fail_at, value=value))
+    (root / name / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [LOWER, HIGHER]}))
+    return str(root / name)
+
+
+@pytest.mark.parametrize("fail_at, completed", [(1000, 3), (3, 2), (1, 0)])
+def test_a_failed_run_keeps_the_completed_pairs(tmp_path, monkeypatch, fail_at, completed):
+    monkeypatch.chdir(tmp_path)
+    parent, change = _checkout(tmp_path, "parent", 100), _checkout(tmp_path, "change", 90, fail_at)
+    code = bench_pairs.main([parent, change, "--workload", "w", "--pairs", "3", "--seconds", "1"])
+    record = json.loads((tmp_path / "BENCH_w.json").read_text())
+    assert len(record["runs"]) == completed
+    if completed == 3:
+        assert code == 0 and "failed_run" not in record
+    else:
+        assert code == 1
+        assert record["failed_run"] == {"side": "change", "pair": completed + 1, "exit_code": 1,
+                                        "stderr_tail": [f"line {i}" for i in range(10, 30)]}
+    if completed:
+        assert record["summary"]["work_per_s"]["pairs"] == completed
+        assert record["summary"]["call_p50_ms"]["change_quartiles"] == [90, 90, 90]
+    else:
+        assert "summary" not in record

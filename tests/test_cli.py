@@ -245,6 +245,25 @@ class TestErrorsAndDeterminism:
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("unknown guide 'nope' for model 'expr'; known: ")
 
+    def test_unknown_numerator_guide_exits_2_before_sampling(self, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a batch ran before --guide-num was resolved")
+
+        monkeypatch.setattr(cli, "batch_stats", no_sampling)
+        for guides in (["--guide-num", "nope"], ["--guide", "nope", "--guide-num", "prior"]):
+            code = main(["bound", "--model", "expr", "--hypothesis", *guides, "--n", "200000"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err.startswith("unknown guide 'nope' for model 'expr'; known: ")
+
+    def test_optimize_params_is_a_usage_error(self, capsys, tmp_path):
+        params = tmp_path / "params.json"
+        params.write_text('{"die1": [1.0, 0, 0, 0, 0, 0]}')
+        code = main(["optimize", "--model", "three_dice", "--budget", "5", "--params", str(params)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "optimize searches from the empty table; --params does not apply\n"
+
     def test_missing_params_file_exits_2(self, capsys, tmp_path):
         missing = tmp_path / "nonexistent.json"
         code = main(["run", "--model", "three_dice", "--guide", "tabular", "--params", str(missing), "--n", "5"])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from guidedppl import (
     ConditioningOnNullError,
     CrashEntry,
+    Dist,
     EnumerationCapError,
     ExtraChoicesUnsupportedError,
     FunctionGuide,
@@ -366,6 +367,64 @@ class TestGuidedProfile:
         assert prof.acceptance_rate == pytest.approx(1.0, abs=1e-12)
         assert prof.adjusted_fe == pytest.approx(rep.free_energy, abs=1e-9)
 
+
+    def test_infinite_ceiling_is_no_ceiling(self, dice_pe):
+        # Half the first die's guide mass leaks onto 7; a leaked run's fe
+        # is +inf, which an infinite ceiling does not exceed, so it completes.
+        def guide(ceiling):
+            first = dist_from_weights([(7, 0.5), (1, 0.5)])
+            return FunctionGuide(lambda site: first if site.index == 0 else None, ceiling=ceiling)
+
+        prof = exact_guided_profile(dice_pe, guide(math.inf))
+        assert prof == exact_guided_profile(dice_pe, guide(None))
+        assert prof.acceptance_rate == 1.0
+        for ceiling in (math.inf, None):
+            assert batch_stats(three_dice, guide(ceiling), derive_seeds(1, 4000)).accepted.all()
+
+
+class TestZeroMassValues:
+    """A prior value of zero mass gets no tree node, as sampling never draws it."""
+
+    @staticmethod
+    def model(masses):
+        def model(ctx):
+            ctx.evidence(ctx.choose(Dist([1, 2, 3], masses), label="a") != 3)
+
+        return model
+
+    @pytest.mark.parametrize("masses, values", [([0.5, 0.0, 0.5], {1, 3}), ([0.0, 0.5, 0.5], {2, 3})])
+    def test_prior_paths_and_evidence(self, masses, values):
+        model = self.model(masses)
+        pe = enumerate_paths(model)
+        assert {e.choices for e in pe.entries} == {(v,) for v in values}
+        assert exact_evidence(pe) == 0.5
+        prof = exact_guided_profile(pe, PriorGuide())
+        assert (prof.acceptance_rate, prof.mean_events_per_run) == (1.0, 2.0)
+        seeds = derive_seeds(1, 4000)
+        assert {run_trace(model, PriorGuide(), int(s)).choices[0].chosen for s in seeds[:200]} == values
+        stats = batch_stats(model, PriorGuide(), seeds)
+        assert stats.accepted.all() and (stats.events == 2).all()
+        # Binomial weights: five standard errors of 0.5/sqrt(4000).
+        assert stats.weight_evidence.mean() == pytest.approx(0.5, abs=0.04)
+
+    def test_guide_mass_on_a_zero_mass_value_is_a_leak(self):
+        # The guide puts half its mass on 1, which the prior gives zero.
+        model = self.model([0.0, 0.5, 0.5])
+        pe = enumerate_paths(model)
+        guide = FunctionGuide(lambda site: uniform_range(1, 2))
+        prof = exact_guided_profile(pe, guide)
+        stats = batch_stats(model, guide, derive_seeds(1, 4000))
+        assert prof.acceptance_rate == stats.accepted.mean() == 1.0
+        assert prof.free_energy == prof.adjusted_fe == math.inf
+        # Without a ceiling the run cost is a lower bound: the leaked runs' 1 + 1 events count 1.
+        assert prof.mean_events_per_run == 1.5 and stats.events.mean() == 2.0
+        guide.ceiling = 10.0  # rejects each leaked run at its choice
+        prof = exact_guided_profile(pe, guide)
+        stats = batch_stats(model, guide, derive_seeds(1, 4000))
+        assert (prof.acceptance_rate, prof.mean_events_per_run) == (0.5, 1.5)
+        assert prof.adjusted_fe == pytest.approx(math.log(2), abs=1e-12)
+        assert stats.accepted.mean() == pytest.approx(0.5, abs=0.04)
+        assert stats.events.mean() == pytest.approx(1.5, abs=0.04)
 
 def test_sampling_floor_holds_for_random_full_tables(dice_pe):
     # Full-support tables reach evidence-violating paths: infinite free

@@ -22,6 +22,11 @@ that amount and some change run does not beat every parent run, and
 each side's git commit, the Python and numpy versions, and whether the
 first cycle's output digest is the same on both sides.  It changes no
 file in either checkout.
+
+When a run exits non-zero, the script stops there, still writes the file
+with the pairs completed before it (and their summary, if there are
+any), adds a `failed_run` entry (side, pair number, exit code and the
+last 20 lines of the run's stderr) and exits 1.
 """
 
 from __future__ import annotations
@@ -57,13 +62,22 @@ def git_commit(checkout: Path) -> dict:
     return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
+class RunFailed(Exception):
+    """A benchmark run exited non-zero; keeps its exit code and the last 20 lines of its stderr."""
+
+    def __init__(self, exit_code: int, stderr: str):
+        super().__init__(f"exited {exit_code}")
+        self.exit_code = exit_code
+        self.stderr_tail = stderr.splitlines()[-20:]
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in `checkout`: its JSON result, with its `info` line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", f"{seconds:g}", "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+        raise RunFailed(proc.returncode, proc.stderr)
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     result["info"] = next(json.loads(line[len("info "):]) for line in lines if line.startswith("info "))
@@ -112,33 +126,44 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
-    pairs = []
+    pairs, failed = [], None
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"first": order[0]}
-        for side in order:
-            pair[side] = run_once(sides[side], args.workload, args.seed, args.seconds)
+        try:
+            for side in order:
+                pair[side] = run_once(sides[side], args.workload, args.seed, args.seconds)
+        except RunFailed as exc:
+            failed = {"side": side, "pair": i + 1, "exit_code": exc.exit_code, "stderr_tail": exc.stderr_tail}
+            print(f"pair {i + 1}/{args.pairs}: the {side} run exited {exc.exit_code}:", *exc.stderr_tail,
+                  sep="\n", file=sys.stderr)
+            break
         pairs.append(pair)
         ratio = pair["change"]["metrics"]["work_per_s"]["value"] / pair["parent"]["metrics"]["work_per_s"]["value"]
         print(f"pair {i + 1}/{args.pairs} ({order[0]} first): work_per_s change/parent {ratio:.3f}", flush=True)
-    info = pairs[0]["parent"]["info"]
     record = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
         "command": "python3 perfbench/run.py --trace 0",
-        "python": info["python"], "numpy": info["numpy"], "nproc": info["nproc"],
         "parent": git_commit(args.parent), "change": git_commit(args.change),
-        "all_correct": all(p[s]["correct"] for p in pairs for s in sides),
-        "same_first_cycle_output": len({p[s]["info"]["first_cycle_sha256"] for p in pairs for s in sides}) == 1,
-        "summary": summarize(pairs, metrics),
-        "runs": pairs,
     }
+    if pairs:  # what the completed pairs measured, also when a later run failed
+        info = pairs[0]["parent"]["info"]
+        record |= {
+            "python": info["python"], "numpy": info["numpy"], "nproc": info["nproc"],
+            "all_correct": all(p[s]["correct"] for p in pairs for s in sides),
+            "same_first_cycle_output": len({p[s]["info"]["first_cycle_sha256"] for p in pairs for s in sides}) == 1,
+            "summary": summarize(pairs, metrics),
+        }
+    if failed:
+        record["failed_run"] = failed
+    record["runs"] = pairs
     out = Path(f"BENCH_{args.workload}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
-    for name, s in record["summary"].items():
+    for name, s in record.get("summary", {}).items():
         print(f"{name:<12} parent {s['parent_quartiles'][1]:.6g} change {s['change_quartiles'][1]:.6g} "
               f"ratio {s['median_ratio']:.3f} won {s['pairs_won']}/{s['pairs']} gain {s['gain']} verdict {s['verdict']}")
     print(f"wrote {out}")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
