@@ -1,5 +1,6 @@
 """Shared test models and guide constructions."""
 
+import functools
 import math
 import zlib
 from itertools import product
@@ -87,33 +88,51 @@ def make_hashed_model(structure_seed: int, depth: int = 4, crash: bool = False):
 
     With `crash`, a hashed draw after each choice ends about one site in
     six in a crash: a raised `KeyError`, a NaN hypothesis, or a prior that
-    is not a `Dist`."""
+    is not a `Dist`.  Each history's draws are made once and kept, so a
+    run costs no generator per site after its first visit."""
 
     def site_rng(history, tag):
-        h = zlib.crc32(repr((structure_seed, tuple(history), tag)).encode())
+        h = zlib.crc32(repr((structure_seed, history, tag)).encode())
         return np.random.default_rng(h)
 
+    @functools.cache
+    def site(history):
+        rng = site_rng(history, ("site", len(history)))
+        k = 2 + int(rng.integers(3))
+        return dist_from_weights(list(zip(range(k), rng.random(k) + 0.05)))
+
+    @functools.cache
+    def after(history):
+        """(evidence probability or None, crash kind or None) after a choice."""
+        i = len(history) - 1
+        rng2 = site_rng(history, ("evidence", i))
+        p = float(rng2.random()) * 1.5 + 0.05 if rng2.random() < 0.5 else None
+        kind = None
+        if crash:
+            rng3 = site_rng(history, ("crash", i))
+            if rng3.random() < 1 / 6:
+                kind = int(rng3.integers(3))
+        return p, kind
+
+    @functools.cache
+    def hypothesis(history):
+        return float(site_rng(history, "hyp").random())
+
     def model(ctx):
-        history = []
+        history = ()
         for i in range(depth):
-            rng = site_rng(history, ("site", i))
-            k = 2 + int(rng.integers(3))
-            weights = rng.random(k) + 0.05
-            v = ctx.choose(dist_from_weights(list(zip(range(k), weights))), label=f"s{i}")
-            history.append(v)
-            rng2 = site_rng(history, ("evidence", i))
-            if rng2.random() < 0.5:
-                ctx.evidence(float(rng2.random()) * 1.5 + 0.05)
-            if crash:
-                rng3 = site_rng(history, ("crash", i))
-                if rng3.random() < 1 / 6:
-                    kind = int(rng3.integers(3))
-                    if kind == 0:
-                        raise KeyError(f"boom at s{i}")
-                    if kind == 1:
-                        ctx.set_hypothesis(math.nan)  # a contract error
-                    ctx.choose(list(range(k)), label="bad")  # kind 2: not a Dist
-        ctx.set_hypothesis(float(site_rng(history, "hyp").random()))
+            prior = site(history)
+            history += (ctx.choose(prior, label=f"s{i}"),)
+            p, kind = after(history)
+            if p is not None:
+                ctx.evidence(p)
+            if kind == 0:
+                raise KeyError(f"boom at s{i}")
+            if kind == 1:
+                ctx.set_hypothesis(math.nan)  # a contract error
+            if kind is not None:
+                ctx.choose(list(range(len(prior))), label="bad")  # kind 2: not a Dist
+        ctx.set_hypothesis(hypothesis(history))
 
     return model
 
