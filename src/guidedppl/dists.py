@@ -56,11 +56,13 @@ def log_nonneg(p: float) -> float:
 class Dist:
     """Normalized categorical distribution with an ordered support.
 
-    Immutable after construction; safe to share across samplers.  Sampling
-    is inverse-CDF over the support order, so a fixed random stream always
-    maps to the same value.  The cumulative masses, the value -> index map
-    and the log-masses (``log_nonneg`` of each mass) are computed once
-    here; `sample` and `log_prob` only read them.
+    Immutable after construction; safe to share across samplers.  Masses
+    must be nonnegative, with at least one positive (`ZeroMassError`
+    otherwise).  Sampling is inverse-CDF over the support order, so a
+    fixed random stream always maps to the same value.  The cumulative
+    masses, the value -> index map and the log-masses (``log_nonneg`` of
+    each mass) are computed once here; `sample` and `log_prob` only read
+    them.
     """
 
     __slots__ = ("values", "masses", "_cum", "_index", "_logs")
@@ -68,14 +70,16 @@ class Dist:
     def __init__(self, values: Sequence[Value], masses: Sequence[float]):
         self.values: tuple[Value, ...] = tuple(values)
         self.masses: tuple[float, ...] = tuple(masses)
-        cum = list(accumulate(self.masses))
-        cum[-1] = 1.0  # absorb last-ulp normalization slack
-        self._cum = cum
         self._index = {v: i for i, v in enumerate(self.values)}
         if len(self._index) != len(self.values):
             raise DuplicateValueError(f"duplicate support value in {self.values!r}")
         log_of = {m: log_nonneg(m) for m in set(self.masses)}  # one float per distinct mass
         self._logs = tuple(map(log_of.__getitem__, self.masses))
+        cum = list(accumulate(self.masses))
+        if cum[-1] == 0.0:  # nonnegative masses: all are zero
+            raise ZeroMassError(f"no support value of {self.values!r} has positive mass")
+        cum[-1] = 1.0  # absorb last-ulp normalization slack
+        self._cum = cum
 
     def __len__(self) -> int:
         return len(self.values)
@@ -106,8 +110,9 @@ class Dist:
 
     def sample(self, rng: np.random.Generator) -> Value:
         """Draw one value with one ``rng.random()`` call; deterministic
-        given the generator state.  Sampled runs draw the same way from
-        uniforms that they read in bulk."""
+        given the generator state.  A sampled run maps each uniform of
+        its own stream (random-stream version 2, see `runtime`) to a
+        value the same way, by inverse CDF over the support order."""
         u = rng.random()
         return self.values[bisect_right(self._cum, u)]
 

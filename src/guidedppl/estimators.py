@@ -32,6 +32,7 @@ from .runtime import (
     Trace,
     _run_batch,
     _RunState,
+    _seed_array,
     derive_seeds,
     DEFAULT_MAX_EVENTS,
 )
@@ -229,7 +230,7 @@ def batch_stats(
     """Run once per seed and summarize from each run's columns; only a
     run with extra choices gets a `Trace`, for its conditionals, and no
     run is retained."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
+    seeds = _seed_array(seeds)
     return stats_from_summaries(seeds, map(summarize_run, _run_batch(model, guide, seeds, max_events)))
 
 

@@ -37,19 +37,16 @@ enumeration, with the same reason and event count, and its prior mass
 counts toward `crash_mass`.  Enumeration still raises for the event cap,
 for a model that is not deterministic on replay and for guide errors.
 
-A run's random stream is ``default_rng(seed)``.  Each choose and each
-extra choice consumes one uniform of it, in event order, and maps it to
-a value as `Dist.sample` does; `Dist.sample`, one ``rng.random()`` call
-per draw, is the reference.  A run reads its uniforms in blocks, as
-``rng.random(k)``, which gives the same doubles as k single calls; what
-a run leaves unread changes nothing, since every run is seeded anew.
-`run_trace` seeds the stream one run at a time and is the reference for
-batches.  `run_traces`, `batch_stats` and guide search yield the same
-runs for a whole seed array without a generator per run (`_SeededRuns`):
-numpy array arithmetic computes every seed's first `_FIRST_BLOCK`
-uniforms and its PCG64 state after them, and only a run that reads past
-its first block sets a shared generator to that state.  A check, once
-per process, compares this arithmetic with numpy's own ``default_rng``.
+A run's random stream is random-stream version 2: uniform j (from 0) of
+the run with seed s, an int in [0, 2**64), is a pure function of (s, j)
+(`_uniforms`).  Each choose and each extra choice consumes one uniform,
+in event order, and maps it to a value as `Dist.sample` maps one
+``random()`` draw.  A run reads its uniforms in blocks; since each is
+computed from (s, j) alone, block sizes change only speed, never values.
+`run_trace` is the one-seed case of the batch path: `run_traces`,
+`batch_stats` and guide search compute every seed's first `_FIRST_BLOCK`
+uniforms for a whole seed array at once (`_SeededRuns`), and a run that
+reads past them computes its next block from the same function.
 
 While it runs, a sampled run is kept in flat per-run columns (`_RunState`):
 chosen values, labels, prior and guide `Dist`s, log-masses with their
@@ -67,7 +64,6 @@ caller reads `Trace.choices` or `Trace.per_event_fe`.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
@@ -85,13 +81,39 @@ DEFAULT_MAX_EVENTS = 100_000
 
 _tuple_new = tuple.__new__
 
-# A sampled run reads its uniforms in blocks: the first of `_FIRST_BLOCK`
-# when the run starts, then, whenever a block runs out, as many as it has
-# used so far, up to `_MAX_BLOCK`, from its generator.  A short batch run
-# reads only its precomputed first block; a long one makes a few
-# ``rng.random(k)`` calls per thousand events.
-_FIRST_BLOCK = 8
+# A sampled run reads its uniforms in blocks: the first of `_FIRST_BLOCK`,
+# computed for its whole batch, then, whenever a block runs out, as many as
+# it has used so far, up to `_MAX_BLOCK`.  The first block is sized so that
+# short runs never read past it: a dice run makes 3 choices and an expr
+# run at depth cap 3 at most 11.
+_FIRST_BLOCK = 16
 _MAX_BLOCK = 1024
+_SEED_BLOCK = 1024  # seeds whose first blocks are computed together: bounds the temporaries
+
+# Random-stream version 2: SplitMix64's output function (Steele, Lea &
+# Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014)
+# applied to s + (j + 1) GAMMA mod 2**64, its top 53 bits times 2**-53.
+# A counter-based generator in the sense of Salmon et al. (SC 2011): any
+# uniform of any seed is computed directly, in numpy uint64 arithmetic,
+# which wraps mod 2**64.  Uniform j + 1 of seed s is uniform j of seed
+# s + GAMMA, so streams overlap only for seeds a small multiple of GAMMA
+# apart: not consecutive ints, nor `derive_seeds`' hashed seeds, but by
+# a chance of about 2**-64 per pair and offset.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+
+
+def _uniforms(seeds: np.ndarray, start: int, k: int) -> np.ndarray:
+    """Uniforms start to start + k - 1 of the stream of each seed of a
+    uint64 array, as the rows of an (n, k) float64 array."""
+    z = seeds[:, None] + np.arange(start + 1, start + k + 1, dtype=np.uint64) * _GAMMA
+    z ^= z >> 30
+    z *= _MIX_1
+    z ^= z >> 27
+    z *= _MIX_2
+    z ^= z >> 31
+    return (z >> 11) * 2.0**-53
 
 
 class RunStatus(str, Enum):
@@ -428,17 +450,16 @@ class _RunState(ModelContext):
     Each choose and each extra choice draws as `Dist.sample` does, from
     the run's next uniform, and reads the value and its log-mass by
     index.  The run starts on `first`, the first `_FIRST_BLOCK` uniforms
-    of its stream; `resume` returns the generator that goes on after
-    them, and is called only if the run reads past them.  `propose` is
-    the guide's, or None for a guide that keeps `Guide.propose`: then no
-    `ChoiceSite` is made."""
+    of its seed's stream; `_draw` computes each later block when the one
+    before runs out.  `propose` is the guide's, or None for a guide that
+    keeps `Guide.propose`: then no `ChoiceSite` is made."""
 
     __slots__ = ("propose", "seed", "ceiling", "status", "reason", "history", "labels", "priors", "guides",
                  "log_priors", "log_guides", "log_prior_total", "log_guide_total", "evidence_at", "evidence_fe",
-                 "extras", "extra_values", "rng", "_resume", "_uniform")
+                 "extras", "extra_values", "_uniform")
 
     def __init__(self, guide: Guide, propose: Optional[Callable[[ChoiceSite], Optional[Dist]]],
-                 first: list[float], resume: Callable[[], np.random.Generator], max_events: int, seed: int):
+                 first: list[float], max_events: int, seed: int):
         super().__init__(max_events)
         self.propose = propose
         self.seed = seed
@@ -458,8 +479,6 @@ class _RunState(ModelContext):
         self.evidence_fe: list[float] = []
         self.extras: list[ExtraChoiceRecord] = []
         self.extra_values: tuple[Value, ...] = ()  # rebuilt only by `extra_choice`
-        self.rng: Optional[np.random.Generator] = None  # until the first block runs out
-        self._resume = resume
         self._uniform = iter(first).__next__  # read only by `_draw`
 
     def choose(self, prior: Dist, label: Optional[str] = None) -> Value:
@@ -505,15 +524,13 @@ class _RunState(ModelContext):
         """The index of the atom of `dist` that the run's next uniform
         picks, as `Dist.sample` maps it.  When a block of uniforms runs
         out, the next holds as many as the run has used, up to
-        `_MAX_BLOCK`, from the generator that `resume` returned."""
+        `_MAX_BLOCK`."""
         try:
             u = self._uniform()
         except StopIteration:
             used = len(self.history) + len(self.extras)
-            rng = self.rng
-            if rng is None:
-                rng = self.rng = self._resume()
-            self._uniform = next_uniform = iter(rng.random(min(used, _MAX_BLOCK)).tolist()).__next__
+            block = _uniforms(np.array([self.seed], dtype=np.uint64), used, min(used, _MAX_BLOCK))
+            self._uniform = next_uniform = iter(block[0].tolist()).__next__
             u = next_uniform()
         return bisect_right(dist._cum, u)
 
@@ -538,7 +555,8 @@ ModelProgram = Callable[[ModelContext], None]
 
 
 def run_trace(model: ModelProgram, guide: Guide, seed: int, max_events: int = DEFAULT_MAX_EVENTS) -> Trace:
-    """Run `model` under `guide` with a private random stream.
+    """Run `model` under `guide` on the random stream of `seed`, an int in
+    [0, 2**64) (`ValueError` otherwise).
 
     Never raises for model/guide failures: crashes and threshold
     exceedances are folded into the trace status.  Re-running with the
@@ -547,10 +565,7 @@ def run_trace(model: ModelProgram, guide: Guide, seed: int, max_events: int = DE
     and per extra choice.  The extra choices of a completed trace get
     log P_G(y_i | x, y_1..y_{i-1}) from their conditionals.
     """
-    seed = int(seed)
-    rng = np.random.default_rng(seed)
-    return Trace(_run(model, guide, *_hooks(guide), seed, rng.random(_FIRST_BLOCK).tolist(), lambda: rng,
-                      max_events))
+    return next(run_traces(model, guide, [seed], max_events))
 
 
 def run_traces(
@@ -561,53 +576,52 @@ def run_traces(
     return map(Trace, _run_batch(model, guide, seeds, max_events))
 
 
+def _seed_array(seeds) -> np.ndarray:
+    """`seeds` as a uint64 array; `ValueError` unless each is an int in
+    [0, 2**64).  A uint64 array is returned as it is."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        if seeds.dtype.kind == "i" and seeds.size and seeds.min() < 0:
+            seeds = seeds.tolist()  # the check below names the first bad seed
+        else:
+            return seeds.astype(np.uint64, copy=False)
+    seeds = list(seeds)
+    for s in seeds:
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or not 0 <= s < 2**64:
+            raise ValueError(f"a seed must be an int in [0, 2**64), got {s!r}")
+    return np.array(seeds, dtype=np.uint64)
+
+
 def _run_batch(model: ModelProgram, guide: Guide, seeds, max_events: int) -> Iterator[_RunState]:
-    """The finished run of each seed in order, as `run_trace` runs it,
-    seeded `_STATE_BLOCK` seeds at a time."""
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    for start in range(0, len(seeds), _STATE_BLOCK):
-        block = _SeededRuns(seeds[start:start + _STATE_BLOCK])
+    """The finished run of each seed in order, seeded `_SEED_BLOCK`
+    seeds at a time."""
+    seeds = _seed_array(seeds)
+    for start in range(0, len(seeds), _SEED_BLOCK):
+        block = _SeededRuns(seeds[start:start + _SEED_BLOCK])
         yield from block.runs(model, guide, range(len(block.seeds)), max_events)
 
 
 class _SeededRuns:
-    """Runs on the seeds of an array, each as `run_trace` runs it, with
-    no generator made per run.
-
-    For every seed, `_first_uniforms` computes the first `_FIRST_BLOCK`
-    uniforms of ``default_rng(seed)`` (its row) and the PCG64 state after
-    them, `_STATE_BLOCK` seeds at a time.  A run reads its row; only a run
-    that reads past it sets the one shared generator to its state.  The
-    rows are kept, so the runs of a seed can be run again (guide search).
-    They stay in numpy until a run starts: a block's rows as Python lists
-    would hold about 300 bytes per seed, against 64 in numpy.
+    """Runs on the seeds of a uint64 array, with each seed's first
+    `_FIRST_BLOCK` uniforms (its row) computed for all of them at once,
+    `_SEED_BLOCK` seeds at a time.  The rows are kept, so the runs of a
+    seed can be run again (guide search).  They stay in numpy until a run
+    starts: a block's rows as Python lists would hold about 570 bytes per
+    seed, against 128 in numpy.
     """
 
-    __slots__ = ("seeds", "_rows", "_states", "_rng")
+    __slots__ = ("seeds", "_rows")
 
     def __init__(self, seeds: np.ndarray):
-        _check_pcg64_states_once()
         self.seeds: list[int] = seeds.tolist()
-        rows, states = zip(*(_first_uniforms(seeds[start:start + _STATE_BLOCK])
-                             for start in range(0, len(seeds), _STATE_BLOCK)))
-        self._rows, self._states = np.concatenate(rows), np.concatenate(states)
-        self._rng: Optional[np.random.Generator] = None  # made when a run first reads past its row
+        self._rows = np.concatenate([_uniforms(seeds[start:start + _SEED_BLOCK], 0, _FIRST_BLOCK)
+                                     for start in range(0, len(seeds), _SEED_BLOCK)])
 
     def runs(self, model: ModelProgram, guide: Guide, indices: Iterable[int], max_events: int) -> Iterator[_RunState]:
         """The finished run of the seed at each position of `indices`, in order."""
         propose, begin = _hooks(guide)
-        seeds, rows, resume = self.seeds, self._rows, self._resume
+        seeds, rows = self.seeds, self._rows
         for i in indices:
-            yield _run(model, guide, propose, begin, seeds[i], rows[i].tolist(), functools.partial(resume, i),
-                       max_events)
-
-    def _resume(self, i: int) -> np.random.Generator:
-        """The shared generator, set to seed i's state after its row."""
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = np.random.Generator(np.random.PCG64(0))  # this initial state is never used
-        _set_pcg64_state(rng.bit_generator, self._states[i])
-        return rng
+            yield _run(model, guide, propose, begin, seeds[i], rows[i].tolist(), max_events)
 
 
 def _hooks(guide: Guide) -> tuple[Optional[Callable], Optional[Callable]]:
@@ -621,12 +635,11 @@ def _hooks(guide: Guide) -> tuple[Optional[Callable], Optional[Callable]]:
 
 
 def _run(model: ModelProgram, guide: Guide, propose: Optional[Callable], begin: Optional[Callable],
-         seed: int, first: list[float], resume: Callable[[], np.random.Generator], max_events: int) -> _RunState:
+         seed: int, first: list[float], max_events: int) -> _RunState:
     """The finished run of `model` under `guide`, whose `_hooks` are
     `propose` and `begin`, on the stream of `seed` (its `first` block of
-    uniforms, and `resume` to go on; see `_RunState`), with its status
-    and crash reason."""
-    run = _RunState(guide, propose, first, resume, max_events, seed)
+    uniforms; see `_RunState`), with its status and crash reason."""
+    run = _RunState(guide, propose, first, max_events, seed)
     try:
         if begin is not None:
             begin(GuideContext(run.extra_choice))
@@ -643,162 +656,6 @@ def _run(model: ModelProgram, guide: Guide, propose: Optional[Callable], begin: 
     except Exception as exc:  # model/guide bugs become rejected runs
         run.status, run.reason = RunStatus.REJECTED_CRASH, crash_reason(exc)
     return run
-
-
-# Seeding a whole batch.  ``default_rng(s)`` hashes the integer s with
-# numpy's SeedSequence (O'Neill's seed_seq) into four 64-bit words and
-# seeds PCG64 with them (O'Neill, "PCG", HMC-CS-2014-0905).  PCG64 is a
-# 128-bit LCG, state <- M state + inc; each step outputs the XSL-RR of the
-# new state (its two halves xored, rotated right by its top 6 bits), and
-# ``random()`` is that output's top 53 bits times 2**-53.  `_first_uniforms`
-# repeats all of it for an array of seeds in numpy integer arithmetic
-# with wraparound; `_check_pcg64_states` compares it with numpy once per
-# process, before the first batch.
-_STATE_BLOCK = 1024  # seeds per `_first_uniforms` call: bounds its temporaries
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_XSL_RR_SHIFT = 58
-
-
-def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xor, multiply) constants of a SeedSequence hash's first n calls,
-    as two (n, 1) uint32 columns: each call xors with the running
-    constant, steps it and multiplies."""
-    xors, muls = [], []
-    for _ in range(n):
-        xors.append(init)
-        init = (init * mult) & _MASK32
-        muls.append(init)
-    return np.array(xors, dtype=np.uint32)[:, None], np.array(muls, dtype=np.uint32)[:, None]
-
-
-def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    v = (v ^ xor) * mul
-    return v ^ (v >> _XSHIFT)
-
-
-def _seed_words(seeds: np.ndarray) -> np.ndarray:
-    """The four 64-bit words that SeedSequence hashes each seed into, as
-    an (8, n) uint32 array: rows 2j and 2j + 1 are the low and high
-    halves of word j."""
-    xor, mul = _hash_constants(_INIT_A, _MULT_A, 16)
-    # The entropy is the seed's 32-bit words, low first; a seed below
-    # 2**32 has one word, but its zero high word hashes as the padding does.
-    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
-    pool[0], pool[1] = seeds & _MASK32, seeds >> 32
-    pool = _hashmix(pool, xor[:4], mul[:4])
-    for src in range(4):
-        # Each other word mixes in its own hash of this one, which they leave unchanged.
-        dst = [d for d in range(4) if d != src]
-        k = 4 + 3 * src
-        r = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(pool[src], xor[k:k + 3], mul[k:k + 3])
-        pool[dst] = r ^ (r >> _XSHIFT)
-    xor, mul = _hash_constants(_INIT_B, _MULT_B, 8)
-    return _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], xor, mul)
-
-
-@functools.cache
-def _jump_weights(mult: int) -> np.ndarray:
-    """The (8 _FIRST_BLOCK, 9) float64 matrix that maps a seed's limbs to
-    the 16-bit limb sums of its states after each of its first draws.
-
-    Seeding sets inc = 2q + 1 and the state to M (a + inc) + inc, for the
-    seed's words a = w0 2**64 + w1 and q = w2 2**64 + w3.  After j draws
-    the state is M^(j+1) a + S_(j+2) inc, with S_i = 1 + M + ... +
-    M^(i-1), that is M^(j+1) a + 2 S_(j+2) q + S_(j+2), mod 2**128.
-    Row _FIRST_BLOCK p + j - 1 sums bits 16p to 16p + 15 of those
-    products: it weights each 32-bit limb i of a (columns 0-3) and of q
-    (columns 4-7) by the coefficient's 16-bit limb p - 2i, and a constant
-    1 (column 8) by limb p of S_(j+2).  Its terms are below 2**48 and at
-    most 9, so the sums are exact in float64, in any order."""
-    powers, sums = [1], [0]
-    for _ in range(_FIRST_BLOCK + 2):
-        sums.append((sums[-1] + powers[-1]) & _MASK128)
-        powers.append((powers[-1] * mult) & _MASK128)
-
-    def limbs(c: int) -> list[int]:
-        return [(c >> (16 * p)) & 0xFFFF for p in range(8)]
-
-    w = np.zeros((8, _FIRST_BLOCK, 9))
-    for j in range(1, _FIRST_BLOCK + 1):
-        a, q, one = limbs(powers[j + 1]), limbs((2 * sums[j + 2]) & _MASK128), limbs(sums[j + 2])
-        for p in range(8):
-            for i in range(p // 2 + 1):
-                w[p, j - 1, i], w[p, j - 1, 4 + i] = a[p - 2 * i], q[p - 2 * i]
-            w[p, j - 1, 8] = one[p]
-    w = w.reshape(-1, 9)
-    w.flags.writeable = False
-    return w
-
-
-def _first_uniforms(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each 64-bit seed s of a uint64 array: the first `_FIRST_BLOCK`
-    doubles of ``default_rng(s).random()``, as a row of an
-    (n, _FIRST_BLOCK) float64 array, and its PCG64 state after them, as a
-    row (state high, state low, inc high, inc low) of an (n, 4) uint64
-    array.  No Python int and no Python call per seed."""
-    n = len(seeds)
-    words = _seed_words(seeds)
-    x = np.empty((9, n))
-    x[:8] = words[[2, 3, 0, 1, 6, 7, 4, 5]]  # the 32-bit limbs of a, then of q, low first
-    x[8] = 1.0
-    limbs = np.empty((8, _FIRST_BLOCK, n), dtype=np.uint64)  # limb p of the state after each draw
-    # Summed in float64 and stored as integers.  einsum, not matmul: a
-    # BLAS call may start threads, which cost more than the product.
-    np.einsum("ki,in->kn", _jump_weights(_PCG64_MULT), x, out=limbs.reshape(-1, n), dtype=np.float64,
-              casting="unsafe")
-    for p in range(7):  # carry each limb's excess into the next
-        limbs[p + 1] += limbs[p] >> 16
-        limbs[p] &= 0xFFFF
-    # Shifting the top limb by 48 drops what passes bit 127: mod 2**128.
-    lo = limbs[0] | limbs[1] << 16 | limbs[2] << 32 | limbs[3] << 48
-    hi = limbs[4] | limbs[5] << 16 | limbs[6] << 32 | limbs[7] << 48
-    xored, rot = hi ^ lo, hi >> _XSL_RR_SHIFT
-    out = xored >> rot | xored << (-rot & 63)
-    rows = (out >> 11) * 2.0**-53
-    q = words[4:].astype(np.uint64)
-    q_hi, q_lo = q[0] | q[1] << 32, q[2] | q[3] << 32
-    states = np.stack([hi[-1], lo[-1], q_hi << 1 | q_lo >> 63, q_lo << 1 | 1], axis=1)
-    return rows.T, states
-
-
-def _set_pcg64_state(bit_generator: np.random.PCG64, state: np.ndarray) -> None:
-    """Set `bit_generator` to a row of the states of `_first_uniforms`."""
-    state_hi, state_lo, inc_hi, inc_lo = state.tolist()
-    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state_hi << 64 | state_lo,
-                                                               "inc": inc_hi << 64 | inc_lo},
-                           "has_uint32": 0, "uinteger": 0}
-
-
-def _check_pcg64_states() -> None:
-    """Raise unless `_first_uniforms` reproduces numpy's own seeding and
-    draws: each seed's first block, and 16 more doubles from the state
-    it gives for after the block."""
-    seeds = (0, 2**32, 2**64 - 1)
-    rows, states = _first_uniforms(np.array(seeds, dtype=np.uint64))
-    resumed = np.random.Generator(np.random.PCG64(0))
-    for s, row, state in zip(seeds, rows, states):
-        want = np.random.default_rng(s)
-        _set_pcg64_state(resumed.bit_generator, state)
-        if (row.tobytes() != want.random(_FIRST_BLOCK).tobytes()
-                or resumed.random(16).tobytes() != want.random(16).tobytes()):
-            raise RuntimeError(
-                f"numpy {np.__version__} seeds or draws default_rng({s}) differently from "
-                "guidedppl.runtime._first_uniforms; batch runs would not match run_trace"
-            )
-
-
-# Not at import: `import numpy` leaves `numpy.random` unloaded, and
-# commands that sample nothing (`oracle`) need not pay for loading it.
-_check_pcg64_states_once = functools.cache(_check_pcg64_states)
 
 
 def derive_seeds(base_seed: int, n: int, stream: int = 0) -> np.ndarray:

@@ -59,6 +59,35 @@ def random_table_dice_guide(seed, ceiling=None):
     return FunctionGuide(fn, ceiling=ceiling)
 
 
+_MASK64 = 2**64 - 1
+
+
+def reference_uniform(seed: int, j: int) -> float:
+    """Uniform j of the random stream of `seed` (random-stream version 2),
+    in Python ints: SplitMix64's output function of seed + (j + 1) gamma
+    mod 2**64, its top 53 bits times 2**-53.  The reference for
+    `runtime._uniforms`."""
+    z = (seed + (j + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z ^= z >> 31
+    return (z >> 11) * 2.0**-53
+
+
+class ReferenceStream:
+    """The random stream of one seed, read in order: its `random()` is
+    uniform 0, 1, 2, ... of `reference_uniform`, so ``Dist.sample(stream)``
+    draws as the run of that seed draws its next value."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.used = 0
+
+    def random(self) -> float:
+        self.used += 1
+        return reference_uniform(self.seed, self.used - 1)
+
+
 def no_choice_model(ctx):
     ctx.evidence(True)
 

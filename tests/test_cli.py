@@ -349,6 +349,12 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert doc["error"] == {"type": "ValueError", "message": "length must be at least 1"}
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_trace_seed_outside_the_domain_is_structured(self, capsys, seed):
+        code, doc = invoke_json(capsys, "trace", "--model", "three_dice", "--seed", seed)
+        assert code == 1
+        assert doc["error"] == {"type": "ValueError", "message": f"a seed must be an int in [0, 2**64), got {seed}"}
+
     def test_no_accepted_runs_is_structured(self, capsys):
         code, doc = invoke_json(
             capsys, "run", "--model", "monkey", "--pattern", "aaaaaaaaaaaaaaa",

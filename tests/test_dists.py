@@ -11,9 +11,11 @@ from guidedppl import (
     DuplicateValueError,
     EmptyRangeError,
     FunctionGuide,
+    PriorGuide,
     RunStatus,
     ZeroMassError,
     dist_from_weights,
+    enumerate_paths,
     point_mass,
     uniform_range,
     run_trace,
@@ -245,3 +247,28 @@ def test_direct_construction_rejects_a_nan_or_negative_mass(mass):
     t = run_trace(model, FunctionGuide(lambda site: Dist([1, 2], [mass, 1.0])), 0)
     assert t.status is RunStatus.REJECTED_CRASH
     assert t.crash_reason == f"ValueError: mass {mass!r} is not a nonnegative number"
+
+
+def test_all_zero_masses_raise_when_built():
+    """A `Dist` needs a positive mass, as `dist_from_weights` does: one
+    with none gave its last value to every draw."""
+    with pytest.raises(ZeroMassError, match=r"no support value of \(1, 2\) has positive mass"):
+        Dist([1, 2], [0.0, 0.0])
+
+
+def test_an_all_zero_dist_is_the_same_crash_in_sampling_and_enumeration():
+    """A model that builds a `Dist` with no positive mass: sampling and
+    enumeration give the same verdict, a crash with the same reason.
+    Sampling drew value 2 from it, and enumeration raised `IndexError`."""
+
+    def model(ctx):
+        ctx.choose(uniform_range(1, 2))
+        ctx.choose(Dist([1, 2], [0.0, 0.0]))
+
+    reason = "ZeroMassError: no support value of (1, 2) has positive mass"
+    for seed in range(5):
+        t = run_trace(model, PriorGuide(), seed)
+        assert t.status is RunStatus.REJECTED_CRASH and t.crash_reason == reason and t.n_events == 1
+    pe = enumerate_paths(model)
+    assert not pe.entries and {(c.reason, c.n_events) for c in pe.crashes} == {(reason, 1)}
+    assert pe.crash_mass() == pytest.approx(1.0, abs=1e-12)

@@ -104,7 +104,7 @@ class TestOptimizeGuide:
 
     def test_reruns_of_long_runs_equal_run_trace(self, monkeypatch):
         """Search re-runs its CRN seeds from rows computed once; a run that
-        reads past its first block resumes the generator each time."""
+        reads past its first block computes its later blocks each time."""
         runs_seen = []
         run_all = guideopt._run_all
 
@@ -113,7 +113,7 @@ class TestOptimizeGuide:
             return run_all(guide, (runs_seen.append((params, run)) or run for run in runs))
 
         monkeypatch.setattr(guideopt, "_run_all", recording_run_all)
-        model, family, n = make_expr_model(3), expr_tabular_family(), 40
+        model, family, n = make_expr_model(4), expr_tabular_family(), 100
         report = optimize_guide(model, family, UtilityConfig(k=0.02), budget=30, seed=6, n=n)
         assert report.evaluations == 30
         crn = derive_seeds(6, n, stream=3).tolist()

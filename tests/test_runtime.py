@@ -37,9 +37,11 @@ from guidedppl.estimators import WeightError, stats_from_summaries
 from guidedppl.models import MODELS, DicePosteriorGuide, dice_point_family, dice_tabular_family, three_dice
 
 from helpers import (
+    ReferenceStream,
     crash_on_three_model,
     forcing_guide_for,
     make_hashed_model,
+    reference_uniform,
     single_choice_model,
     summarize_trace,
 )
@@ -475,11 +477,6 @@ def test_traces_keep_their_interface(name):
     assert h.hexdigest() == GOLDEN_TRACE_RECORDS_DIGESTS[name]
 
 
-def _first_uniforms_of(seed):
-    rows, states = runtime._first_uniforms(np.array([seed], dtype=np.uint64))
-    return rows[0], states[0]
-
-
 _SEED_RANGE_EXAMPLES = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 
 
@@ -489,83 +486,49 @@ def _with_seed_range_examples(test):
     return settings(max_examples=300, deadline=None)(given(st.integers(min_value=0, max_value=2**64 - 1))(test))
 
 
-class TestBatchSeeding:
+class TestStream:
     @_with_seed_range_examples
-    def test_states_match_default_rng(self, seed):
-        """The PCG64 state after a seed's first block is that of
-        ``default_rng(seed)`` after as many draws."""
-        rng = np.random.Generator(np.random.PCG64(0))
-        runtime._set_pcg64_state(rng.bit_generator, _first_uniforms_of(seed)[1])
-        want = np.random.default_rng(seed)
-        want.random(runtime._FIRST_BLOCK)
-        assert rng.bit_generator.state == want.bit_generator.state
+    def test_blocks_match_the_reference(self, seed):
+        """Every block of a seed's stream, wherever it starts, holds the
+        reference formula's uniforms bit for bit."""
+        seeds = np.array([seed], dtype=np.uint64)
+        for start, k in ((0, runtime._FIRST_BLOCK), (runtime._FIRST_BLOCK, 7), (2**40, 3)):
+            assert runtime._uniforms(seeds, start, k)[0].tolist() == [
+                reference_uniform(seed, j) for j in range(start, start + k)]
 
     @_with_seed_range_examples
-    def test_rows_and_resumed_runs_match_default_rng(self, seed):
-        """A seed's row is ``default_rng(seed).random(_FIRST_BLOCK)`` bit
-        for bit, and a batch run that reads past it goes on as
-        ``default_rng(seed)`` does."""
-        row, _ = _first_uniforms_of(seed)
-        assert row.tobytes() == np.random.default_rng(seed).random(runtime._FIRST_BLOCK).tobytes()
+    def test_a_batch_run_past_its_first_block_matches_the_reference(self, seed):
         length = runtime._FIRST_BLOCK + 20
-        [run] = runtime._SeededRuns(np.array([seed], dtype=np.uint64)).runs(
-            lambda ctx: _choose_chain(ctx, length), _ExtraFirstGuide(), [0], runtime.DEFAULT_MAX_EVENTS)
-        assert _values(Trace(run)) == _reference_values(seed, length)
+        [trace] = run_traces(lambda ctx: _choose_chain(ctx, length), _ExtraFirstGuide(), [seed])
+        assert trace.seed == seed and _values(trace) == _reference_values(seed, length)
 
-    def test_states_of_an_array_match_one_by_one(self):
+    def test_an_array_of_seeds_gives_each_seed_its_own_row(self):
         seeds = derive_seeds(3, 300)
-        rows, states = runtime._first_uniforms(seeds)
-        singles = [_first_uniforms_of(s) for s in seeds.tolist()]
-        assert rows.tobytes() == np.array([row for row, _ in singles]).tobytes()
-        assert states.tobytes() == np.array([state for _, state in singles]).tobytes()
+        rows = runtime._uniforms(seeds, 0, runtime._FIRST_BLOCK)
+        assert rows.tobytes() == np.concatenate(
+            [runtime._uniforms(seeds[i:i + 1], 0, runtime._FIRST_BLOCK) for i in range(len(seeds))]).tobytes()
 
-    @pytest.mark.parametrize("constant", ["_INIT_A", "_MULT_B", "_PCG64_MULT"])
-    def test_guard_names_numpy_version_on_mismatch(self, monkeypatch, constant):
-        monkeypatch.setattr(runtime, constant, getattr(runtime, constant) ^ 1)
-        with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} "):
-            runtime._check_pcg64_states()
 
-    # A bit of the multiplier's low 16-bit limb, and of the XSL-RR rotation shift.
-    @pytest.mark.parametrize("constant, bit", [("_PCG64_MULT", 1 << 9), ("_XSL_RR_SHIFT", 1)])
-    def test_guard_checks_the_draws(self, monkeypatch, constant, bit):
-        monkeypatch.setattr(runtime, constant, getattr(runtime, constant) ^ bit)
-        with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} "):
-            runtime._check_pcg64_states()
+class TestSeedDomain:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 1.0, True, "1", None])
+    def test_a_seed_outside_the_domain_raises_the_same_error_everywhere(self, seed):
+        message = re.escape(f"a seed must be an int in [0, 2**64), got {seed!r}")
+        with pytest.raises(ValueError, match=message):
+            run_trace(three_dice, PriorGuide(), seed)
+        with pytest.raises(ValueError, match=message):
+            list(run_traces(three_dice, PriorGuide(), [0, seed]))
+        with pytest.raises(ValueError, match=message):
+            batch_stats(three_dice, PriorGuide(), [0, seed])
 
-    def test_guard_checks_the_state_after_the_block(self, monkeypatch):
-        """The rows alone would pass: only the resumed draws show a wrong state."""
-        set_state = runtime._set_pcg64_state
+    def test_a_negative_seed_in_an_int_array_raises(self):
+        with pytest.raises(ValueError, match=re.escape("got -2")):
+            list(run_traces(three_dice, PriorGuide(), np.array([3, -2])))
 
-        def off_by_one_inc(bit_generator, state):
-            set_state(bit_generator, state ^ np.array([0, 0, 0, 2], dtype=np.uint64))
-
-        monkeypatch.setattr(runtime, "_set_pcg64_state", off_by_one_inc)
-        with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} "):
-            runtime._check_pcg64_states()
-
-    def test_runs_within_their_first_block_set_no_generator_state(self, monkeypatch):
-        calls = []
-        set_state = runtime._set_pcg64_state
-        monkeypatch.setattr(runtime, "_set_pcg64_state", lambda *args: calls.append(1) or set_state(*args))
-        model, guide = MODELS["three_dice"].build(), MODELS["three_dice"].guides["prior_reject"]()
-        seeds = derive_seeds(25, 3000)
-        stats = batch_stats(model, guide, seeds)
-        assert len(stats.accepted) == 3000 and not stats.accepted.all()
-        assert calls == []
-        # A run that reads one uniform past its row sets the state once.
-        chain = list(run_traces(lambda ctx: _choose_chain(ctx, runtime._FIRST_BLOCK), _ExtraFirstGuide(), seeds[:5]))
-        assert len(calls) == 5 and all(len(t.choices) == runtime._FIRST_BLOCK for t in chain)
-
-    def test_batch_runs_check_before_the_first_run(self, monkeypatch):
-        # A fresh once-cache, so that an earlier batch in this process
-        # has not passed the check already.
-        monkeypatch.setattr(runtime, "_check_pcg64_states_once", functools.cache(runtime._check_pcg64_states))
-        monkeypatch.setattr(runtime, "_MULT_A", runtime._MULT_A ^ 1)
-        with pytest.raises(RuntimeError, match="numpy"):
-            next(run_traces(three_dice, PriorGuide(), [1]))
-
-    def test_guard_passes_on_this_numpy(self):
-        runtime._check_pcg64_states()
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)])
+    def test_seeds_at_the_ends_of_the_domain(self, seed):
+        t = run_trace(three_dice, PriorGuide(), seed)
+        assert type(t.seed) is int and t.seed == int(seed)
+        assert next(run_traces(three_dice, PriorGuide(), np.array([seed], dtype=np.uint64))) == t
 
 
 def _batch_configs():
@@ -580,21 +543,21 @@ def _batch_configs():
 
 # Seed blocks of this size let the batch tests cross block boundaries
 # with a few hundred runs.
-SMALL_STATE_BLOCK = 256
+SMALL_SEED_BLOCK = 256
 
 # 600 seeds cross two boundaries of 256-seed blocks.
 BATCH_SEEDS = derive_seeds(21, 600)
 
 
 @pytest.fixture
-def small_state_blocks(monkeypatch):
-    monkeypatch.setattr(runtime, "_STATE_BLOCK", SMALL_STATE_BLOCK)
+def small_seed_blocks(monkeypatch):
+    monkeypatch.setattr(runtime, "_SEED_BLOCK", SMALL_SEED_BLOCK)
 
 
 @pytest.mark.parametrize("name", sorted(_batch_configs()))
-def test_run_traces_equals_run_trace(name, small_state_blocks):
+def test_run_traces_equals_run_trace(name, small_seed_blocks):
     model, guide = _batch_configs()[name]
-    assert runtime._STATE_BLOCK * 2 < len(BATCH_SEEDS)
+    assert runtime._SEED_BLOCK * 2 < len(BATCH_SEEDS)
     single = [run_trace(model, guide, int(s)) for s in BATCH_SEEDS]
     batch = list(run_traces(model, guide, BATCH_SEEDS))
     assert [repr(_canon(t)) for t in batch] == [repr(_canon(t)) for t in single]
@@ -677,9 +640,9 @@ def _outcome(make_stats):
 
 
 @pytest.mark.parametrize("name", sorted(_row_configs()))
-def test_batch_rows_equal_trace_summaries(name, small_state_blocks):
+def test_batch_rows_equal_trace_summaries(name, small_seed_blocks):
     model, make_guide = _row_configs()[name]
-    assert runtime._STATE_BLOCK < len(ROW_SEEDS)
+    assert runtime._SEED_BLOCK < len(ROW_SEEDS)
     traces = [run_trace(model, make_guide(), int(s)) for s in ROW_SEEDS]
     want = _outcome(lambda: stats_from_summaries(ROW_SEEDS, map(summarize_trace, traces)))
     got = _outcome(lambda: batch_stats(model, make_guide(), ROW_SEEDS))
@@ -839,9 +802,7 @@ def test_building_a_trace_makes_no_python_call_per_event():
 
     def python_calls(length):
         guide = entry.guides["pattern_insert"](length=length)
-        rng = np.random.default_rng(3)
-        run = runtime._run(entry.build(length=length), guide, *runtime._hooks(guide), 3,
-                           rng.random(runtime._FIRST_BLOCK).tolist(), lambda: rng, runtime.DEFAULT_MAX_EVENTS)
+        run = next(runtime._run_batch(entry.build(length=length), guide, [3], runtime.DEFAULT_MAX_EVENTS))
         calls = []
         gc.collect()
         gc.disable()  # a collection may run finalizers of unrelated objects, which are Python calls
@@ -866,7 +827,7 @@ def test_batch_runs_with_extra_choices_build_no_records():
     entry = MODELS["monkey"]
     length = 16_000
     model, guide = entry.build(length=length), entry.guides["pattern_insert"](length=length)
-    batch_stats(model, guide, range(1))  # the seeding check and numpy's first draws, outside the measure
+    batch_stats(model, guide, range(1))  # numpy's first calls, outside the measure
     tracemalloc.start()
     try:
         stats = batch_stats(model, guide, range(3))
@@ -880,7 +841,7 @@ def test_batch_runs_with_extra_choices_build_no_records():
 def test_traces_keep_nothing_of_their_runs(monkeypatch):
     """A trace holds its run's columns only: once the batch is done, the
     guide's bound `propose` that the runs called and the seed block that
-    seeded them (with its shared generator) are gone."""
+    seeded them are gone."""
     refs = []
     hooks = runtime._hooks
 
@@ -897,11 +858,11 @@ def test_traces_keep_nothing_of_their_runs(monkeypatch):
     monkeypatch.setattr(runtime, "_hooks", recording_hooks)
     monkeypatch.setattr(runtime, "_SeededRuns", RecordingSeededRuns)
     entry = MODELS["monkey"]
-    traces = list(run_traces(entry.build(), entry.guides["pattern_insert"](), range(40)))
+    traces = list(run_traces(entry.build(length=20), entry.guides["pattern_insert"](length=20), range(40)))
     gc.collect()
     assert len(refs) == 2 and [r() for r in refs] == [None, None]
     assert all(t.extras[0].log_model_conditional is not None for t in traces if t.completed)
-    assert any(t.n_events + len(t.extras) > runtime._FIRST_BLOCK for t in traces)  # the generator was made
+    assert any(t.n_events + len(t.extras) > runtime._FIRST_BLOCK for t in traces)  # a run read past its row
 
 
 # ---------------------------------------------------------------------------
@@ -940,10 +901,10 @@ class _ExtraFirstGuide(PriorGuide):
 
 def _reference_values(seed, length):
     """The extra value and the choice values that one `Dist.sample` call
-    per event, in event order, gives on ``default_rng(seed)``."""
-    rng = np.random.default_rng(seed)
-    extra = _EXTRA_DIST.sample(rng)
-    return extra, [_CHAIN_DISTS[i % len(_CHAIN_DISTS)].sample(rng) for i in range(length)]
+    per event, in event order, gives on the reference stream of `seed`."""
+    stream = ReferenceStream(seed)
+    extra = _EXTRA_DIST.sample(stream)
+    return extra, [_CHAIN_DISTS[i % len(_CHAIN_DISTS)].sample(stream) for i in range(length)]
 
 
 def _values(trace):
@@ -964,10 +925,10 @@ def test_run_trace_reads_one_uniform_per_event_in_order(length):
         assert _values(trace) == _reference_values(seed, length)
 
 
-def test_run_traces_reads_one_uniform_per_event_across_a_block_boundary(small_state_blocks):
+def test_run_traces_reads_one_uniform_per_event_across_a_block_boundary(small_seed_blocks):
     """Run i of one batch has length STREAM_LENGTHS[i % n]; the batch's
     runs cross a boundary of the seed blocks of `run_traces`."""
-    seeds = derive_seeds(23, runtime._STATE_BLOCK + 2)
+    seeds = derive_seeds(23, runtime._SEED_BLOCK + 2)
     runs = iter(range(len(seeds)))
 
     def cycling_chain(ctx):
@@ -983,11 +944,11 @@ def test_run_traces_reads_one_uniform_per_event_across_a_block_boundary(small_st
 
 @pytest.mark.parametrize("ceiling", [None, 4.0])
 @pytest.mark.parametrize("model_name", ["three_dice", "expr", "monkey"])
-def test_prior_guide_equals_a_guide_that_proposes_none(model_name, ceiling, small_state_blocks):
+def test_prior_guide_equals_a_guide_that_proposes_none(model_name, ceiling, small_seed_blocks):
     model = MODELS[model_name].build()
     prior, function = PriorGuide(ceiling), FunctionGuide(lambda site: None, ceiling)
     assert runtime._hooks(prior) == (None, None) and runtime._hooks(function)[0] is not None
-    seeds = derive_seeds(24, runtime._STATE_BLOCK + 4)
+    seeds = derive_seeds(24, runtime._SEED_BLOCK + 4)
     assert _trace_digest(run_traces(model, prior, seeds)) == _trace_digest(run_traces(model, function, seeds))
     assert [repr(_canon(run_trace(model, prior, s))) for s in range(20)] == [
         repr(_canon(run_trace(model, function, s))) for s in range(20)]
@@ -1016,9 +977,9 @@ def test_overridden_propose_and_begin_are_honoured():
             assert [c.guide for c in run.choices] == [point_mass(1)] * 3
     for run in (run_trace(three_dice, _ExtraFirstGuide(), 5), next(run_traces(three_dice, _ExtraFirstGuide(), [5]))):
         assert len(run.extras) == 1 and run.extras[0].log_model_conditional == math.log(0.1)
-        rng = np.random.default_rng(5)
-        _EXTRA_DIST.sample(rng)
-        assert [c.chosen for c in run.choices] == [_D6.sample(rng) for _ in range(3)]
+        stream = ReferenceStream(5)
+        _EXTRA_DIST.sample(stream)
+        assert [c.chosen for c in run.choices] == [_D6.sample(stream) for _ in range(3)]
 
 
 def test_ceiling_is_read_per_run():
