@@ -502,6 +502,25 @@ class TestStream:
         [trace] = run_traces(lambda ctx: _choose_chain(ctx, length), _ExtraFirstGuide(), [seed])
         assert trace.seed == seed and _values(trace) == _reference_values(seed, length)
 
+    def test_runs_within_their_first_block_compute_no_other_block(self, monkeypatch):
+        """Dice and expr cap 3 runs read only their first block, computed
+        for the whole batch; a run that reads one uniform past it computes
+        one more block, of its own seed."""
+        calls = []
+        uniforms = runtime._uniforms
+        monkeypatch.setattr(runtime, "_uniforms",
+                            lambda seeds, start, k: calls.append((len(seeds), start)) or uniforms(seeds, start, k))
+        seeds = derive_seeds(25, 3000)
+        for model, guide in ((three_dice, MODELS["three_dice"].guides["prior_reject"]()),
+                             (MODELS["expr"].build(depth_cap=3), PriorGuide())):
+            calls.clear()
+            assert len(batch_stats(model, guide, seeds).accepted) == 3000
+            assert all(start == 0 for _, start in calls) and sum(n for n, _ in calls) == 3000
+        calls.clear()
+        chain = list(run_traces(lambda ctx: _choose_chain(ctx, runtime._FIRST_BLOCK), _ExtraFirstGuide(), seeds[:5]))
+        assert all(len(t.choices) == runtime._FIRST_BLOCK for t in chain)
+        assert calls == [(5, 0)] + [(1, runtime._FIRST_BLOCK)] * 5
+
     def test_an_array_of_seeds_gives_each_seed_its_own_row(self):
         seeds = derive_seeds(3, 300)
         rows = runtime._uniforms(seeds, 0, runtime._FIRST_BLOCK)
@@ -882,9 +901,11 @@ def _block_ends(limit):
     return ends
 
 
-# Model lengths L: 1, each block end n and n +- 1, each L whose L + 1
-# uniforms (one extra choice first) end a block, and 5,000.
-STREAM_LENGTHS = sorted({1, 5000} | {end + d for end in _block_ends(5001) for d in (-2, -1, 0, 1)})
+# Model lengths L: every L up to the first block's end, each block end n
+# and n +- 1, each L whose L + 1 uniforms (one extra choice first) end a
+# block, and 5,000.
+STREAM_LENGTHS = sorted({5000, *range(1, runtime._FIRST_BLOCK)}
+                        | {end + d for end in _block_ends(5001) for d in (-2, -1, 0, 1)})
 
 
 def _choose_chain(ctx, length):
