@@ -405,13 +405,13 @@ class TestErrorsAndDeterminism:
         assert doc["results"]["adjusted_fe"] == math.inf
 
 
-# Exit code and SHA-256 of stdout per argv: any change to a key, its
-# order or a float's digits shows here.
+# Exit code and SHA-256 of stdout per argv, on random-stream version 2:
+# any change to a key, its order or a float's digits shows here.
 GOLDEN_STDOUT = [
     ("run --model three_dice --guide posterior --n 1000 --seed 7", 0, "56db4c6405ca2543738e7504a8bc67e1b9fccdc8fb12e03b7209220c9b110c15"),
-    ("run --model three_dice --guide prior_reject --n 1000 --seed 1", 0, "99f2a055bb2f99bb2cbbd231584c6290ef25e6dd98bdc9021d6c27c4580a71de"),
-    ("run --model three_dice --guide posterior --n 400 --seed 3 --report-hypothesis-histogram", 0, "68fe56864de4a4cff27b055297fd22ca79fea6daa77330ab757590cf8bdb39cf"),
-    ("run --model three_dice --guide prior_reject --n 600 --seed 9 --workers 2", 0, "2368bade20a33f6e967d4e3a6fbe86a7212bcb935bfc53c765e5ff6006ebaca2"),
+    ("run --model three_dice --guide prior_reject --n 1000 --seed 1", 0, "7ac542fc00bbbaebd45d0820d1ebebcb579a35aef6403b5aab81c9724bf7d127"),
+    ("run --model three_dice --guide posterior --n 400 --seed 3 --report-hypothesis-histogram", 0, "d957b522be6ef9840d8b3f3b55963ebbc25efe9ae9dd5cac2f0021631794341b"),
+    ("run --model three_dice --guide prior_reject --n 600 --seed 9 --workers 2", 0, "b291c7478bd7c2fb60477629cc030c116987f06bc50172a53678fa88d1ad4f7e"),
     ("run --model three_dice --guide prior --n 200 --seed 0", 0, "9d095d37f1792a478de50a0a846abb850f125433b2b3f6437b21d761d72af65d"),
     ("run --model monkey --pattern aaaaaaaaaaaaaaa --guide prior --ceiling 10 --n 20 --seed 0", 1, "d907b69bcbbb149d2b46e30da79f45c28f73b745a6b50903c849422ce7cf66f4"),
     ("oracle --model three_dice --guide posterior", 0, "1f72271954c24dff8d1adfa2970c4847f15cb2e5ac78a885c8c7e01c0d8f74fe"),
@@ -419,15 +419,15 @@ GOLDEN_STDOUT = [
     ("oracle --model expr --depth-cap 2", 0, "f17f889342c1a6f505d5903f76afcf67a43dc6bfac47ec36439beeb87ed4460b"),
     ("oracle --model expr --depth-cap 2 --guide prior --ceiling 10", 0, "019fa496f6a18abf648ee4a64f93299c8c014b8f1a5a90101251f0ec2358c496"),
     ("oracle --model monkey --length 6", 0, "acb186a6f30a9d0eed45896f48e2876ec72b67fbe070829bbad256dc89a54701"),
-    ("bound --model three_dice --guide prior --n 100 --delta 0.05 --seed 7", 0, "91b2fa1dd858eeb38392da549a56996a2008434d72d48392108f91427bed7685"),
-    ("bound --model three_dice --guide posterior --guide-num die1_is_5 --n 1000 --hypothesis --seed 17", 0, "1b380f03624852078153f0f6ed5f086acc000df92a4468c76b115672b6f14b76"),
-    ("bound --model three_dice --guide prior_reject --guide-num die1_is_5 --n 600 --hypothesis --seed 5 --workers 2", 0, "990e91490d6724ac8749952e414293174b39d89a2e2b70bce1f1a3370140d1c1"),
+    ("bound --model three_dice --guide prior --n 100 --delta 0.05 --seed 7", 0, "a09f1e2a99c65316815579cdace40f04a83814bd082bc9af578791abc1f7922e"),
+    ("bound --model three_dice --guide posterior --guide-num die1_is_5 --n 1000 --hypothesis --seed 17", 0, "d3c7b3d0624d0aa7e986c5a2d56b1ab4595ab4bf1c4aebe19962c63a92167032"),
+    ("bound --model three_dice --guide prior_reject --guide-num die1_is_5 --n 600 --hypothesis --seed 5 --workers 2", 0, "7395c3d2000e8e530e0cd70373564694b1e48f39f5f1174b03dd6d33ad4247fa"),
     ("bound --model monkey --pattern aaaaaaaaaaaaaaa --guide pattern_insert --hypothesis --n 50 --seed 1", 1, "5490b5331f468573a56cf8c9b3042de92a5b1589cbd726a0d04185ec62bfdb7a"),
     ("bound --model three_dice --guide prior --n 50 --delta 1.5 --seed 1 --hypothesis", 1, "66487fd6406d81118bc9c09bd802fad6754ba5836df87f43ec90a332b81cc337"),
-    ("trace --model monkey --guide pattern_insert --seed 12", 0, "edb46115f2fedc53bbbcf8cdca4f4b8a1078273ba6f369c635431fffc33457f5"),
-    ("trace --model monkey --guide pattern_insert --length 4000 --seed 8", 0, "f6d3c71ec8b66fecb04c078a0d55249bfadca613431ad1ece1094e09a0053f16"),
-    ("trace --model three_dice --guide prior_reject --seed 3", 0, "2a90969ac517c2c299af648504ec1730fc8697f1d65be005b5ffa01cb72d866f"),
-    ("trace --model expr --guide prior --seed 4", 0, "20012cad7c16ea3a7e84eaa3f7d99e00f4e47e2044763ebd2b49521ad2b986c6"),
+    ("trace --model monkey --guide pattern_insert --seed 12", 0, "fc0fabf00635f789bcbf47270821d25a190297ec7b29b0a25815286c2d39d9cb"),
+    ("trace --model monkey --guide pattern_insert --length 4000 --seed 8", 0, "478b93c04fe8f9a9d7791ccc37ee0556c6f35319d9a1c3a46fa5a8e1d7658560"),
+    ("trace --model three_dice --guide prior_reject --seed 3", 0, "297d7c01e29c11e13d183d04d5bdb472e443361ab7985c5c405f3fede0387126"),
+    ("trace --model expr --guide prior --seed 4", 0, "07e0352cbe6350809eb3ea6eb939e8f6dbc032775acf3d53a739ce14fdf10403"),
 ]
 
 
@@ -456,10 +456,10 @@ class TestGoldenOutput:
         for argv, digest in [
             ("optimize --model three_dice --budget 60 --eval-n 400 --margin 0.05 --seed 7 "
              "--save-params dice_params.json",
-             "1a4f30d1317323d8e11c36d2fccf0b72e1c7970db32cd0e5f01fc566ebae8083"),
+             "d0b5520a4fb1080a04abe8b8ab6e20eab812954c3c192f9635d77b89ae7e41ac"),
             ("run --model three_dice --guide tabular --params dice_params.json --ceiling 30 "
              "--n 1000 --seed 2",
-             "160d64922d7869451577651e775c0468f1bef19470b63217d52ab0f8d3a93b16"),
+             "fc74646a0bcb5789dac2da3a9141cbcce8163dff204c8caee17b993cec1b2187"),
         ]:
             code, out = invoke(capsys, *argv.split())
             assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)

@@ -302,10 +302,10 @@ def _plain(report: SearchReport) -> str:
     return repr(dataclasses.replace(report, best_params=params))
 
 
-# Recorded before evaluation became incremental, when every candidate
-# re-ran all n CRN runs.  The die2 cells of the dice tabular reports'
-# cell_mean_fe were recorded again once the forced die3 stopped being
-# credited to them; nothing else changed.
+# Re-recorded for random-stream version 2, except dice_point, whose
+# point guides draw nothing at random.  The version-1 reports were
+# recorded before evaluation became incremental, when every candidate
+# re-ran all n CRN runs.
 GOLDEN_CONFIGS = {
     "dice": (three_dice, dice_tabular_family, UtilityConfig(), dict(budget=60, seed=5, n=120)),
     "dice_point": (
@@ -324,16 +324,22 @@ GOLDEN_CONFIGS = {
 
 GOLDEN_REPORTS = {
     "dice": (
-        "SearchReport(best_params={'die2|5': [-2.2642126284032478, -3.48424903983396, "
-        "-2.7278604996533855, -2.664853758683239, -1.8304163971585348, -1.206211181274776], "
-        "'die2|4': [0.8911295177093885, -1.274885653415459, 1.0824165874130873, "
-        "-1.66153567193038, -2.303852351614545, -0.6576210162820627], 'die2|1': "
-        "[-0.6384876149201526, -0.8650406666619511, -1.5837532637074414, -2.116139962362393, "
-        "-1.0581419774471779, -2.866554145097794]}, best_utility=2.615431019064022, "
-        "utility_trace=((1, 2.667228206581955), (6, 2.656214222536748), (10, 2.6282141067345948),"
-        " (20, 2.619829754449514), (27, 2.6155979980321846), (52, 2.615431019064022)), "
-        "evaluations=60, cell_mean_fe={'die1': 0.0, 'die2|1': 0.1403799533288534, 'die2|2': 0.0, "
-        "'die2|3': 0.0, 'die2|4': 0.16939070086473906, 'die2|5': -0.1549964584757637})"
+        "SearchReport(best_params={'die2|5': [-3.489680172252526, -1.5829970226452155, "
+        "-2.835711105114495, -0.6247386633166332, -1.865519741386615, -1.642012627937239], 'die2|4': "
+        "[0.05862010505406734, -0.19138821394087546, 1.2302713569039145, 0.20686938568622681, "
+        "-2.4169183484782506, -1.5466659956978548], 'die2|1': [-2.163146675632077, "
+        "-1.5366194774989035, -0.9636501737892486, -3.5633104223524685, -1.549914255556965, "
+        "-3.4915329129727297], 'die1': [-3.1145618067533443, -1.7365073692279012, "
+        "-2.555324926552548, -3.0806432111525277, -0.4748923732897331, -0.35448550007578844], "
+        "'die2|2': [-2.960988261757512, -1.5375969927393636, -2.1000434818174383, "
+        "-2.206010465850665, -2.228675682116901, -1.1944111747865929]}, "
+        "best_utility=2.5896221283270267, utility_trace=((1, 2.8656791453057933), (6, "
+        "2.862992807733791), (7, 2.8215548377018917), (10, 2.8191672257975955), (20, "
+        "2.8009941623119463), (21, 2.7866364707446927), (26, 2.718753182273911), (31, "
+        "2.668623158953689), (43, 2.5957961484024112), (55, 2.5896221283270267)), evaluations=60, "
+        "cell_mean_fe={'die1': -0.7912319764348397, 'die2|1': -1.7073590095581426, 'die2|2': "
+        "-0.22659051776217115, 'die2|3': 0.0, 'die2|4': -0.3186648192167687, 'die2|5': "
+        "-1.8090966117599439})"
     ),
     "dice_point": (
         "SearchReport(best_params={'2|1,1': 5}, best_utility=9.375278407684164, "
@@ -341,34 +347,31 @@ GOLDEN_REPORTS = {
         "1.7917594692280547, '1|1': 1.7917594692280547, '2|1,1': 1.7917594692280547})"
     ),
     "dice_k1": (
-        "SearchReport(best_params={'die2|2': [-3.4968581996167165, -0.047055860453378284, "
-        "-4.847273648510848, 0.7770719501832917, -1.650304193490551, -3.304393370575965], "
-        "'die2|3': [0.11974202166139558, -1.060093864795636, -2.0599548907657166, "
-        "-2.0521309410694406, -2.260905567369367, -1.8322549390143583], 'die1': "
-        "[-1.9262511265490743, -2.859645971961208, -0.6969887569598527, -2.4055344365821743, "
-        "-2.1868560355098476, -2.7420298816345903], 'die2|4': [0.9865841382036173, "
-        "-0.9051174461025726, -3.815431730467734, -3.763870933382357, -1.9747993462238222, "
-        "-5.943254270607337], 'die2|5': [-1.113907796049915, -2.953100870458817, "
-        "-2.133205629363431, -3.4972769609677776, -2.158838563736553, -1.856334625371185]}, "
-        "best_utility=8.007706028199117, utility_trace=((1, 10.314120054381107), (6, "
-        "10.076209853191632), (9, 9.304252955930588), (13, 8.887047575413586), (14, "
-        "8.656814755380463), (19, 8.546053800260198), (58, 8.24731818826503), (86, "
-        "8.11478747443636), (99, 8.007706028199117)), evaluations=100, cell_mean_fe={'die1': "
-        "0.4223110058000093, 'die2|1': 0.0, 'die2|2': 1.2215587017984544, 'die2|3': "
-        "0.7236091186253434, 'die2|4': 1.3633790993179513, 'die2|5': 0.8939301217395336})"
+        "SearchReport(best_params={'die1': [-2.499153652905161, -1.9321801602130642, "
+        "-1.971938866866344, -2.6890728415671368, -5.070886421783852, -4.889343789539452], 'die2|1': "
+        "[0.22898768217274146, -0.6775734626789649, -1.2768150940035619, -0.8285999777097993, "
+        "0.14748854773265907, -3.0848986417189765], 'die2|2': [-1.4489494723701142, "
+        "-1.1269114060107301, -0.5232140005648866, -0.2920298077946073, -3.622947269741027, "
+        "-3.2564406634134375], 'die2|3': [1.5544151618489335, -1.8375482978215065, "
+        "-1.4428458557332462, -3.2877411323187546, -2.417204733531398, -2.583214951275403], "
+        "'die2|4': [0.9865841382036173, -0.9051174461025726, -3.815431730467734, -3.763870933382357, "
+        "-1.9747993462238222, -5.943254270607337]}, best_utility=7.240167463303649, "
+        "utility_trace=((1, 10.200534116971733), (13, 9.635379424192251), (17, 9.490571700310419), "
+        "(28, 8.977374114492939), (30, 8.676250717425868), (41, 7.947636052032953), (51, "
+        "7.651546833317537), (58, 7.546911547154373), (63, 7.438649961967322), (99, "
+        "7.240167463303649)), evaluations=100, cell_mean_fe={'die1': 0.42270626771650965, 'die2|1': "
+        "0.21743302493657707, 'die2|2': 0.42075619793389946, 'die2|3': 1.4250018644746965, 'die2|4': "
+        "0.9970121151440655, 'die2|5': 0.0})"
     ),
     "expr3": (
-        "SearchReport(best_params={'prod@elr': [-0.05712977231215011, -0.42177986674623297], "
-        "'prod@ell': [-2.941656539173674, -2.2823327725967952], 'const@el': [-0.6305927427799662,"
-        " -2.5740488980240857, -4.107297523141687, -2.2549602995955187, -1.7160249132961423, "
-        "-2.098059575219598, -3.98499118797736, -3.448207768392579, -2.6448848873025517, "
-        "-2.8319204509275746], 'prod@e': [-1.0493786641309895, -2.52660882836574, "
-        "-1.1433513538880322, -1.4227138511738946]}, best_utility=6.325706368615672, "
-        "utility_trace=((1, 12.32517018598809), (3, 12.205170185988091), (6, 8.120016649581205), "
-        "(18, 8.021087628315803), (22, 6.743088274246006), (54, 6.325706368615672)), "
-        "evaluations=60, cell_mean_fe={'const@el': 1.471461885002761, 'const@ell': 0.0, 'prod@e':"
-        " 0.26443276105295205, 'prod@el': 0.0, 'prod@ell': 0.2738631002322598, 'prod@elr': "
-        "0.1642661455430524, 'prod@er': 0.0, 'prod@erl': 0.0, 'prod@err': 0.0})"
+        "SearchReport(best_params={'prod@er': [-1.2975203532962003, -1.9879785009655655, "
+        "-1.595903831806903, -2.630654819353279], 'prod@ell': [-1.8594938862492558, "
+        "-2.9703031011998715], 'const@e': [-1.007950782494017, -3.732972284530825, "
+        "-2.1902521323438227, -1.308899492271581, -1.6525993664036365, -1.2323430072831343, "
+        "-2.8434909612427686, -2.261593392913542, -1.3163007460137315, -4.4012430036612535]}, "
+        "best_utility=8.40442191379396, utility_trace=((1, 13.40517018598809), (2, "
+        "8.58442191379396), (18, 8.474421913793961), (59, 8.40442191379396)), evaluations=60, "
+        "cell_mean_fe={'prod@e': 0.0, 'prod@el': 0.0, 'prod@er': 0.2823989083658156})"
     ),
 }
 
