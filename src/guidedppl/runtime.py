@@ -88,7 +88,7 @@ _tuple_new = tuple.__new__
 # run at depth cap 3 at most 11.
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 1024
-_SEED_BLOCK = 1024  # seeds whose first blocks are computed together: bounds the temporaries
+_SEED_BLOCK = 1024  # seeds per `_SeededRuns` of a batch: bounds the rows held at once
 
 # Random-stream version 2: SplitMix64's output function (Steele, Lea &
 # Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014)
@@ -96,9 +96,10 @@ _SEED_BLOCK = 1024  # seeds whose first blocks are computed together: bounds the
 # A counter-based generator in the sense of Salmon et al. (SC 2011): any
 # uniform of any seed is computed directly, in numpy uint64 arithmetic,
 # which wraps mod 2**64.  Uniform j + 1 of seed s is uniform j of seed
-# s + GAMMA, so streams overlap only for seeds a small multiple of GAMMA
-# apart: not consecutive ints, nor `derive_seeds`' hashed seeds, but by
-# a chance of about 2**-64 per pair and offset.
+# s + GAMMA, so two streams overlap only when their seeds are a small
+# multiple of GAMMA apart mod 2**64; small ints never are, and two of
+# `derive_seeds`' hashed seeds are with a chance of about 2**-64 per
+# offset.
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
@@ -592,8 +593,8 @@ def _seed_array(seeds) -> np.ndarray:
 
 
 def _run_batch(model: ModelProgram, guide: Guide, seeds, max_events: int) -> Iterator[_RunState]:
-    """The finished run of each seed in order, seeded `_SEED_BLOCK`
-    seeds at a time."""
+    """The finished run of each seed in order, `_SEED_BLOCK` seeds at a
+    time."""
     seeds = _seed_array(seeds)
     for start in range(0, len(seeds), _SEED_BLOCK):
         block = _SeededRuns(seeds[start:start + _SEED_BLOCK])
@@ -602,19 +603,17 @@ def _run_batch(model: ModelProgram, guide: Guide, seeds, max_events: int) -> Ite
 
 class _SeededRuns:
     """Runs on the seeds of a uint64 array, with each seed's first
-    `_FIRST_BLOCK` uniforms (its row) computed for all of them at once,
-    `_SEED_BLOCK` seeds at a time.  The rows are kept, so the runs of a
-    seed can be run again (guide search).  They stay in numpy until a run
-    starts: a block's rows as Python lists would hold about 570 bytes per
-    seed, against 128 in numpy.
+    `_FIRST_BLOCK` uniforms (its row) computed for all of them at once.
+    The rows are kept, so the runs of a seed can be run again (guide
+    search).  They stay in numpy until a run starts: as Python lists they
+    would hold about 570 bytes per seed, against 128 in numpy.
     """
 
     __slots__ = ("seeds", "_rows")
 
     def __init__(self, seeds: np.ndarray):
         self.seeds: list[int] = seeds.tolist()
-        self._rows = np.concatenate([_uniforms(seeds[start:start + _SEED_BLOCK], 0, _FIRST_BLOCK)
-                                     for start in range(0, len(seeds), _SEED_BLOCK)])
+        self._rows = _uniforms(seeds, 0, _FIRST_BLOCK)
 
     def runs(self, model: ModelProgram, guide: Guide, indices: Iterable[int], max_events: int) -> Iterator[_RunState]:
         """The finished run of the seed at each position of `indices`, in order."""

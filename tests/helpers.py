@@ -88,6 +88,19 @@ class ReferenceStream:
         return reference_uniform(self.seed, self.used - 1)
 
 
+def random_full_support_guide(seed, ceiling=None):
+    """Random tables over each site's prior support, weights in [0.05,
+    1.05), keyed by (seed, site index, history); each table is made once."""
+
+    @functools.cache
+    def table(prior, history):
+        h = zlib.crc32(repr((seed, len(history), history)).encode())
+        weights = np.random.default_rng(h).random(len(prior)) + 0.05
+        return dist_from_weights(list(zip(prior.values, weights)))
+
+    return FunctionGuide(lambda site: table(site.prior, tuple(site.history)), ceiling=ceiling)
+
+
 def no_choice_model(ctx):
     ctx.evidence(True)
 

@@ -1,10 +1,8 @@
 import math
 import tracemalloc
-import zlib
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +38,7 @@ from helpers import (
     make_hashed_model,
     no_choice_model,
     no_evidence_model,
+    random_full_support_guide,
     random_structured_dice_guide,
     random_table_dice_guide,
     structured_dice_guide,
@@ -269,7 +268,7 @@ def test_same_verdict_per_path_in_sampling_and_enumeration(structure_seed, guide
     prof = exact_guided_profile(pe, PriorGuide())
     assert prof.acceptance_rate == pytest.approx(1.0 - pe.crash_mass(), abs=1e-12)
     assert math.fsum(math.exp(e.log_prior) for e in pe.entries) + pe.crash_mass() == pytest.approx(1.0, abs=1e-12)
-    for guide in (PriorGuide(), _random_full_support_guide(guide_seed)):
+    for guide in (PriorGuide(), random_full_support_guide(guide_seed)):
         _assert_same_verdicts(model, pe, guide, seeds=range(200))
 
 
@@ -501,15 +500,6 @@ def _posterior_guide(ceiling):
     return guide
 
 
-def _random_full_support_guide(seed, ceiling=None):
-    def fn(site):
-        h = zlib.crc32(repr((seed, site.index, site.history)).encode())
-        weights = np.random.default_rng(h).random(len(site.prior)) + 0.05
-        return dist_from_weights(list(zip(site.prior.values, weights)))
-
-    return FunctionGuide(fn, ceiling=ceiling)
-
-
 GOLDEN_CASES = {
     "dice_prior_500": ("dice", lambda: PriorGuide(ceiling=500.0)),
     "dice_posterior": ("dice", DicePosteriorGuide),
@@ -523,8 +513,8 @@ GOLDEN_CASES = {
     "expr2_tabular": ("expr2", lambda: expr_tabular_family().bind({})),
     "hashed3_prior": ("hashed3", PriorGuide),
     "hashed3_prior_1": ("hashed3", lambda: PriorGuide(ceiling=1.0)),
-    "hashed3_random_1": ("hashed3", lambda: _random_full_support_guide(1)),
-    "hashed3_random_1_05": ("hashed3", lambda: _random_full_support_guide(1, ceiling=0.5)),
+    "hashed3_random_1": ("hashed3", lambda: random_full_support_guide(1)),
+    "hashed3_random_1_05": ("hashed3", lambda: random_full_support_guide(1, ceiling=0.5)),
 }
 
 
@@ -556,7 +546,7 @@ def test_walk_identities_on_hashed_models(structure_seed, guide_seed):
     want_events = math.fsum(p * e.n_events for p, e in zip(p_x, pe.entries))
     assert prof.mean_events_per_run == pytest.approx(want_events, rel=1e-12)
     assert prof.acceptance_rate == pytest.approx(1.0, abs=1e-12)
-    paths = list(guided_paths(pe, _random_full_support_guide(guide_seed)))
+    paths = list(guided_paths(pe, random_full_support_guide(guide_seed)))
     assert len(paths) == len(pe.entries)
     assert math.fsum(math.exp(lg) for _, lg in paths) == pytest.approx(1.0, abs=1e-12)
 

@@ -302,10 +302,9 @@ def _plain(report: SearchReport) -> str:
     return repr(dataclasses.replace(report, best_params=params))
 
 
-# Re-recorded for random-stream version 2, except dice_point, whose
-# point guides draw nothing at random.  The version-1 reports were
-# recorded before evaluation became incremental, when every candidate
-# re-ran all n CRN runs.
+# Search reports on random-stream version 2.  dice_point's was recorded
+# before evaluation became incremental, when every candidate re-ran all
+# n CRN runs; its point guides draw nothing at random.
 GOLDEN_CONFIGS = {
     "dice": (three_dice, dice_tabular_family, UtilityConfig(), dict(budget=60, seed=5, n=120)),
     "dice_point": (

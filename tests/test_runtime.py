@@ -352,10 +352,7 @@ def _golden_trace_configs():
 GOLDEN_TRACE_SEEDS = range(40)
 
 # SHA-256 of the repr-exact fields of the traces for seeds 0..39, one
-# bound guide reused across the seeds, on random-stream version 2.  The
-# version-1 digests held from before `TabularGuide` and `PointGuide` were
-# merged into one bound table guide; the point and die1_is_5 guides draw
-# nothing at random, so theirs did not change.
+# bound guide reused across the seeds, on random-stream version 2.
 GOLDEN_TRACE_DIGESTS = {
     "expr/prior": "66688fd80bc7dd09cd5ec0f2cd6d69a89152b2433321c99ccd90e2a96b47a457",
     "expr/tabular_empty": "6d507015198159b3c05b00b2e2ac214c9679a68ce36b92cf63c0cc56e786dccc",
@@ -405,9 +402,8 @@ def test_golden_long_traces():
 _RECORD_FIELDS = ("index", "label", "prior", "guide", "chosen", "log_prior", "log_guide")
 
 # SHA-256 of the reprs of every `ChoiceRecord` of these golden traces,
-# seeds 0..39, one per line, on random-stream version 2.  The record type
-# keeps the repr of the frozen dataclass it was when the version-1
-# digests were recorded.
+# seeds 0..39, one per line, on random-stream version 2: the repr of the
+# frozen dataclass that the record type once was.
 GOLDEN_RECORD_REPR_DIGESTS = {
     "expr/tabular_table": "acc63b43998f7a8553adad49d964cfac66931d93c4a39ac0ec183f5273804057",
     "monkey/pattern_insert": "eeafb916f5e5d8bc9d183a3c93f9a0ed37ae66f322a0f217a6928711349f04fa",
@@ -443,9 +439,7 @@ _TRACE_FIELDS = ("seed", "status", "choices", "extras", "log_evidence", "hypothe
                  "log_prior_total", "log_guide_total", "fe_total", "crash_reason")
 
 # SHA-256 of repr(t.choices) and repr(t.per_event_fe) of these golden
-# traces, seeds 0..39, one per line, on random-stream version 2; the
-# version-1 digests were recorded while `Trace` was a dataclass that held
-# both tuples.
+# traces, seeds 0..39, one per line, on random-stream version 2.
 GOLDEN_TRACE_RECORDS_DIGESTS = {
     "expr/tabular_table": "46403ff4fd14d4590bba3d9255590feebbc0a8588b8a63f5345b4c4581db5704",
     "monkey/pattern_insert": "4c24d5f4917688d1121c76880a8e90a2ac4ca0e049f2a8bc0d9ae13e8b613bdc",

@@ -28,11 +28,9 @@ import numpy as np
 import pytest
 
 from guidedppl import (
-    FunctionGuide,
     PriorGuide,
     batch_stats,
     derive_seeds,
-    dist_from_weights,
     enumerate_paths,
     exact_conditional_expectation,
     exact_evidence,
@@ -42,7 +40,7 @@ from guidedppl import (
 from guidedppl.estimators import BatchStats, UndefinedRatioError, estimate_from_batch, hypothesis_estimate_from_stats
 from guidedppl.models import make_expr_model, three_dice
 
-from helpers import make_hashed_model, random_structured_dice_guide
+from helpers import make_hashed_model, random_full_support_guide, random_structured_dice_guide
 
 BATCHES = 100
 DELTA = 0.05
@@ -53,19 +51,6 @@ MEAN_Z_TOLERANCE = 3 / math.sqrt(BATCHES)
 def _budget(rate: float) -> float:
     """Misses allowed in `BATCHES` batches that each miss with probability `rate`."""
     return rate * BATCHES + 3 * math.sqrt(BATCHES * rate * (1 - rate))
-
-
-def _hashed_guide(seed, ceiling=None):
-    """Full-support random tables over each site's prior support, keyed by
-    (seed, site index, history)."""
-
-    @cache
-    def table(prior, history):
-        h = zlib.crc32(repr((seed, len(history), history)).encode())
-        weights = np.random.default_rng(h).random(len(prior)) + 0.05
-        return dist_from_weights(list(zip(prior.values, weights)))
-
-    return FunctionGuide(lambda site: table(site.prior, tuple(site.history)), ceiling=ceiling)
 
 
 # name -> (model, guide factory, runs per batch, check of the
@@ -83,8 +68,8 @@ CONFIGS = {
     "dice/structured": (three_dice, lambda: random_structured_dice_guide(3), 500, "z"),
     "expr2/prior_reject": (make_expr_model(2), lambda: PriorGuide(ceiling=50.0), 500, "exact"),
     "hashed0_crash/prior": (make_hashed_model(0, crash=True), PriorGuide, 500, "z"),
-    "hashed1_crash/random": (make_hashed_model(1, crash=True), lambda: _hashed_guide(1), 50, "z"),
-    "hashed3_crash/random_2": (make_hashed_model(3, crash=True), lambda: _hashed_guide(1, ceiling=2.0), 50, None),
+    "hashed1_crash/random": (make_hashed_model(1, crash=True), lambda: random_full_support_guide(1), 50, "z"),
+    "hashed3_crash/random_2": (make_hashed_model(3, crash=True), lambda: random_full_support_guide(1, ceiling=2.0), 50, None),
 }
 
 
