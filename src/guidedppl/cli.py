@@ -6,11 +6,12 @@ estimate), ``oracle`` (exact quantities by enumeration), ``bound``
 and ``trace`` (dump one trace with its per-event free-energy
 contributions).
 
-Every invocation emits a single JSON document; all randomness derives
-from ``--seed``, and floats are serialized with 17 significant digits so
-identical invocations produce byte-identical output (with ``--workers
-1``; more workers only split the seed range into chunks, which are
-merged back in order).
+Every invocation emits a single JSON document on one line, written by
+the standard ``json`` encoder: floats in their shortest round-trip form,
+so they parse back exactly.  All randomness derives from ``--seed``, so
+identical invocations produce byte-identical output (more ``--workers``
+only split the seed range into chunks, which are merged back in order).
+``python -m json.tool`` indents a document for reading.
 
 Results are the result types themselves, through ``dataclasses.asdict``:
 ``run`` emits a ``FreeEnergyEstimate``, ``bound`` a ``LowerBoundResult``
@@ -22,8 +23,8 @@ CLI's JSON key order.
 from __future__ import annotations
 
 import argparse
+import json
 import math
-import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -68,93 +69,21 @@ _HANDLED_ERRORS = (
 
 
 # ---------------------------------------------------------------------------
-# deterministic JSON
+# JSON output
 
 
-def _format_float(x: float) -> str:
-    if math.isfinite(x):
-        return format(x, ".17g")
-    if math.isnan(x):
-        return "NaN"
-    return "Infinity" if x > 0 else "-Infinity"
-
-
-class _Escapes(dict):
-    """The `_escape` of each string, computed on its first lookup: one
-    `dumps` call escapes a string that repeats (each event of a long
-    trace has the same keys) once."""
-
-    def __missing__(self, s: str) -> str:
-        text = self[s] = _escape(s)
-        return text
-
-
-def _emit(value, indent: int, out: list, escaped: _Escapes) -> None:
-    kind = type(value)  # the exact types first: they are nearly every value of a long trace
-    if kind is float:
-        out.append(_format_float(value))
-    elif kind is int:
-        out.append(str(value))
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, (bool, np.bool_)):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(_format_float(float(value)))
-    elif isinstance(value, str):  # a str subclass (np.str_) escapes as the equal str does
-        out.append(escaped[value])
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = "  " * (indent + 1)
-        sep = "{\n"
-        for k, v in value.items():
-            key = escaped[str(k)]
-            kind = type(v)  # a float, str or int value inline, as `_emit` would write it
-            if kind is float:
-                out.append(f"{sep}{inner}{key}: {_format_float(v)}")
-            elif kind is str:
-                out.append(f"{sep}{inner}{key}: {escaped[v]}")
-            elif kind is int:
-                out.append(f"{sep}{inner}{key}: {v}")
-            else:
-                out.append(f"{sep}{inner}{key}: ")
-                _emit(v, indent + 1, out, escaped)
-            sep = ",\n"
-        out.append("\n" + "  " * indent + "}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        items = list(value)
-        if not items:
-            out.append("[]")
-            return
-        inner = "  " * (indent + 1)
-        sep = "[\n"
-        for v in items:
-            out.append(sep + inner)
-            _emit(v, indent + 1, out, escaped)
-            sep = ",\n"
-        out.append("\n" + "  " * indent + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-# What `_escape` rewrites (a quote, a backslash or a control character below 0x20), and to what.
-_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
-_ESCAPES = {chr(i): f"\\u{i:04x}" for i in range(0x20)} | {
-    '"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-
-
-def _escape(s: str) -> str:
-    return '"' + _NEEDS_ESCAPE.sub(lambda m: _ESCAPES[m.group()], s) + '"'
+def _plain(value):
+    """A numpy scalar or array as the Python value `json` can write."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def dumps(doc) -> str:
-    out: list[str] = []
-    _emit(doc, 0, out, _Escapes())
-    return "".join(out)
+    """`doc` as one line of JSON: floats in shortest round-trip form, NaN
+    and the infinities as ``NaN``/``Infinity``/``-Infinity``, non-ASCII
+    text unescaped."""
+    return json.dumps(doc, ensure_ascii=False, default=_plain)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +110,6 @@ def _guide_config(args) -> dict:
 
 
 def _load_params(path: str) -> dict:
-    import json
-
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -261,7 +188,7 @@ def _weighted_histogram(stats: BatchStats) -> dict:
     hist: dict[str, float] = {}
     for h, w in zip(stats.hypothesis, stats.weight_evidence):
         if w > 0.0:
-            key = _format_float(float(h))
+            key = repr(float(h))
             hist[key] = hist.get(key, 0.0) + float(w)
     return {k: hist[k] / total for k in sorted(hist, key=float)}
 

@@ -213,80 +213,3 @@ def monkey_evidence_bruteforce(alphabet_size, length, pattern):
     alphabet = _ALPHABET[:alphabet_size]
     hits = sum(1 for chars in product(alphabet, repeat=length) if pattern in "".join(chars))
     return hits / alphabet_size**length
-
-
-# The JSON emitter of `guidedppl.cli` before its fast paths, kept verbatim
-# as the reference that `cli.dumps` must match byte for byte.
-
-
-def _reference_format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
-
-
-def _reference_emit(value, indent: int, out: list) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        out.append("null")
-    elif isinstance(value, (bool, np.bool_)):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(_reference_format_float(float(value)))
-    elif isinstance(value, str):
-        out.append(reference_escape(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(value.items()):
-            out.append(f"{inner}{reference_escape(str(k))}: ")
-            _reference_emit(v, indent + 1, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        items = list(value)
-        if not items:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(items):
-            out.append(inner)
-            _reference_emit(v, indent + 1, out)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def reference_escape(s: str) -> str:
-    parts = ['"']
-    for ch in s:
-        if ch == '"':
-            parts.append('\\"')
-        elif ch == "\\":
-            parts.append("\\\\")
-        elif ch == "\n":
-            parts.append("\\n")
-        elif ch == "\t":
-            parts.append("\\t")
-        elif ch == "\r":
-            parts.append("\\r")
-        elif ord(ch) < 0x20:
-            parts.append(f"\\u{ord(ch):04x}")
-        else:
-            parts.append(ch)
-    parts.append('"')
-    return "".join(parts)
-
-
-def reference_dumps(doc) -> str:
-    out: list[str] = []
-    _reference_emit(doc, 0, out)
-    return "".join(out)
