@@ -412,26 +412,26 @@ class TestErrorsAndDeterminism:
 # Exit code and SHA-256 of stdout per argv, on random-stream version 2:
 # any change to a key, its order or a float's digits shows here.
 GOLDEN_STDOUT = [
-    ("run --model three_dice --guide posterior --n 1000 --seed 7", 0, "56db4c6405ca2543738e7504a8bc67e1b9fccdc8fb12e03b7209220c9b110c15"),
-    ("run --model three_dice --guide prior_reject --n 1000 --seed 1", 0, "7ac542fc00bbbaebd45d0820d1ebebcb579a35aef6403b5aab81c9724bf7d127"),
-    ("run --model three_dice --guide posterior --n 400 --seed 3 --report-hypothesis-histogram", 0, "d957b522be6ef9840d8b3f3b55963ebbc25efe9ae9dd5cac2f0021631794341b"),
-    ("run --model three_dice --guide prior_reject --n 600 --seed 9 --workers 2", 0, "b291c7478bd7c2fb60477629cc030c116987f06bc50172a53678fa88d1ad4f7e"),
-    ("run --model three_dice --guide prior --n 200 --seed 0", 0, "9d095d37f1792a478de50a0a846abb850f125433b2b3f6437b21d761d72af65d"),
-    ("run --model monkey --pattern aaaaaaaaaaaaaaa --guide prior --ceiling 10 --n 20 --seed 0", 1, "d907b69bcbbb149d2b46e30da79f45c28f73b745a6b50903c849422ce7cf66f4"),
-    ("oracle --model three_dice --guide posterior", 0, "1f72271954c24dff8d1adfa2970c4847f15cb2e5ac78a885c8c7e01c0d8f74fe"),
-    ("oracle --model three_dice --guide prior_reject", 0, "e3d455c20de9003f0742df4f6dda067b5c8606cd3bf1dc415de32fd5f5b37443"),
-    ("oracle --model expr --depth-cap 2", 0, "f17f889342c1a6f505d5903f76afcf67a43dc6bfac47ec36439beeb87ed4460b"),
-    ("oracle --model expr --depth-cap 2 --guide prior --ceiling 10", 0, "019fa496f6a18abf648ee4a64f93299c8c014b8f1a5a90101251f0ec2358c496"),
-    ("oracle --model monkey --length 6", 0, "acb186a6f30a9d0eed45896f48e2876ec72b67fbe070829bbad256dc89a54701"),
-    ("bound --model three_dice --guide prior --n 100 --delta 0.05 --seed 7", 0, "a09f1e2a99c65316815579cdace40f04a83814bd082bc9af578791abc1f7922e"),
-    ("bound --model three_dice --guide posterior --guide-num die1_is_5 --n 1000 --hypothesis --seed 17", 0, "d3c7b3d0624d0aa7e986c5a2d56b1ab4595ab4bf1c4aebe19962c63a92167032"),
-    ("bound --model three_dice --guide prior_reject --guide-num die1_is_5 --n 600 --hypothesis --seed 5 --workers 2", 0, "7395c3d2000e8e530e0cd70373564694b1e48f39f5f1174b03dd6d33ad4247fa"),
-    ("bound --model monkey --pattern aaaaaaaaaaaaaaa --guide pattern_insert --hypothesis --n 50 --seed 1", 1, "5490b5331f468573a56cf8c9b3042de92a5b1589cbd726a0d04185ec62bfdb7a"),
-    ("bound --model three_dice --guide prior --n 50 --delta 1.5 --seed 1 --hypothesis", 1, "66487fd6406d81118bc9c09bd802fad6754ba5836df87f43ec90a332b81cc337"),
-    ("trace --model monkey --guide pattern_insert --seed 12", 0, "fc0fabf00635f789bcbf47270821d25a190297ec7b29b0a25815286c2d39d9cb"),
-    ("trace --model monkey --guide pattern_insert --length 4000 --seed 8", 0, "478b93c04fe8f9a9d7791ccc37ee0556c6f35319d9a1c3a46fa5a8e1d7658560"),
-    ("trace --model three_dice --guide prior_reject --seed 3", 0, "297d7c01e29c11e13d183d04d5bdb472e443361ab7985c5c405f3fede0387126"),
-    ("trace --model expr --guide prior --seed 4", 0, "07e0352cbe6350809eb3ea6eb939e8f6dbc032775acf3d53a739ce14fdf10403"),
+    ("run --model three_dice --guide posterior --n 1000 --seed 7", 0, "9e48e49071d5dddf0543dc4cfc65c35110c96389b6d4ee757df29c099fdf2b55"),
+    ("run --model three_dice --guide prior_reject --n 1000 --seed 1", 0, "9863b0b9e300c46b699b85844479f194568ad9c0338174eba61601b065fad335"),
+    ("run --model three_dice --guide posterior --n 400 --seed 3 --report-hypothesis-histogram", 0, "fb1c32219c7a7f906ae246f3af22e4b6e1dc68cce6f6ca5327288f578f12b1e2"),
+    ("run --model three_dice --guide prior_reject --n 600 --seed 9 --workers 2", 0, "737ad396e8d426f0f3a3d142c241eec01a8852c5f0b86c8e78cd269c8baba0c0"),
+    ("run --model three_dice --guide prior --n 200 --seed 0", 0, "6f2fa9be0e6632910b3aa43f9b3d347a6f20e00a2ab63abf1c520aa95a320332"),
+    ("run --model monkey --pattern aaaaaaaaaaaaaaa --guide prior --ceiling 10 --n 20 --seed 0", 1, "d778a4f67acb2ea353792652411ce37b92d2fc15668fb2017fd2104b406d5009"),
+    ("oracle --model three_dice --guide posterior", 0, "b390ccf8ccad05cbe2fcb4159cd2ff59cf06f1797d2d57517b34dc6bebe8658c"),
+    ("oracle --model three_dice --guide prior_reject", 0, "221e5a8f15053d9c9a7796dcaa61b5ed01c3bdd9b851efc0e7e0533329ce5c50"),
+    ("oracle --model expr --depth-cap 2", 0, "4bc9ff831b8955f00f6a0afeadd32b09204d33b6b486528fbea75bec8292d55f"),
+    ("oracle --model expr --depth-cap 2 --guide prior --ceiling 10", 0, "4a7b0c7d468269fc566d511a9212630325701f95e3065f243935bd7156c6e0d9"),
+    ("oracle --model monkey --length 6", 0, "f12add96684220b9c2619b6dd52811e6713763c068d1395af6584e4e94ea2778"),
+    ("bound --model three_dice --guide prior --n 100 --delta 0.05 --seed 7", 0, "fddc6294943dbc5d88c913ff6949173e97e0ae903a6d2fbfedf3904030a62887"),
+    ("bound --model three_dice --guide posterior --guide-num die1_is_5 --n 1000 --hypothesis --seed 17", 0, "931e3c314b8190863ec7465e6922ca74e78e688199938302b32fbe11727a44e3"),
+    ("bound --model three_dice --guide prior_reject --guide-num die1_is_5 --n 600 --hypothesis --seed 5 --workers 2", 0, "32b8e72377f01ef69d20f3bc736ed8d6361d5a9cdbc618541ab796690bcebaaf"),
+    ("bound --model monkey --pattern aaaaaaaaaaaaaaa --guide pattern_insert --hypothesis --n 50 --seed 1", 1, "36d62890d27a8086390742c284de2c4422fd5262520c4fc673ba76acd7aefaac"),
+    ("bound --model three_dice --guide prior --n 50 --delta 1.5 --seed 1 --hypothesis", 1, "2e6f16b1094e5bed01a4b60742b9cabedeaff3f4e0edfbf5521251aa0aaa287b"),
+    ("trace --model monkey --guide pattern_insert --seed 12", 0, "2d9b5e6d67bada90fe2e85c96e7fee409ea02d6f56309053842a80a7ff538b55"),
+    ("trace --model monkey --guide pattern_insert --length 4000 --seed 8", 0, "a1b36947ccdb4474fa10ddfe193515e860891ecedbca76d24025f70049ddfe86"),
+    ("trace --model three_dice --guide prior_reject --seed 3", 0, "6f1cacc128af5e7ae1d3e9eff1439f23de2ffaedc80c71826fda98836dd65160"),
+    ("trace --model expr --guide prior --seed 4", 0, "a01aa2bc91d4a44c8b9f2d0aa26ed0c37a03e332d9695e6983f8b9a19a06c9ef"),
 ]
 
 
@@ -460,10 +460,10 @@ class TestGoldenOutput:
         for argv, digest in [
             ("optimize --model three_dice --budget 60 --eval-n 400 --margin 0.05 --seed 7 "
              "--save-params dice_params.json",
-             "d0b5520a4fb1080a04abe8b8ab6e20eab812954c3c192f9635d77b89ae7e41ac"),
+             "59b69222ce1b37b02d4cd5520485a21df362f22c30a0cc3afc907c8eac1cd97a"),
             ("run --model three_dice --guide tabular --params dice_params.json --ceiling 30 "
              "--n 1000 --seed 2",
-             "fc74646a0bcb5789dac2da3a9141cbcce8163dff204c8caee17b993cec1b2187"),
+             "bb6b5cca412d687993a9b15b87b7c12a99fd036f02a9eee7720e3b933ff89b41"),
         ]:
             code, out = invoke(capsys, *argv.split())
             assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
