@@ -102,6 +102,8 @@ def _guide_config(args) -> dict:
         raise ValueError("ceiling must be a number, got NaN")
     if args.max_events < 1:  # a cap that every run exceeds would read as rejected runs
         raise ValueError(f"--max-events must be at least 1, got {args.max_events}")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     cfg = {"ceiling": args.ceiling, "alphabet": args.alphabet, "length": args.length,
            "pattern": args.pattern, "depth_cap": args.depth_cap}
     if args.params:
@@ -161,10 +163,9 @@ def _collect_stats(args, stream: int, guide_name: Optional[str] = None) -> Batch
     chunk_stats = partial(_stats_chunk, args.model, guide_name or args.guide, _guide_config(args),
                           max_events=args.max_events)
     seeds = derive_seeds(args.seed, args.n, stream=stream)
-    workers = max(1, args.workers)
-    if workers == 1:
+    if args.workers == 1:
         return chunk_stats(seeds)
-    chunks = [c for c in np.array_split(seeds, workers) if len(c)]
+    chunks = [c for c in np.array_split(seeds, args.workers) if len(c)]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         return merge_batch_stats(list(pool.map(chunk_stats, chunks)))
 
@@ -316,7 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--length", type=int, default=12)
         p.add_argument("--pattern", default="aba")
         p.add_argument("--params", default=None, help="guide parameter file (JSON)")
-        p.add_argument("--max-events", dest="max_events", type=int, default=DEFAULT_MAX_EVENTS)
+        p.add_argument("--max-events", dest="max_events", type=int, default=DEFAULT_MAX_EVENTS,
+                       help="a run that makes more choose, evidence and extra-choice calls is a crash")
         p.add_argument("--output", default=None)
 
     p_run = sub.add_parser("run", help="sample guided traces; report the free-energy estimate")

@@ -20,6 +20,11 @@ Value = Union[int, bool, str]
 
 NEG_INF = float("-inf")
 
+# How far a `Dist`'s masses may miss summing to 1: normalized weights
+# miss it by a few ulps, while masses that sum to 0.4 would make sampling
+# and enumeration disagree.
+MASS_SUM_TOLERANCE = 1e-9
+
 
 class ZeroMassError(ValueError):
     """All supplied weights were zero."""
@@ -56,9 +61,11 @@ def log_nonneg(p: float) -> float:
 class Dist:
     """Normalized categorical distribution with an ordered support.
 
-    Immutable after construction; safe to share across samplers.  Masses
-    must be nonnegative, with at least one positive (`ZeroMassError`
-    otherwise).  Sampling is inverse-CDF over the support order, so a
+    Read-only by contract: its attributes can be reassigned, but nothing
+    in the package writes to a `Dist` after building it, so one is safe
+    to share across samplers.  Masses must be nonnegative, with at least
+    one positive (`ZeroMassError` otherwise), and sum to 1 within
+    `MASS_SUM_TOLERANCE` (`ValueError` otherwise).  Sampling is inverse-CDF over the support order, so a
     fixed random stream always maps to the same value.  The cumulative
     masses, the value -> index map and the log-masses (``log_nonneg`` of
     each mass) are computed once here; `sample` and `log_prob` only read
@@ -78,6 +85,8 @@ class Dist:
         cum = list(accumulate(self.masses))
         if cum[-1] == 0.0:  # nonnegative masses: all are zero
             raise ZeroMassError(f"no support value of {self.values!r} has positive mass")
+        if abs(cum[-1] - 1.0) > MASS_SUM_TOLERANCE:
+            raise ValueError(f"masses of {self.values!r} sum to {cum[-1]!r}, not 1")
         cum[-1] = 1.0  # absorb last-ulp normalization slack
         self._cum = cum
 

@@ -155,8 +155,10 @@ class TabularGuideFamily:
     def cell_init(self, prior: Dist) -> list[float]:
         # Log-prior logits make the initial cell reproduce the prior
         # exactly (softmax inverts the log, and mixing blends prior with
-        # prior), so search starts from the unguided model.
-        return [math.log(m) for m in prior.masses]
+        # prior), so search starts from the unguided model.  A zero mass
+        # has logit -inf, which no mutation moves, so the guide never
+        # puts mass where the prior has none.
+        return list(prior._logs)
 
     def mutate_cell(self, cell: Sequence[float], support: tuple, rng: np.random.Generator, sigma: float) -> list[float]:
         noise = rng.normal(0.0, sigma, len(cell))

@@ -11,10 +11,11 @@ choices of its own (with a deferred model-extension conditional).  The
 guide's only channel of influence on the model is the distribution it
 returns; the context facades enforce that isolation.
 
-One run produces an immutable :class:`Trace` carrying the full execution
-path and all log-probability bookkeeping: per-choice prior and guide
-log-masses, accumulated log evidence, and the per-event decomposition of
-the one-run free energy
+One run produces a :class:`Trace`, read-only by contract (its attributes
+can be reassigned, but nothing in the package writes to a trace after
+making it), carrying the full execution path and all log-probability
+bookkeeping: per-choice prior and guide log-masses, accumulated log
+evidence, and the per-event decomposition of the one-run free energy
 
     sum over choose calls of log(G_C(c) / P_C(c))  +  sum over
     evidence(p) calls of -log(p)
@@ -229,7 +230,9 @@ class ExtraChoiceRecord:
 
 
 class Trace:
-    """One finished run.  Immutable once returned.
+    """One finished run.  Read-only by contract: its slotted attributes
+    can be reassigned, but nothing in the package writes to a trace after
+    making it.
 
     Its fields are those of `__match_args__`, in that order; two traces
     are equal when all of them are, and a trace has no hash.  A trace
@@ -394,8 +397,10 @@ class ModelContext:
     """The model program's handle: choose / evidence / set_hypothesis.
 
     It is the run itself: it checks evidence and hypothesis values,
-    counts events against the cap and keeps the running free energy
-    against the ceiling.  Each subclass has its own `choose`, which
+    counts choose, evidence and extra-choice calls against the event cap
+    (`max_events`) and keeps the running free energy against the
+    ceiling.  The extra choices count so that a guide that keeps
+    inserting them is stopped; a trace's `n_events` leaves them out.  Each subclass has its own `choose`, which
     checks the prior, picks the value, adds its free energy and counts
     the event (`_RunState` samples, `enumeration._ForcedRun` replays and
     grows the tree), and its own `_observe`, which records evidence."""
@@ -560,7 +565,10 @@ def run_trace(model: ModelProgram, guide: Guide, seed: int, max_events: int = DE
     [0, 2**64) (`ValueError` otherwise).
 
     Never raises for model/guide failures: crashes and threshold
-    exceedances are folded into the trace status.  Re-running with the
+    exceedances are folded into the trace status.  A run that makes more
+    than `max_events` choose, evidence and extra-choice calls together
+    is crash-rejected ("event cap N exceeded"); `Trace.n_events` counts
+    its choose and evidence calls only.  Re-running with the
     same (model, guide, seed) reproduces the trace bit for bit; the
     stream is consumed strictly in event order, one uniform per choice
     and per extra choice.  The extra choices of a completed trace get

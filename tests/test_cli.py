@@ -328,6 +328,25 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert doc["error"] == {"type": "ValueError", "message": f"--max-events must be at least 1, got {max_events}"}
 
+    @pytest.mark.parametrize("command", [
+        ("run", "--model", "three_dice", "--n", "5"),
+        ("bound", "--model", "three_dice", "--n", "5"),
+        ("bound", "--model", "three_dice", "--n", "5", "--hypothesis"),
+        ("oracle", "--model", "three_dice"),
+        ("optimize", "--model", "three_dice", "--budget", "2", "--eval-n", "10"),
+        ("trace", "--model", "three_dice"),
+    ], ids=["run", "bound", "bound-hypothesis", "oracle", "optimize", "trace"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_structured(self, capsys, monkeypatch, command, workers):
+        # `run --workers -2` exited 0, echoed the -2 and ran in one process.
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("runs were sampled before --workers was checked")
+
+        monkeypatch.setattr(cli, "batch_stats", no_sampling)
+        code, doc = invoke_json(capsys, *command, "--workers", workers)
+        assert code == 1
+        assert doc["error"] == {"type": "ValueError", "message": f"--workers must be at least 1, got {workers}"}
+
     @pytest.mark.parametrize("option, message", [
         ("--sigma", "mutation scale sigma must be finite and nonnegative"),
         ("--k", "impatience constant k must be finite and nonnegative"),

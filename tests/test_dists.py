@@ -257,18 +257,31 @@ def test_all_zero_masses_raise_when_built():
 
 
 def test_an_all_zero_dist_is_the_same_crash_in_sampling_and_enumeration():
-    """A model that builds a `Dist` with no positive mass: sampling and
-    enumeration give the same verdict, a crash with the same reason.
-    Sampling drew value 2 from it, and enumeration raised `IndexError`."""
+    """A model that builds a `Dist` with no positive mass, or with masses
+    that do not sum to one: sampling and enumeration give the same
+    verdict, a crash with the same reason.  Sampling drew value 2 from an
+    all-zero `Dist`, and enumeration raised `IndexError`; masses summing
+    to 0.4 made sampling draw 2 in 4 of 5 runs while enumeration gave the
+    paths a total prior mass of 0.4."""
 
-    def model(ctx):
-        ctx.choose(uniform_range(1, 2))
-        ctx.choose(Dist([1, 2], [0.0, 0.0]))
+    for masses, reason in [
+        ((0.0, 0.0), "ZeroMassError: no support value of (1, 2) has positive mass"),
+        ((0.2, 0.2), "ValueError: masses of (1, 2) sum to 0.4, not 1"),
+        ((0.7, 0.7), "ValueError: masses of (1, 2) sum to 1.4, not 1"),
+    ]:
+        def model(ctx):
+            ctx.choose(uniform_range(1, 2))
+            ctx.choose(Dist([1, 2], masses))
 
-    reason = "ZeroMassError: no support value of (1, 2) has positive mass"
-    for seed in range(5):
-        t = run_trace(model, PriorGuide(), seed)
-        assert t.status is RunStatus.REJECTED_CRASH and t.crash_reason == reason and t.n_events == 1
-    pe = enumerate_paths(model)
-    assert not pe.entries and {(c.reason, c.n_events) for c in pe.crashes} == {(reason, 1)}
-    assert pe.crash_mass() == pytest.approx(1.0, abs=1e-12)
+        for seed in range(5):
+            t = run_trace(model, PriorGuide(), seed)
+            assert t.status is RunStatus.REJECTED_CRASH and t.crash_reason == reason and t.n_events == 1
+        pe = enumerate_paths(model)
+        assert not pe.entries and {(c.reason, c.n_events) for c in pe.crashes} == {(reason, 1)}
+        assert pe.crash_mass() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("masses", [(0.5, 0.5 + 1e-12), (0.1,) * 10, (1 / 3,) * 3])
+def test_masses_within_the_tolerance_of_one_are_accepted(masses):
+    d = Dist(range(len(masses)), masses)
+    assert d.masses == masses and d._cum[-1] == 1.0

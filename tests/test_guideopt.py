@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from guidedppl import (
     ChoiceSite,
+    Dist,
     NoAcceptedRunsError,
     PointGuideFamily,
     PriorGuide,
@@ -123,6 +124,30 @@ class TestOptimizeGuide:
         for params, run in reruns:
             assert run.seed in crn
             assert Trace(run) == run_trace(model, family.bind(params), run.seed)
+
+    def test_tabular_search_keeps_a_zero_prior_mass_at_zero(self, monkeypatch):
+        """A prior with a zero-mass value starts its cell at logit -inf for
+        that value: the search spends its budget (its first cell raised a
+        math domain error) and no run it makes draws the value."""
+        prior = Dist([1, 2, 3], [0.0, 0.5, 0.5])
+
+        def model(ctx):
+            v = ctx.choose(prior, label="v")
+            ctx.evidence(0.9 if v == 3 else 0.1)
+
+        drawn = set()
+        run_all = guideopt._run_all
+
+        def recording_run_all(guide, runs):
+            return run_all(guide, (drawn.update(run.history) or run for run in runs))
+
+        monkeypatch.setattr(guideopt, "_run_all", recording_run_all)
+        family = TabularGuideFamily(lambda index, label, history: label)
+        report = optimize_guide(model, family, UtilityConfig(), budget=40, seed=1, n=100)
+        assert report.evaluations == 40 and len(report.utility_trace) > 1
+        assert drawn == {2, 3}
+        (cell,) = report.best_params.values()
+        assert cell[0] == -math.inf and family.cell_dist(prior, cell).prob(1) == 0.0
 
     def test_deterministic_given_seed(self):
         family = dice_tabular_family()

@@ -199,6 +199,19 @@ class TestRejections:
         assert t.status is RunStatus.REJECTED_CRASH
         assert "event cap" in t.crash_reason
 
+    def test_event_cap_counts_extra_choices(self):
+        """The cap counts choose, evidence and extra-choice calls, which
+        stops a guide that keeps inserting choices; `n_events` counts only
+        choose and evidence calls.  This run makes 20 chooses, one
+        evidence call and one extra choice."""
+        entry = MODELS["monkey"]
+        model = entry.build(length=20)
+        guide = entry.guides["pattern_insert"](length=20)
+        capped = run_trace(model, guide, 3, max_events=21)
+        assert (capped.status, capped.crash_reason) == (RunStatus.REJECTED_CRASH, "event cap 21 exceeded")
+        t = run_trace(model, guide, 3, max_events=22)
+        assert (t.status, t.n_events, len(t.extras)) == (RunStatus.COMPLETED, 21, 1)
+
 
 class TestGuideIsolation:
     def test_identical_choices_identical_model_side(self):
