@@ -65,8 +65,9 @@ class Dist:
     in the package writes to a `Dist` after building it, so one is safe
     to share across samplers.  Masses must be nonnegative, with at least
     one positive (`ZeroMassError` otherwise), and sum to 1 within
-    `MASS_SUM_TOLERANCE` (`ValueError` otherwise).  Sampling is inverse-CDF over the support order, so a
-    fixed random stream always maps to the same value.  The cumulative
+    `MASS_SUM_TOLERANCE` (`ValueError` otherwise).  Sampling is
+    inverse-CDF over the support order, so a fixed random stream always
+    maps to the same value.  The cumulative
     masses, the value -> index map and the log-masses (``log_nonneg`` of
     each mass) are computed once here; `sample` and `log_prob` only read
     them.

@@ -400,10 +400,11 @@ class ModelContext:
     counts choose, evidence and extra-choice calls against the event cap
     (`max_events`) and keeps the running free energy against the
     ceiling.  The extra choices count so that a guide that keeps
-    inserting them is stopped; a trace's `n_events` leaves them out.  Each subclass has its own `choose`, which
-    checks the prior, picks the value, adds its free energy and counts
-    the event (`_RunState` samples, `enumeration._ForcedRun` replays and
-    grows the tree), and its own `_observe`, which records evidence."""
+    inserting them is stopped; a trace's `n_events` leaves them out.
+    Each subclass has its own `choose`, which checks the prior, picks
+    the value, adds its free energy and counts the event (`_RunState`
+    samples, `enumeration._ForcedRun` replays and grows the tree), and
+    its own `_observe`, which records evidence."""
 
     __slots__ = ("max_events", "n_events", "fe", "log_evidence", "hypothesis")
     ceiling = math.inf
@@ -568,10 +569,10 @@ def run_trace(model: ModelProgram, guide: Guide, seed: int, max_events: int = DE
     exceedances are folded into the trace status.  A run that makes more
     than `max_events` choose, evidence and extra-choice calls together
     is crash-rejected ("event cap N exceeded"); `Trace.n_events` counts
-    its choose and evidence calls only.  Re-running with the
-    same (model, guide, seed) reproduces the trace bit for bit; the
-    stream is consumed strictly in event order, one uniform per choice
-    and per extra choice.  The extra choices of a completed trace get
+    its choose and evidence calls only.  Re-running with the same
+    (model, guide, seed) reproduces the trace bit for bit; the stream
+    is consumed strictly in event order, one uniform per choice and per
+    extra choice.  The extra choices of a completed trace get
     log P_G(y_i | x, y_1..y_{i-1}) from their conditionals.
     """
     return next(run_traces(model, guide, [seed], max_events))
