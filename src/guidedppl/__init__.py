@@ -44,7 +44,6 @@ from .estimators import (
     HypothesisEstimate,
     LowerBoundResult,
     NoAcceptedRunsError,
-    StatusError,
     UndefinedRatioError,
     WeightError,
     batch_stats,

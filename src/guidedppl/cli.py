@@ -10,7 +10,8 @@ Every invocation emits a single JSON document on one line, written by
 the standard ``json`` encoder: floats in their shortest round-trip form,
 so they parse back exactly.  All randomness derives from ``--seed``, so
 identical invocations produce byte-identical output (more ``--workers``
-only split the seed range into chunks, which are merged back in order).
+only split the seed range into chunks, at most one per CPU, which are
+merged back in order).
 ``python -m json.tool`` indents a document for reading.
 
 Results are the result types themselves, through ``dataclasses.asdict``:
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -159,13 +161,14 @@ def _stats_chunk(model_name: str, guide_name: str, cfg: dict, seeds, max_events:
     return batch_stats(model, guide, seeds, max_events=max_events)
 
 
-def _collect_stats(args, stream: int, guide_name: Optional[str] = None) -> BatchStats:
-    chunk_stats = partial(_stats_chunk, args.model, guide_name or args.guide, _guide_config(args),
-                          max_events=args.max_events)
+def _collect_stats(args, cfg: dict, stream: int, guide_name: Optional[str] = None) -> BatchStats:
+    """The batch of `args.n` runs on seed stream `stream`, split into at
+    most one chunk per CPU; a single chunk runs in this process."""
+    chunk_stats = partial(_stats_chunk, args.model, guide_name or args.guide, cfg, max_events=args.max_events)
     seeds = derive_seeds(args.seed, args.n, stream=stream)
-    if args.workers == 1:
-        return chunk_stats(seeds)
-    chunks = [c for c in np.array_split(seeds, args.workers) if len(c)]
+    chunks = [c for c in np.array_split(seeds, min(args.workers, os.cpu_count() or 1)) if len(c)]
+    if len(chunks) == 1:
+        return chunk_stats(chunks[0])
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         return merge_batch_stats(list(pool.map(chunk_stats, chunks)))
 
@@ -175,7 +178,7 @@ def _collect_stats(args, stream: int, guide_name: Optional[str] = None) -> Batch
 
 
 def _cmd_run(args, notes: list) -> dict:
-    stats = _collect_stats(args, stream=0)
+    stats = _collect_stats(args, _guide_config(args), stream=0)
     results = asdict(estimate_from_batch(stats))
     if args.report_hypothesis_histogram:
         results["hypothesis_histogram"] = _weighted_histogram(stats)
@@ -211,15 +214,15 @@ def _cmd_oracle(args, notes: list) -> dict:
 
 def _cmd_bound(args, notes: list) -> dict:
     check_delta(args.delta)
+    cfg = _guide_config(args)
     if args.hypothesis:  # resolve both guide names before the first batch
-        cfg = _guide_config(args)
         entry, _ = build_model(args.model, cfg)
         for name in (args.guide, args.guide_num or args.guide):
             build_guide(entry, name, cfg)
-    den_stats = _collect_stats(args, stream=2 if args.hypothesis else 0)
+    den_stats = _collect_stats(args, cfg, stream=2 if args.hypothesis else 0)
     if not args.hypothesis:
         return {"evidence_bound": asdict(lower_confidence_bound(den_stats.weight_evidence, args.delta))}
-    num_stats = _collect_stats(args, stream=1, guide_name=args.guide_num or args.guide)
+    num_stats = _collect_stats(args, cfg, stream=1, guide_name=args.guide_num or args.guide)
     est = asdict(hypothesis_estimate_from_stats(num_stats, den_stats, args.delta))
     notes.append("ratio_of_bounds is an estimate of the conditional expectation, not a bound")
     return {"evidence_bound": est["denominator_bound"], "hypothesis": est}
@@ -240,7 +243,6 @@ def _cmd_optimize(args, notes: list) -> dict:
         budget=args.budget,
         seed=args.seed,
         n=args.eval_n,
-        sigma=args.sigma,
         accept_margin=args.margin,
         max_events=args.max_events,
     )
@@ -310,8 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--ceiling", type=float, default=None)
         p.add_argument("--workers", type=int, default=1,
-                       help="processes to split the seeds across (run and bound only; "
-                            "oracle, optimize and trace run in one process)")
+                       help="processes to split the seeds across, at most one per CPU (run and "
+                            "bound only; oracle, optimize and trace run in one process)")
         p.add_argument("--depth-cap", dest="depth_cap", type=int, default=3)
         p.add_argument("--alphabet", type=int, default=2)
         p.add_argument("--length", type=int, default=12)
@@ -346,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--budget", type=int, default=500)
     p_opt.add_argument("--k", type=float, default=0.0)
     p_opt.add_argument("--eval-n", dest="eval_n", type=int, default=300)
-    p_opt.add_argument("--sigma", type=float, default=1.0)
     p_opt.add_argument("--margin", type=float, default=0.0,
                        help="required utility improvement for a step to be accepted")
     p_opt.add_argument("--save-params", dest="save_params", default=None)
@@ -360,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _CONFIG_KEYS = (
     "model", "guide", "guide_num", "n", "delta", "seed", "ceiling", "k", "workers",
-    "budget", "eval_n", "sigma", "margin", "depth_cap", "alphabet", "length",
+    "budget", "eval_n", "margin", "depth_cap", "alphabet", "length",
     "pattern", "params", "max_events", "max_paths", "hypothesis",
     "report_hypothesis_histogram", "save_params", "output",
 )

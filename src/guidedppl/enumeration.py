@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .dists import Dist, Value, NEG_INF
 from . import runtime
@@ -220,58 +220,6 @@ def _no_extra_choice(guide_dist, conditional):
     raise ExtraChoicesUnsupportedError("exact evaluation does not support guides with extra choices")
 
 
-def _walk(pe: PathEnumeration, guide: Guide, leaks: list[tuple[float, int]]) -> Iterator[tuple]:
-    """Depth-first walk of the tree under `guide`.
-
-    Yields ``(entry, log_guide, fe, events_observed, rejected)`` for each
-    leaf G can reach, completed path or crash, in choice order: fe is the
-    running free energy, a partial sum when the ceiling rejected the run,
-    and events_observed is the leaf's event count, or the count up to the
-    rejection.  Each site where G puts mass on a prior-impossible value
-    appends (G-mass leaked there, events executed when it leaks, or up to
-    an earlier rejection) to `leaks`.
-    """
-    guide.begin(GuideContext(_no_extra_choice))
-    ceiling = math.inf if guide.ceiling is None else guide.ceiling  # as `run_trace` reads it
-    # (node, depth, parent's value list, edge value, log G above it, fe, events, events at rejection)
-    stack: list = [(pe.root, 0, [], None, 0.0, 0.0, 0, None)]
-    while stack:
-        node, depth, values, v, log_guide, fe, events, observed = stack.pop()
-        for lp in node.log_evidence:
-            events += 1
-            if observed is None:
-                fe += -lp
-                if fe > ceiling:
-                    observed = events
-        if type(node) is _Leaf:
-            entry = node.entry
-            yield entry, log_guide, fe, entry.n_events if observed is None else observed, observed is not None
-            continue
-        if depth:  # extend the parent's list in place, or a copy of its prefix once a sibling has
-            if len(values) != depth - 1:
-                values = values[:depth - 1]
-            values.append(v)
-        prior = node.prior
-        g = guide.propose(ChoiceSite(depth, node.label, prior, HistoryView(values, depth), ()))
-        if g is None:
-            g = prior
-        events += 1
-        if g is not prior:
-            leaked = math.fsum(gm for gv, gm in g if prior.prob(gv) == 0.0)
-            if leaked > 0.0:
-                leaks.append((math.exp(log_guide) * leaked, events if observed is None else observed))
-        for v, child in zip(reversed(node.values), reversed(node.children)):
-            lg = g.log_prob(v)
-            if lg == NEG_INF:
-                continue  # G never samples this subtree
-            child_fe, child_observed = fe, observed
-            if observed is None:
-                child_fe = fe + (lg - prior.log_prob(v))
-                if child_fe > ceiling:
-                    child_observed = events
-            stack.append((child, depth + 1, values, v, log_guide + lg, child_fe, events, child_observed))
-
-
 @dataclass(frozen=True, slots=True)
 class GuidedSamplingProfile:
     """Exact sampling behavior of a guide, rejection included; field
@@ -309,22 +257,61 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
     acc_fe = 0.0
     mean_events = 0.0
     total = 0.0
-    leaks: list[tuple[float, int]] = []
-    for entry, lg, fe, events, rejected in _walk(pe, guide, leaks):
-        g = math.exp(lg)
-        mean_events += g * events
-        if type(entry) is CrashEntry:
-            total = math.inf
+    leaks: list[tuple[float, int]] = []  # (G-mass leaked at a site, events when it leaks or at rejection)
+    guide.begin(GuideContext(_no_extra_choice))
+    ceiling = math.inf if guide.ceiling is None else guide.ceiling  # as `run_trace` reads it
+    # A depth-first walk of the tree under G, skipping the subtrees G never
+    # samples, in choice order: (node, depth, parent's value list, edge value,
+    # log G above it, running fe, events, events at rejection or None).
+    stack: list = [(pe.root, 0, [], None, 0.0, 0.0, 0, None)]
+    while stack:
+        node, depth, values, v, log_guide, fe, events, observed = stack.pop()
+        for lp in node.log_evidence:
+            events += 1
+            if observed is None:
+                fe += -lp
+                if fe > ceiling:
+                    observed = events
+        if type(node) is _Leaf:
+            entry = node.entry
+            mass = math.exp(log_guide)
+            mean_events += mass * (entry.n_events if observed is None else observed)
+            if type(entry) is CrashEntry:
+                total = math.inf
+                continue
+            if observed is None:
+                acc_mass += mass
+                acc_fe += mass * fe
+                if fe == math.inf:
+                    acc_fe = math.inf
+            if entry.log_evidence == NEG_INF:
+                total = math.inf
+            elif total != math.inf:
+                total += mass * (log_guide - entry.log_prior - entry.log_evidence)
             continue
-        if not rejected:
-            acc_mass += g
-            acc_fe += g * fe
-            if fe == math.inf:
-                acc_fe = math.inf
-        if entry.log_evidence == NEG_INF:
-            total = math.inf
-        elif total != math.inf:
-            total += g * (lg - entry.log_prior - entry.log_evidence)
+        if depth:  # extend the parent's list in place, or a copy of its prefix once a sibling has
+            if len(values) != depth - 1:
+                values = values[:depth - 1]
+            values.append(v)
+        prior = node.prior
+        g = guide.propose(ChoiceSite(depth, node.label, prior, HistoryView(values, depth), ()))
+        if g is None:
+            g = prior
+        events += 1
+        if g is not prior:
+            leaked = math.fsum(gm for gv, gm in g if prior.prob(gv) == 0.0)
+            if leaked > 0.0:
+                leaks.append((math.exp(log_guide) * leaked, events if observed is None else observed))
+        for v, child in zip(reversed(node.values), reversed(node.children)):
+            lg = g.log_prob(v)
+            if lg == NEG_INF:
+                continue  # G never samples this subtree
+            child_fe, child_observed = fe, observed
+            if observed is None:
+                child_fe = fe + (lg - prior.log_prob(v))
+                if child_fe > ceiling:
+                    child_observed = events
+            stack.append((child, depth + 1, values, v, log_guide + lg, child_fe, events, child_observed))
     leak_mass = math.fsum(m for m, _ in leaks)
     mean_events += math.fsum(m * ev for m, ev in leaks)
     free_energy = math.inf if leaks else total

@@ -38,10 +38,6 @@ from .runtime import (
 )
 
 
-class StatusError(ValueError):
-    """A trace's extra choices have no model conditional yet."""
-
-
 class NoAcceptedRunsError(RuntimeError):
     """Every run in the batch was rejected."""
 
@@ -128,10 +124,7 @@ def _path_log_masses(run) -> tuple[float, float]:
     log_num = run.log_prior_total
     log_den = run.log_guide_total
     for extra in run.extras:
-        lmc = extra.log_model_conditional
-        if lmc is None:
-            raise StatusError("trace has unfinalized extra choices")
-        log_num += lmc
+        log_num += extra.log_model_conditional
         log_den += extra.log_guide
     return log_num, log_den
 
@@ -388,8 +381,6 @@ def hypothesis_estimate_from_stats(
 
 def merge_batch_stats(parts: list[BatchStats]) -> BatchStats:
     """Concatenate per-chunk stats in chunk order (parallel drivers)."""
-    if len(parts) == 1:
-        return parts[0]
     return BatchStats(
         seeds=np.concatenate([p.seeds for p in parts]),
         accepted=np.concatenate([p.accepted for p in parts]),

@@ -160,8 +160,9 @@ class TabularGuideFamily:
         # puts mass where the prior has none.
         return list(prior._logs)
 
-    def mutate_cell(self, cell: Sequence[float], support: tuple, rng: np.random.Generator, sigma: float) -> list[float]:
-        noise = rng.normal(0.0, sigma, len(cell))
+    def mutate_cell(self, cell: Sequence[float], support: tuple, rng: np.random.Generator) -> list[float]:
+        """The cell with standard normal noise added to each logit."""
+        noise = rng.normal(0.0, 1.0, len(cell))
         return [c + z for c, z in zip(cell, noise)]
 
 
@@ -188,7 +189,7 @@ class PointGuideFamily:
         i = max(range(len(prior)), key=lambda j: prior.masses[j])
         return prior.values[i]
 
-    def mutate_cell(self, cell: Value, support: tuple, rng: np.random.Generator, sigma: float) -> Value:
+    def mutate_cell(self, cell: Value, support: tuple, rng: np.random.Generator) -> Value:
         return support[int(rng.integers(len(support)))]
 
 
@@ -222,8 +223,6 @@ def _utility(seeds: np.ndarray, runs: Sequence[_Run], cfg: UtilityConfig) -> flo
         est = estimate_from_batch(stats)
     except NoAcceptedRunsError:
         return math.inf  # searchable sentinel, not an exception
-    if not math.isfinite(est.adjusted_fe):
-        return math.inf
     return est.adjusted_fe + cfg.k * (est.total_events / est.n_accepted)
 
 
@@ -260,7 +259,6 @@ def optimize_guide(
     budget: int,
     seed: int,
     n: int = 300,
-    sigma: float = 1.0,
     accept_margin: float = 0.0,
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> SearchReport:
@@ -270,11 +268,12 @@ def optimize_guide(
     numbers), so the objective is a deterministic surrogate of the true
     utility and acceptance decisions are repeatable.  Cells are
     discovered as runs visit new sites; a proposal perturbs one cell of
-    the current table and is accepted when it improves on the incumbent
-    by more than `accept_margin` (a nonzero margin stops the climb from
-    chasing quirks of the fixed seed set; only accepted tables are ever
-    reported).  The climb never moves to a worse table, so the current
-    table is the best one found.
+    the current table (a tabular cell gets standard normal noise on each
+    logit, a point cell a uniformly drawn support value) and is accepted
+    when it improves on the incumbent by more than `accept_margin` (a
+    nonzero margin stops the climb from chasing quirks of the fixed seed
+    set; only accepted tables are ever reported).  The climb never moves
+    to a worse table, so the current table is the best one found.
 
     Evaluation is incremental.  The family binds tables to `TableGuide`s,
     which propose at a site from the site's prior and cell alone, so a
@@ -287,8 +286,6 @@ def optimize_guide(
     """
     if budget < 1:
         raise ValueError("need at least one evaluation")
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError("mutation scale sigma must be finite and nonnegative")
     if not 0.0 <= accept_margin < math.inf:
         raise ValueError("accept margin must be finite and nonnegative")
     crn = derive_seeds(seed, n, stream=3)
@@ -321,7 +318,7 @@ def optimize_guide(
         key = keys[int(rng.integers(len(keys)))]
         init_cell, support = cells[key]
         cand = dict(current)
-        cand[key] = family.mutate_cell(cand.get(key, init_cell), support, rng, sigma)
+        cand[key] = family.mutate_cell(cand.get(key, init_cell), support, rng)
         affected = current_index.get(key, [])
         guide = family.bind(cand)
         rerun = run_all(guide, affected)

@@ -8,7 +8,10 @@ from itertools import product
 import numpy as np
 
 from guidedppl import (
+    ChoiceSite,
+    ExtraChoicesUnsupportedError,
     FunctionGuide,
+    GuideContext,
     PathEntry,
     RunStatus,
     dist_from_weights,
@@ -18,7 +21,6 @@ from guidedppl import (
     point_mass,
     uniform_range,
 )
-from guidedppl.enumeration import _walk
 from guidedppl.models import _ALPHABET, _DIE2_GIVEN_DIE1, _POINTS
 
 DICE_FE_TARGET = 2.667228206581955  # ln(216/15)
@@ -189,8 +191,30 @@ def forcing_guide_for(model_values):
 
 
 def guided_paths(pe, guide):
-    """``(entry, log G(x))`` for every completed path the guide can sample."""
-    return [(entry, log_guide) for entry, log_guide, *_ in _walk(pe, guide, []) if type(entry) is PathEntry]
+    """``(entry, log G(x))`` for every completed path the guide can sample,
+    in choice order: a recursive walk of the enumeration's tree that asks
+    the guide for a proposal at each site it reaches."""
+
+    def no_extra_choice(guide_dist, conditional):
+        raise ExtraChoicesUnsupportedError("guided_paths does not support extra choices")
+
+    def visit(node, history, log_guide):
+        if hasattr(node, "entry"):  # a leaf: a completed path or a crash
+            if type(node.entry) is PathEntry:
+                paths.append((node.entry, log_guide))
+            return
+        g = guide.propose(ChoiceSite(len(history), node.label, node.prior, history, ()))
+        if g is None:
+            g = node.prior
+        for v, child in zip(node.values, node.children):
+            lg = g.log_prob(v)
+            if lg > -math.inf:
+                visit(child, history + (v,), log_guide + lg)
+
+    paths = []
+    guide.begin(GuideContext(no_extra_choice))
+    visit(pe.root, (), 0.0)
+    return paths
 
 
 def summarize_trace(t):

@@ -262,7 +262,7 @@ def test_10_guide_search(dice_pe):
     family = dice_tabular_family()
     rep = optimize_guide(
         three_dice, family, UtilityConfig(k=0.0),
-        budget=2000, seed=7, n=400, sigma=1.0, accept_margin=0.05,
+        budget=2000, seed=7, n=400, accept_margin=0.05,
     )
     learned_prof = exact_guided_profile(dice_pe, family.bind(rep.best_params))
     gap = learned_prof.adjusted_fe - DICE_FE_TARGET

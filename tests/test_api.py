@@ -55,7 +55,6 @@ PUBLIC = [
     "PriorGuide",
     "RunStatus",
     "SearchReport",
-    "StatusError",
     "TabularGuideFamily",
     "Trace",
     "UndefinedRatioError",

@@ -1,6 +1,11 @@
+import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,29 @@ def invoke(capsys, *argv):
 def invoke_json(capsys, *argv):
     code, out = invoke(capsys, *argv)
     return code, json.loads(out)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace `ProcessPoolExecutor` with a stand-in that maps the chunks
+    in this process; the list holds each pool's `max_workers`."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    return sizes
 
 
 class TestOracleCommand:
@@ -106,6 +134,17 @@ class TestRunCommand:
         _, solo = invoke_json(capsys, *bound)
         _, multi = invoke_json(capsys, *bound, "--workers", "3")
         assert solo["results"] == multi["results"]
+
+    @pytest.mark.parametrize("cpus, pools", [(None, []), (1, []), (2, [2]), (3, [3])])
+    def test_workers_are_capped_at_the_cpu_count(self, capsys, monkeypatch, pool_sizes, cpus, pools):
+        # `--workers 8` started 8 processes on 2 CPUs, slower than 2.
+        argv = ("run", "--model", "three_dice", "--guide", "prior_reject", "--n", "600", "--seed", "9")
+        _, solo = invoke_json(capsys, *argv)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        _, many = invoke_json(capsys, *argv, "--workers", "64")
+        assert many["results"] == solo["results"]
+        assert many["config"]["workers"] == 64
+        assert pool_sizes == pools  # a single chunk runs in this process
 
 
 class TestBoundCommand:
@@ -300,6 +339,36 @@ class TestErrorsAndDeterminism:
         assert doc["error"] == {"type": "ValueError",
                                 "message": f"guide parameter file {path}: 'die1' must map to a list of numbers"}
 
+    @pytest.mark.parametrize("text", ["[1.0, 2.0]", "3", "null", '"die1"'])
+    def test_params_file_that_is_not_an_object_is_structured(self, capsys, tmp_path, text):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        code, doc = invoke_json(capsys, "run", "--model", "three_dice", "--guide", "tabular",
+                                "--params", str(path), "--n", "5")
+        assert code == 1
+        assert doc["error"] == {"type": "ValueError", "message": f"guide parameter file {path} must hold a JSON object"}
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_params_file_is_read_once_per_command(self, capsys, monkeypatch, tmp_path, pool_sizes, workers):
+        # `bound --hypothesis` read the file three times: once to resolve the
+        # guide names and once per batch.
+        path = tmp_path / "p.json"
+        path.write_text('{"die1": [1.0, 0, 0, 0, 0, 0]}')
+        reads = []
+        load = cli._load_params
+        monkeypatch.setattr(cli, "_load_params", lambda p: reads.append(p) or load(p))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, doc = invoke_json(capsys, "bound", "--model", "three_dice", "--guide", "tabular", "--hypothesis",
+                                "--params", str(path), "--n", "50", "--seed", "1", "--workers", workers)
+        assert code == 0
+        assert reads == [str(path)]
+        assert pool_sizes == ([2, 2] if workers == "2" else [])
+
+    def test_tabular_guide_on_a_model_without_a_family_exits_2(self, capsys):
+        code = main(["run", "--model", "monkey", "--guide", "tabular", "--n", "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "model 'monkey' has no tabular guide family\n")
+
     @pytest.mark.parametrize("command", [
         ("run", "--model", "three_dice", "--n", "20"),
         ("bound", "--model", "three_dice", "--n", "20"),
@@ -348,12 +417,11 @@ class TestErrorsAndDeterminism:
         assert doc["error"] == {"type": "ValueError", "message": f"--workers must be at least 1, got {workers}"}
 
     @pytest.mark.parametrize("option, message", [
-        ("--sigma", "mutation scale sigma must be finite and nonnegative"),
         ("--k", "impatience constant k must be finite and nonnegative"),
         ("--margin", "accept margin must be finite and nonnegative"),
     ])
     def test_infinite_search_option_is_structured(self, capsys, option, message):
-        # --sigma and --margin inf used to exit 0 with nothing accepted, --k inf with best_utility Infinity.
+        # --margin inf used to exit 0 with nothing accepted, --k inf with best_utility Infinity.
         code, doc = invoke_json(capsys, "optimize", "--model", "three_dice", "--budget", "30", "--eval-n", "50",
                                 option, "inf")
         assert code == 1
@@ -488,6 +556,23 @@ class TestGoldenOutput:
             assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
         saved = (tmp_path / "dice_params.json").read_bytes()
         assert hashlib.sha256(saved).hexdigest() == "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356"
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["run", "--model", "three_dice", "--guide", "posterior", "--n", "200", "--seed", "7"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "guidedppl", *argv], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == invoke(capsys, *argv)
+
+
+def test_config_echoes_every_option_once():
+    # An option missing from `_CONFIG_KEYS` would silently drop out of `config`.
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for p in commands.choices.values() for a in p._actions if not isinstance(a, argparse._HelpAction)}
+    assert len(set(cli._CONFIG_KEYS)) == len(cli._CONFIG_KEYS)
+    assert set(cli._CONFIG_KEYS) == dests
 
 
 # Documents for `cli.dumps`: every control character (\b, \f and \x7f

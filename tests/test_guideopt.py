@@ -181,15 +181,6 @@ class TestOptimizeGuide:
             optimize_guide(model, dice_tabular_family(), UtilityConfig(), budget=5, seed=1, n=0)
         assert model.calls == 0
 
-    @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
-    def test_bad_sigma_rejected_before_any_evaluation(self, sigma):
-        # A negative sigma used to fail only at the first mutation, after
-        # a full evaluation of the initial table.
-        model = CountingModel(three_dice)
-        with pytest.raises(ValueError, match="sigma"):
-            optimize_guide(model, dice_tabular_family(), UtilityConfig(), budget=5, seed=1, sigma=sigma)
-        assert model.calls == 0
-
     def test_nan_margin_rejected_before_any_evaluation(self):
         # NaN fails every comparison: a NaN margin would reject every
         # candidate.
@@ -311,8 +302,8 @@ class LoggingFamily:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def mutate_cell(self, cell, support, rng, sigma):
-        out = self.inner.mutate_cell(cell, support, rng, sigma)
+    def mutate_cell(self, cell, support, rng):
+        out = self.inner.mutate_cell(cell, support, rng)
         self.mutations.append(out)
         return out
 
@@ -406,7 +397,7 @@ def test_golden_search_reports(name):
     assert _plain(optimize_guide(model, family(), cfg, **kwargs)) == GOLDEN_REPORTS[name]
 
 
-def _reference_search(model, family, cfg, budget, seed, n, sigma=1.0, accept_margin=0.0):
+def _reference_search(model, family, cfg, budget, seed, n, accept_margin=0.0):
     """The hill climb with every candidate scored on all n CRN runs."""
     crn = derive_seeds(seed, n, stream=3)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(4,)))
@@ -434,7 +425,7 @@ def _reference_search(model, family, cfg, budget, seed, n, sigma=1.0, accept_mar
         key = keys[int(rng.integers(len(keys)))]
         init_cell, support = cells[key]
         cand = dict(current)
-        cand[key] = family.mutate_cell(cand.get(key, init_cell), support, rng, sigma)
+        cand[key] = family.mutate_cell(cand.get(key, init_cell), support, rng)
         u = evaluate(cand)
         evaluations += 1
         if u < current_u - accept_margin:

@@ -41,6 +41,13 @@ class TestMonkeyOracles:
         bf = monkey_evidence_bruteforce(2, length, pattern)
         assert dp == bf  # both are dyadic rationals: equality is exact
 
+    @pytest.mark.parametrize("pattern", ["aab", "abab", "aabaa", "abaab"])
+    def test_dp_with_failure_link_fallbacks_equals_brute_force(self, pattern):
+        # Building the failure links of "aab" and "aabaa" falls back along
+        # an earlier link, which "aba" never does.
+        for length in range(1, 11):
+            assert monkey_evidence_dp(2, length, pattern) == monkey_evidence_bruteforce(2, length, pattern)
+
     def test_frozen_golden_value(self):
         assert monkey_evidence_dp(2, 12, "aba") == MONKEY_12_ABA
 

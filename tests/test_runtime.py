@@ -212,6 +212,35 @@ class TestRejections:
         t = run_trace(model, guide, 3, max_events=22)
         assert (t.status, t.n_events, len(t.extras)) == (RunStatus.COMPLETED, 21, 1)
 
+    def test_guide_that_keeps_inserting_extra_choices_is_stopped(self):
+        class Inserting(Guide):
+            def begin(self, ctx):
+                while True:
+                    ctx.extra_choice(uniform_range(1, 2), lambda t: uniform_range(1, 2))
+
+        t = run_trace(single_choice_model, Inserting(), 0, max_events=30)
+        assert (t.status, t.crash_reason, t.n_events) == (RunStatus.REJECTED_CRASH, "event cap 30 exceeded", 0)
+        stats = batch_stats(single_choice_model, Inserting(), derive_seeds(0, 5), max_events=30)
+        assert not stats.accepted.any()
+
+    def test_extra_choice_needs_a_dist(self):
+        class Listing(Guide):
+            def begin(self, ctx):
+                ctx.extra_choice([1, 2], lambda t: uniform_range(1, 2))
+
+        t = run_trace(single_choice_model, Listing(), 0)
+        assert (t.status, t.crash_reason) == (RunStatus.REJECTED_CRASH, "extra_choice() needs a Dist, got list")
+
+    def test_conditional_that_returns_no_dist_is_a_crash(self):
+        class Inserting(Guide):
+            def begin(self, ctx):
+                ctx.extra_choice(uniform_range(1, 2), lambda t: 0.5)
+
+        t = run_trace(single_choice_model, Inserting(), 0)
+        assert (t.status, t.crash_reason) == (
+            RunStatus.REJECTED_CRASH, "extra-choice conditional returned float, not a Dist")
+        assert t.n_events == 1  # the model ran to completion first
+
 
 class TestGuideIsolation:
     def test_identical_choices_identical_model_side(self):
