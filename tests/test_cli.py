@@ -547,7 +547,7 @@ class TestGoldenOutput:
         for argv, digest in [
             ("optimize --model three_dice --budget 60 --eval-n 400 --margin 0.05 --seed 7 "
              "--save-params dice_params.json",
-             "59b69222ce1b37b02d4cd5520485a21df362f22c30a0cc3afc907c8eac1cd97a"),
+             "1ea7744ce147fdba53725c9ae65f348d987fdbbcdd6991eed2d0b418446eef54"),
             ("run --model three_dice --guide tabular --params dice_params.json --ceiling 30 "
              "--n 1000 --seed 2",
              "bb6b5cca412d687993a9b15b87b7c12a99fd036f02a9eee7720e3b933ff89b41"),
