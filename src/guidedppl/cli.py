@@ -31,7 +31,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -94,7 +93,7 @@ def dumps(doc) -> str:
 
 class UsageError(Exception):
     """Unknown model or guide name, a file that cannot be read or written,
-    or ``--params`` given to ``optimize`` (exit code 2)."""
+    or an option that the command does not take (exit code 2)."""
 
 
 def _guide_config(args) -> dict:
@@ -155,16 +154,18 @@ def build_guide(entry, guide_name: str, cfg: dict):
     return factory(**cfg)
 
 
-def _stats_chunk(model_name: str, guide_name: str, cfg: dict, seeds, max_events: int) -> BatchStats:
-    entry, model = build_model(model_name, cfg)
-    guide = build_guide(entry, guide_name, cfg)
-    return batch_stats(model, guide, seeds, max_events=max_events)
+def _build(args, *guide_names):
+    """The model and a guide per name (None for a name of None)."""
+    cfg = _guide_config(args)
+    entry, model = build_model(args.model, cfg)
+    return model, *(None if name is None else build_guide(entry, name, cfg) for name in guide_names)
 
 
-def _collect_stats(args, cfg: dict, stream: int, guide_name: Optional[str] = None) -> BatchStats:
+def _collect_stats(args, model, guide, stream: int) -> BatchStats:
     """The batch of `args.n` runs on seed stream `stream`, split into at
-    most one chunk per CPU; a single chunk runs in this process."""
-    chunk_stats = partial(_stats_chunk, args.model, guide_name or args.guide, cfg, max_events=args.max_events)
+    most one chunk per CPU.  A single chunk runs in this process; else each
+    worker process runs a pickled copy of `model` and `guide`."""
+    chunk_stats = partial(batch_stats, model, guide, max_events=args.max_events)
     seeds = derive_seeds(args.seed, args.n, stream=stream)
     chunks = [c for c in np.array_split(seeds, min(args.workers, os.cpu_count() or 1)) if len(c)]
     if len(chunks) == 1:
@@ -178,7 +179,8 @@ def _collect_stats(args, cfg: dict, stream: int, guide_name: Optional[str] = Non
 
 
 def _cmd_run(args, notes: list) -> dict:
-    stats = _collect_stats(args, _guide_config(args), stream=0)
+    model, guide = _build(args, args.guide)
+    stats = _collect_stats(args, model, guide, stream=0)
     results = asdict(estimate_from_batch(stats))
     if args.report_hypothesis_histogram:
         results["hypothesis_histogram"] = _weighted_histogram(stats)
@@ -198,9 +200,7 @@ def _weighted_histogram(stats: BatchStats) -> dict:
 
 
 def _cmd_oracle(args, notes: list) -> dict:
-    cfg = _guide_config(args)
-    entry, model = build_model(args.model, cfg)
-    guide = None if args.guide is None else build_guide(entry, args.guide, cfg)
+    model, guide = _build(args, args.guide)
     pe = enumerate_paths(model, max_paths=args.max_paths, max_events=args.max_events)
     evidence = exact_evidence(pe)
     results = {"paths": len(pe.entries), "evidence": evidence, "crash_mass": pe.crash_mass(),
@@ -213,16 +213,15 @@ def _cmd_oracle(args, notes: list) -> dict:
 
 
 def _cmd_bound(args, notes: list) -> dict:
+    if args.guide_num is not None and not args.hypothesis:
+        raise UsageError("--guide-num applies only with --hypothesis")
     check_delta(args.delta)
-    cfg = _guide_config(args)
-    if args.hypothesis:  # resolve both guide names before the first batch
-        entry, _ = build_model(args.model, cfg)
-        for name in (args.guide, args.guide_num or args.guide):
-            build_guide(entry, name, cfg)
-    den_stats = _collect_stats(args, cfg, stream=2 if args.hypothesis else 0)
+    # With --hypothesis both guides are built, so both names resolved, before the first batch.
+    model, guide, guide_num = _build(args, args.guide, (args.guide_num or args.guide) if args.hypothesis else None)
+    den_stats = _collect_stats(args, model, guide, stream=2 if args.hypothesis else 0)
     if not args.hypothesis:
         return {"evidence_bound": asdict(lower_confidence_bound(den_stats.weight_evidence, args.delta))}
-    num_stats = _collect_stats(args, cfg, stream=1, guide_name=args.guide_num or args.guide)
+    num_stats = _collect_stats(args, model, guide_num, stream=1)
     est = asdict(hypothesis_estimate_from_stats(num_stats, den_stats, args.delta))
     notes.append("ratio_of_bounds is an estimate of the conditional expectation, not a bound")
     return {"evidence_bound": est["denominator_bound"], "hypothesis": est}
@@ -259,9 +258,7 @@ def _cmd_optimize(args, notes: list) -> dict:
 
 
 def _cmd_trace(args, notes: list) -> dict:
-    cfg = _guide_config(args)
-    entry, model = build_model(args.model, cfg)
-    guide = build_guide(entry, args.guide, cfg)
+    model, guide = _build(args, args.guide)
     t = run_trace(model, guide, args.seed, max_events=args.max_events)
     # Each event's dict straight from the trace's columns; no `ChoiceRecord` or `EventFE` is built.
     chosen = [

@@ -172,6 +172,8 @@ def enumerate_paths(model: ModelProgram, max_paths: int = DEFAULT_MAX_PATHS,
     """Depth-first enumeration of every terminating path, one model run
     per path; entries and crash leaves are sorted by choice sequence.
     See the module docstring for crash leaves and what raises."""
+    if max_paths < 1:  # else the first path would be reported as too many
+        raise ValueError(f"max_paths must be at least 1, got {max_paths}")
     entries: list[PathEntry] = []
     crashes: list[CrashEntry] = []
     top: list = [None]

@@ -80,8 +80,17 @@ def dice_tabular_family(ceiling: Optional[float] = 30.0) -> TabularGuideFamily:
     return TabularGuideFamily(dice_site_key, ceiling=ceiling, force=_dice_force)
 
 
+def _dice_point_key(index: int, label: Optional[str], history: tuple) -> str:
+    return f"{index}|{','.join(map(str, history))}"
+
+
 def dice_point_family(ceiling: Optional[float] = 30.0) -> PointGuideFamily:
-    return PointGuideFamily(lambda i, label, hist: f"{i}|{','.join(map(str, hist))}", ceiling=ceiling)
+    return PointGuideFamily(_dice_point_key, ceiling=ceiling)
+
+
+def _die1_is_5(site: ChoiceSite) -> Dist:
+    """The ``die1_is_5`` guide: the one path (5, 1, 1) on which h = 1."""
+    return (_POINTS[5], _POINTS[1], _POINTS[1])[site.index]
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +114,12 @@ def make_monkey_model(alphabet_size: int = 2, length: int = 12, pattern: str = "
         raise ValueError(f"pattern {pattern!r} uses characters outside {alphabet!r}")
     if length < 1:
         raise ValueError("length must be at least 1")
-    char = _char_dist(alphabet_size)
+    return partial(_monkey, _char_dist(alphabet_size), length, pattern)
 
-    def monkey(ctx: ModelContext) -> None:
-        chars = [ctx.choose(char) for _ in range(length)]
-        ctx.evidence(pattern in "".join(chars))
 
-    return monkey
+def _monkey(char: Dist, length: int, pattern: str, ctx: ModelContext) -> None:
+    chars = [ctx.choose(char) for _ in range(length)]
+    ctx.evidence(pattern in "".join(chars))
 
 
 class PatternInsertGuide(Guide):
@@ -236,14 +244,14 @@ def make_expr_model(depth_cap: int = 3) -> Callable[[ModelContext], None]:
     and set the hypothesis to whether f(5) == 25."""
     if depth_cap < 2:
         raise ValueError("depth cap must be at least 2")
+    return partial(_expr_induction, depth_cap)
 
-    def expr_induction(ctx: ModelContext) -> None:
-        f = generate_expr(ctx, 1, depth_cap, "e")
-        ctx.evidence(f(3) == 9)
-        ctx.evidence(f(4) == 16)
-        ctx.set_hypothesis(f(5) == 25)
 
-    return expr_induction
+def _expr_induction(depth_cap: int, ctx: ModelContext) -> None:
+    f = generate_expr(ctx, 1, depth_cap, "e")
+    ctx.evidence(f(3) == 9)
+    ctx.evidence(f(4) == 16)
+    ctx.set_hypothesis(f(5) == 25)
 
 
 def expr_site_key(index: int, label: Optional[str], history: tuple) -> str:
@@ -269,7 +277,9 @@ class ModelEntry:
     option of the command as a keyword (``ceiling``, ``alphabet``,
     ``length``, ``pattern``, ``depth_cap``, ``params``); each takes the
     ones it needs and ignores the rest (``**_``).  A ceiling of None (no
-    ``--ceiling``) gives the factory's default.
+    ``--ceiling``) gives the factory's default.  What `build`, a guide
+    factory or a bound family returns must pickle (no closures or
+    lambdas): the CLI builds each once and sends worker processes copies.
     """
 
     name: str
@@ -294,8 +304,7 @@ MODELS: dict[str, ModelEntry] = {
             "prior": _prior,
             "prior_reject": _table_factory(partial(PriorGuide, ceiling=500.0)),
             "posterior": _table_factory(DicePosteriorGuide),
-            "die1_is_5": _table_factory(partial(
-                FunctionGuide, lambda site: (_POINTS[5], _POINTS[1], _POINTS[1])[site.index])),
+            "die1_is_5": _table_factory(partial(FunctionGuide, _die1_is_5)),
         },
         family=_table_factory(dice_tabular_family),
     ),

@@ -93,3 +93,29 @@ def test_a_failed_run_keeps_the_completed_pairs(tmp_path, monkeypatch, fail_at, 
         assert record["summary"]["call_p50_ms"]["change_quartiles"] == [90, 90, 90]
     else:
         assert "summary" not in record
+
+
+@pytest.mark.parametrize("runs, want", [
+    ([{"failed": 0, "attempted": 14}, {"failed": 0, "attempted": 16}], {"failed": 0, "attempted": 30, "share": 0.0}),
+    ([{"failed": 1, "attempted": 10}, {"failed": 2, "attempted": 30}], {"failed": 3, "attempted": 40, "share": 0.075}),
+    ([{"correct": True}], {"failed": 0, "attempted": 0, "share": None}),  # a run that reports no counts
+    ([], {"failed": 0, "attempted": 0, "share": None}),
+])
+def test_failed_share_sums_the_counts(runs, want):
+    assert bench_pairs.failed_share(runs) == want
+
+
+def test_record_keeps_each_sides_failed_share(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sides = {}
+    for name, (value, failed) in {"parent": (100, 0), "change": (90, 2)}.items():
+        path = _checkout(tmp_path, name, value)
+        run = Path(path) / "perfbench" / "run.py"
+        run.write_text(run.read_text().replace('{"correct": True,', f'{{"correct": {failed == 0}, "attempted": 20, '
+                                               f'"failed": {failed},'))
+        sides[name] = path
+    code = bench_pairs.main([sides["parent"], sides["change"], "--workload", "w", "--pairs", "3", "--seconds", "1"])
+    record = json.loads((tmp_path / "BENCH_w.json").read_text())
+    assert (code, record["all_correct"]) == (0, False)
+    assert record["failed_share"] == {"parent": {"failed": 0, "attempted": 60, "share": 0.0},
+                                      "change": {"failed": 6, "attempted": 60, "share": 0.1}}

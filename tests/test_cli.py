@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -34,7 +35,8 @@ def invoke_json(capsys, *argv):
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Replace `ProcessPoolExecutor` with a stand-in that maps the chunks
-    in this process; the list holds each pool's `max_workers`."""
+    in this process, passing the function and each chunk through `pickle`
+    as a process pool does; the list holds each pool's `max_workers`."""
     sizes = []
 
     class InProcessPool:
@@ -48,7 +50,7 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, chunks):
-            return map(fn, chunks)
+            return [pickle.loads(pickle.dumps(fn))(pickle.loads(pickle.dumps(c))) for c in chunks]
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     return sizes
@@ -145,6 +147,42 @@ class TestRunCommand:
         assert many["results"] == solo["results"]
         assert many["config"]["workers"] == 64
         assert pool_sizes == pools  # a single chunk runs in this process
+
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--model", "expr", "--depth-cap", "2", "--hypothesis", "--n", "2000"),
+        ("bound", "--model", "monkey", "--guide", "pattern_insert", "--length", "100", "--n", "200"),
+        ("run", "--model", "three_dice", "--guide", "tabular", "--n", "400"),
+    ], ids=["bound-expr", "bound-monkey", "run-tabular"])
+    def test_worker_processes_match_one_process(self, capsys, monkeypatch, tmp_path, argv):
+        # Real worker processes, each running a pickled copy of the built model and guide.
+        path = tmp_path / "p.json"
+        path.write_text('{"die1": [1.0, 0, 0, 0, 0, 0], "die2|1": [0, 2.0, 0, 0, 0]}')
+        argv = (*argv, "--seed", "3", "--params", str(path))
+        code, solo = invoke_json(capsys, *argv)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code2, pair = invoke_json(capsys, *argv, "--workers", "2")
+        assert (code, code2) == (0, 0)
+        assert pair["results"] == solo["results"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_model_and_guides_are_built_once_per_command(self, capsys, monkeypatch, tmp_path, pool_sizes, workers):
+        # Each chunk of each batch built them again: `bound --hypothesis`
+        # built the model 3 times and guides 4 times.
+        path = tmp_path / "p.json"
+        path.write_text('{"die1": [1.0, 0, 0, 0, 0, 0]}')
+        builds = []
+        build_model, build_guide = cli.build_model, cli.build_guide
+        monkeypatch.setattr(cli, "build_model", lambda *a: builds.append("model") or build_model(*a))
+        monkeypatch.setattr(cli, "build_guide", lambda *a: builds.append("guide") or build_guide(*a))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        options = ("--model", "three_dice", "--guide", "tabular", "--params", str(path), "--n", "50",
+                   "--workers", workers)
+        for argv, want in ((("bound", "--hypothesis"), ["model", "guide", "guide"]), (("run",), ["model", "guide"])):
+            builds.clear()
+            code, _ = invoke_json(capsys, *argv, *options)
+            assert (code, builds) == (0, want)
+        assert pool_sizes == ([2, 2, 2] if workers == "2" else [])
 
 
 class TestBoundCommand:
@@ -295,6 +333,17 @@ class TestErrorsAndDeterminism:
             assert (code, captured.out) == (2, "")
             assert captured.err.startswith("unknown guide 'nope' for model 'expr'; known: ")
 
+    def test_numerator_guide_without_hypothesis_exits_2_before_sampling(self, capsys, monkeypatch):
+        # `bound --guide-num nosuch` exited 0: without --hypothesis the name was never resolved.
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a batch ran although --guide-num does not apply")
+
+        monkeypatch.setattr(cli, "batch_stats", no_sampling)
+        for guide_num in ("nosuch", "die1_is_5"):
+            code = main(["bound", "--model", "three_dice", "--guide-num", guide_num, "--n", "10"])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", "--guide-num applies only with --hypothesis\n")
+
     def test_optimize_params_is_a_usage_error(self, capsys, tmp_path):
         params = tmp_path / "params.json"
         params.write_text('{"die1": [1.0, 0, 0, 0, 0, 0]}')
@@ -396,6 +445,13 @@ class TestErrorsAndDeterminism:
         code, doc = invoke_json(capsys, *command, "--max-events", max_events)
         assert code == 1
         assert doc["error"] == {"type": "ValueError", "message": f"--max-events must be at least 1, got {max_events}"}
+
+    @pytest.mark.parametrize("max_paths", ["0", "-5"])
+    def test_path_cap_below_one_is_structured(self, capsys, max_paths):
+        # It enumerated and then reported "more than 0 paths; model too large for exact treatment".
+        code, doc = invoke_json(capsys, "oracle", "--model", "three_dice", "--max-paths", max_paths)
+        assert code == 1
+        assert doc["error"] == {"type": "ValueError", "message": f"max_paths must be at least 1, got {max_paths}"}
 
     @pytest.mark.parametrize("command", [
         ("run", "--model", "three_dice", "--n", "5"),

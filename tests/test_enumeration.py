@@ -97,6 +97,19 @@ class TestEnumerateEdges:
         with pytest.raises(EnumerationCapError):
             enumerate_paths(three_dice, max_paths=10)
 
+    @pytest.mark.parametrize("max_paths", [0, -5])
+    def test_path_cap_below_one_is_rejected_before_any_run(self, max_paths):
+        # It ran the model and then reported "more than 0 paths; model too large".
+        runs = []
+
+        def model(ctx):
+            runs.append(1)
+            three_dice(ctx)
+
+        with pytest.raises(ValueError, match=f"^max_paths must be at least 1, got {max_paths}$"):
+            enumerate_paths(model, max_paths=max_paths)
+        assert runs == []
+
     def test_event_cap(self):
         def deep(ctx):
             for _ in range(100):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from guidedppl import (
     PriorGuide,
     RunStatus,
+    batch_stats,
     derive_seeds,
     enumerate_paths,
     evidence_functional,
@@ -18,6 +21,7 @@ from guidedppl import (
 from guidedppl.models import (
     MODELS,
     PatternInsertGuide,
+    dice_point_family,
     make_expr_model,
     make_monkey_model,
     monkey_evidence_dp,
@@ -245,3 +249,31 @@ class TestRegistry:
         assert make().ceiling == default
         assert make(ceiling=None).ceiling == default
         assert make(ceiling=7.0).ceiling == 7.0
+
+
+# Non-empty tables for each tabular family, so that a bound guide holds cells.
+_TABLES = {"three_dice": {"die1": [2.0, 0, 0, 0, 0, 0], "die2|1": [0, 1.0, 0, 0, 0]},
+           "expr": {"prod@e": [0, 0, 1.5, 0.5], "const@e": [0, 0, 0, 2.0, 0, 0, 0, 0, 0, 0]}}
+
+
+def _registry_builds():
+    """(id, model, guide) for every guide factory and tabular family of the
+    registry, built as the CLI builds them, and for a bound point family."""
+    cfg = {"ceiling": None, "alphabet": 2, "length": 12, "pattern": "aba", "depth_cap": 3}
+    for name, entry in MODELS.items():
+        model = entry.build(**cfg)
+        for gname, factory in entry.guides.items():
+            yield pytest.param(model, factory(**cfg), id=f"{name}-{gname}")
+        if entry.family is not None:
+            yield pytest.param(model, entry.family(**cfg).bind(_TABLES[name]), id=f"{name}-tabular")
+    yield pytest.param(MODELS["three_dice"].build(), dice_point_family().bind({"0|": 2, "1|2": 4}), id="three_dice-point")
+
+
+@pytest.mark.parametrize("model, guide", _registry_builds())
+def test_built_models_and_guides_survive_pickle(model, guide):
+    # The CLI sends each worker process a pickled copy of the model and guide it built.
+    model_copy, guide_copy = pickle.loads(pickle.dumps((model, guide)))
+    seeds = derive_seeds(11, 200)
+    want, got = batch_stats(model, guide, seeds), batch_stats(model_copy, guide_copy, seeds)
+    for field in dataclasses.fields(want):
+        np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name), err_msg=field.name)

@@ -19,8 +19,10 @@ change's median is worse than the parent's by more than that amount,
 `unresolved` when it is not but either side's quartile spread exceeds
 that amount and some change run does not beat every parent run, and
 `within_bound` otherwise.  It also records
-each side's git commit, the Python and numpy versions, and whether the
-first cycle's output digest is the same on both sides.  It changes no
+each side's git commit, the Python and numpy versions, whether the
+first cycle's output digest is the same on both sides, and each side's
+`failed` and `attempted` call counts summed over its runs, with their
+ratio (the share of calls that failed).  It changes no
 file in either checkout.
 
 When a run exits non-zero, the script stops there, still writes the file
@@ -122,6 +124,14 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def failed_share(runs: list[dict]) -> dict:
+    """The summed `failed` and `attempted` counts of `runs` and their ratio
+    (None when no call was attempted)."""
+    failed = sum(r.get("failed", 0) for r in runs)
+    attempted = sum(r.get("attempted", 0) for r in runs)
+    return {"failed": failed, "attempted": attempted, "share": failed / attempted if attempted else None}
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
@@ -152,6 +162,7 @@ def main(argv=None) -> int:
             "python": info["python"], "numpy": info["numpy"], "nproc": info["nproc"],
             "all_correct": all(p[s]["correct"] for p in pairs for s in sides),
             "same_first_cycle_output": len({p[s]["info"]["first_cycle_sha256"] for p in pairs for s in sides}) == 1,
+            "failed_share": {s: failed_share([p[s] for p in pairs]) for s in sides},
             "summary": summarize(pairs, metrics),
         }
     if failed:
@@ -162,6 +173,8 @@ def main(argv=None) -> int:
     for name, s in record.get("summary", {}).items():
         print(f"{name:<12} parent {s['parent_quartiles'][1]:.6g} change {s['change_quartiles'][1]:.6g} "
               f"ratio {s['median_ratio']:.3f} won {s['pairs_won']}/{s['pairs']} gain {s['gain']} verdict {s['verdict']}")
+    for side, f in record.get("failed_share", {}).items():
+        print(f"{side} failed {f['failed']} of {f['attempted']} calls")
     print(f"wrote {out}")
     return 1 if failed else 0
 
