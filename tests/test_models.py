@@ -257,8 +257,8 @@ _TABLES = {"three_dice": {"die1": [2.0, 0, 0, 0, 0, 0], "die2|1": [0, 1.0, 0, 0,
 
 
 def _registry_builds():
-    """(id, model, guide) for every guide factory and tabular family of the
-    registry, built as the CLI builds them, and for a bound point family."""
+    """A (model, guide) param for every guide factory and tabular family of
+    the registry, built as the CLI builds them, and for a bound point family."""
     cfg = {"ceiling": None, "alphabet": 2, "length": 12, "pattern": "aba", "depth_cap": 3}
     for name, entry in MODELS.items():
         model = entry.build(**cfg)
