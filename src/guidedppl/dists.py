@@ -151,7 +151,10 @@ def dist_from_weights(pairs: Iterable[tuple[Value, float]]) -> Dist:
         weights.append(w)
     if not values:
         raise ZeroMassError("no support value has positive weight")
-    total = math.fsum(weights)
+    try:
+        total = math.fsum(weights)
+    except OverflowError:  # finite weights whose partial sums leave the float range
+        total = math.inf
     if not math.isfinite(total):
         raise ValueError("weights must have a finite sum")
     return Dist(values, [w / total for w in weights])

@@ -299,6 +299,8 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
         g = guide.propose(ChoiceSite(depth, node.label, prior, HistoryView(values, depth), ()))
         if g is None:
             g = prior
+        elif not isinstance(g, Dist):
+            raise TypeError(f"guide returned {type(g).__name__}, not a Dist")
         events += 1
         if g is not prior:
             leaked = math.fsum(gm for gv, gm in g if prior.prob(gv) == 0.0)

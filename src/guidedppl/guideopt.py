@@ -48,7 +48,6 @@ from .runtime import (
     RunStatus,
     _run_batch,
     _RunState,
-    _SeededRuns,
     derive_seeds,
 )
 
@@ -241,17 +240,6 @@ def guide_utility(
     return _utility(seeds, _run_all(guide, _run_batch(model, guide, seeds, max_events)), cfg)
 
 
-def _key_index(runs: Sequence[_Run]) -> dict[str, list[int]]:
-    """Cell key -> positions of the runs that looked it up, ascending."""
-    index: dict[str, list[int]] = {}
-    for i, run in enumerate(runs):
-        for key in run.keys:
-            readers = index.setdefault(key, [])
-            if not readers or readers[-1] != i:
-                readers.append(i)
-    return index
-
-
 def optimize_guide(
     model: ModelProgram,
     family,
@@ -280,36 +268,32 @@ def optimize_guide(
     run is a function of its seed and the cells it looks up; the guide
     lists a run's lookups in `lookups` and each key's first prior in
     `visited`.  A candidate differs from the incumbent in one cell, so
-    only the CRN runs that looked up that cell are run again; the others
-    keep their recorded rows, and the utility is folded from all n rows
-    in seed order.
+    only the CRN runs whose recorded lookups include that cell are run
+    again, through the same batch path as the first evaluation, on their
+    seeds alone; the others keep their recorded rows, and the utility is
+    folded from all n rows in seed order.
     """
     if budget < 1:
         raise ValueError("need at least one evaluation")
     if not 0.0 <= accept_margin < math.inf:
         raise ValueError("accept margin must be finite and nonnegative")
     crn = derive_seeds(seed, n, stream=3)
-    crn_runs = _SeededRuns(crn)  # each seed's first uniforms, computed once for every re-run
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(4,)))
-
-    def run_all(guide, indices) -> list[_Run]:
-        return _run_all(guide, crn_runs.runs(model, guide, indices, max_events))
-
     cells: dict[str, tuple] = {}  # key -> (init cell, support values)
 
-    def discover(guide) -> None:
+    def run(table: dict, seeds: np.ndarray) -> list[_Run]:
+        guide = family.bind(table)
+        runs = _run_all(guide, _run_batch(model, guide, seeds, max_events))
         # A guide runs its seeds in order, so each new cell takes the
         # prior of its first lookup.
         for key, prior in guide.visited.items():
             if key not in cells:
                 cells[key] = (family.cell_init(prior), prior.values)
+        return runs
 
     current: dict = {}
-    guide = family.bind(current)
-    current_runs = run_all(guide, range(n))
-    discover(guide)
+    current_runs = run(current, crn)
     current_u = _utility(crn, current_runs, cfg)
-    current_index = _key_index(current_runs)
     evaluations = 1
     trace = [(1, current_u)]
 
@@ -319,17 +303,14 @@ def optimize_guide(
         init_cell, support = cells[key]
         cand = dict(current)
         cand[key] = family.mutate_cell(cand.get(key, init_cell), support, rng)
-        affected = current_index.get(key, [])
-        guide = family.bind(cand)
-        rerun = run_all(guide, affected)
-        discover(guide)
+        affected = [i for i, r in enumerate(current_runs) if key in r.keys]
         runs = list(current_runs)
-        for i, run in zip(affected, rerun):
-            runs[i] = run
+        for i, r in zip(affected, run(cand, crn[affected])):
+            runs[i] = r
         u = _utility(crn, runs, cfg)
         evaluations += 1
         if u < current_u - accept_margin:
-            current, current_u, current_runs, current_index = cand, u, runs, _key_index(runs)
+            current, current_u, current_runs = cand, u, runs
             trace.append((evaluations, u))
 
     return SearchReport(

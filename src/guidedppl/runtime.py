@@ -44,10 +44,10 @@ the run with seed s, an int in [0, 2**64), is a pure function of (s, j)
 in event order, and maps it to a value as `Dist.sample` maps one
 ``random()`` draw.  A run reads its uniforms in blocks; since each is
 computed from (s, j) alone, block sizes change only speed, never values.
-`run_trace` is the one-seed case of the batch path: `run_traces`,
-`batch_stats` and guide search compute every seed's first `_FIRST_BLOCK`
-uniforms for a whole seed array at once (`_SeededRuns`), and a run that
-reads past them computes its next block from the same function.
+`run_trace` is the one-seed case of the one batch path, `_run_batch`,
+which `run_traces`, `batch_stats` and guide search share: it computes
+the first `_FIRST_BLOCK` uniforms of a block of seeds at once, and a run
+that reads past them computes its next block from the same function.
 
 While it runs, a sampled run is kept in flat per-run columns (`_RunState`):
 chosen values, labels, prior and guide `Dist`s, log-masses with their
@@ -89,7 +89,7 @@ _tuple_new = tuple.__new__
 # run at depth cap 3 at most 11.
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 1024
-_SEED_BLOCK = 1024  # seeds per `_SeededRuns` of a batch: bounds the rows held at once
+_SEED_BLOCK = 1024  # seeds whose rows a batch computes at once: bounds the rows held
 
 # Random-stream version 2: SplitMix64's output function (Steele, Lea &
 # Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014)
@@ -602,34 +602,16 @@ def _seed_array(seeds) -> np.ndarray:
 
 
 def _run_batch(model: ModelProgram, guide: Guide, seeds, max_events: int) -> Iterator[_RunState]:
-    """The finished run of each seed in order, `_SEED_BLOCK` seeds at a
-    time."""
+    """The finished run of each seed in order.  The first `_FIRST_BLOCK`
+    uniforms of each seed (its row) are computed for `_SEED_BLOCK` seeds
+    at once, and stay in numpy until the seed's run starts: as Python
+    lists they would hold about 570 bytes per seed, against 128 in numpy."""
     seeds = _seed_array(seeds)
+    propose, begin = _hooks(guide)
     for start in range(0, len(seeds), _SEED_BLOCK):
-        block = _SeededRuns(seeds[start:start + _SEED_BLOCK])
-        yield from block.runs(model, guide, range(len(block.seeds)), max_events)
-
-
-class _SeededRuns:
-    """Runs on the seeds of a uint64 array, with each seed's first
-    `_FIRST_BLOCK` uniforms (its row) computed for all of them at once.
-    The rows are kept, so the runs of a seed can be run again (guide
-    search).  They stay in numpy until a run starts: as Python lists they
-    would hold about 570 bytes per seed, against 128 in numpy.
-    """
-
-    __slots__ = ("seeds", "_rows")
-
-    def __init__(self, seeds: np.ndarray):
-        self.seeds: list[int] = seeds.tolist()
-        self._rows = _uniforms(seeds, 0, _FIRST_BLOCK)
-
-    def runs(self, model: ModelProgram, guide: Guide, indices: Iterable[int], max_events: int) -> Iterator[_RunState]:
-        """The finished run of the seed at each position of `indices`, in order."""
-        propose, begin = _hooks(guide)
-        seeds, rows = self.seeds, self._rows
-        for i in indices:
-            yield _run(model, guide, propose, begin, seeds[i], rows[i].tolist(), max_events)
+        block = seeds[start:start + _SEED_BLOCK]
+        for seed, row in zip(block.tolist(), _uniforms(block, 0, _FIRST_BLOCK)):
+            yield _run(model, guide, propose, begin, seed, row.tolist(), max_events)
 
 
 def _hooks(guide: Guide) -> tuple[Optional[Callable], Optional[Callable]]:

@@ -121,6 +121,13 @@ class TestRunCommand:
         assert sum(hist.values()) == pytest.approx(1.0, abs=1e-9)
         assert hist["1.0"] == pytest.approx(1 / 15, abs=0.05)
 
+    def test_hypothesis_histogram_without_evidence_weight_is_empty(self, capsys):
+        # No run of 2 characters holds "aba", so every evidence weight is 0.
+        code, doc = invoke_json(capsys, "run", "--model", "monkey", "--length", "2", "--pattern", "aba",
+                                "--report-hypothesis-histogram", "--n", "20")
+        assert code == 0
+        assert doc["results"]["hypothesis_histogram"] == {}
+
     def test_workers_do_not_change_results(self, capsys):
         _, solo = invoke_json(
             capsys, "run", "--model", "three_dice", "--guide", "prior_reject",
@@ -492,6 +499,12 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert doc["error"] == {"type": "ValueError", "message": "length must be at least 1"}
 
+    @pytest.mark.parametrize("alphabet", ["0", "27"])
+    def test_monkey_alphabet_outside_its_range_is_structured(self, capsys, alphabet):
+        code, doc = invoke_json(capsys, "run", "--model", "monkey", "--alphabet", alphabet, "--n", "10")
+        assert code == 1
+        assert doc["error"] == {"type": "ValueError", "message": "alphabet size must be 1..26"}
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_trace_seed_outside_the_domain_is_structured(self, capsys, seed):
         code, doc = invoke_json(capsys, "trace", "--model", "three_dice", "--seed", seed)
@@ -684,3 +697,9 @@ def test_dumps_round_trips(doc):
     text = cli.dumps(doc)
     assert "\n" not in text
     assert repr(json.loads(text)) == repr(_as_parsed(doc))
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes"], ids=["object", "set", "bytes"])
+def test_dumps_refuses_what_json_cannot_hold(value):
+    with pytest.raises(TypeError, match=f"cannot serialize {type(value).__name__}"):
+        cli.dumps({"x": [value]})

@@ -67,6 +67,21 @@ class TestDistFromWeights:
         d = dist_from_weights([("a", 1), ("b", 3)])
         assert d.prob("b") == 0.75
 
+    @pytest.mark.parametrize("weights", [(1e308, 1e308), (1e308, math.inf), (math.inf,)])
+    def test_weights_without_a_finite_sum_raise_value_error(self, weights):
+        """Finite weights whose sum overflows raise the same `ValueError`
+        as an infinite weight; `math.fsum` raised `OverflowError` for them."""
+        with pytest.raises(ValueError, match="weights must have a finite sum"):
+            dist_from_weights(list(enumerate(weights)))
+
+    def test_an_overflowing_weight_sum_is_a_value_error_crash(self):
+        def model(ctx):
+            ctx.choose(dist_from_weights([(1, 1e308), (2, 1e308)]))
+
+        t = run_trace(model, PriorGuide(), 0)
+        assert t.status is RunStatus.REJECTED_CRASH
+        assert t.crash_reason == "ValueError: weights must have a finite sum"
+
 
 class TestUniformRange:
     def test_six_sided(self):
@@ -279,6 +294,13 @@ def test_an_all_zero_dist_is_the_same_crash_in_sampling_and_enumeration():
         pe = enumerate_paths(model)
         assert not pe.entries and {(c.reason, c.n_events) for c in pe.crashes} == {(reason, 1)}
         assert pe.crash_mass() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("other", [(1, 2), [(1, 0.5), (2, 0.5)], None, "Dist({1: 0.5, 2: 0.5})"])
+def test_a_dist_equals_no_other_type(other):
+    d = uniform_range(1, 2)
+    assert d.__eq__(other) is NotImplemented
+    assert d != other and other != d and d == uniform_range(1, 2)
 
 
 @pytest.mark.parametrize("masses", [(0.5, 0.5 + 1e-12), (0.1,) * 10, (1 / 3,) * 3])

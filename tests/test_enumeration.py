@@ -330,6 +330,16 @@ class TestExactFreeEnergy:
         with pytest.raises(ExtraChoicesUnsupportedError):
             exact_guided_profile(dice_pe, G())
 
+    @pytest.mark.parametrize("proposal", [[1, 2], "ab"])
+    def test_a_guide_that_returns_no_dist_is_a_type_error(self, dice_pe, proposal):
+        """The walk raises the runtime's crash reason as a `TypeError`: a
+        list failed to unpack its atoms and a str raised `ValueError`."""
+        guide = FunctionGuide(lambda site: proposal)
+        reason = f"guide returned {type(proposal).__name__}, not a Dist"
+        assert run_trace(three_dice, guide, 0).crash_reason == reason
+        with pytest.raises(TypeError, match=f"^{reason}$"):
+            exact_guided_profile(dice_pe, guide)
+
 
 class TestGuidedProfile:
     def test_prior_echo_with_ceiling(self, dice_pe):

@@ -202,6 +202,11 @@ class TestLowerConfidenceBound:
         for i, row in enumerate(rows):
             assert batch[i] == lower_confidence_bound(row, 0.1).bound
 
+    @pytest.mark.parametrize("rows", [[0.5, 1.0], np.zeros((3, 0))], ids=["1-d", "no-columns"])
+    def test_batch_needs_a_2d_array_with_samples(self, rows):
+        with pytest.raises(EmptyError, match="need a 2-d array with at least one sample per row"):
+            lower_confidence_bound_batch(rows, 0.05)
+
     def test_quick_coverage_sanity(self):
         rng = np.random.default_rng(11)
         rows = (rng.random((300, 400)) < P_E).astype(float)

@@ -55,6 +55,13 @@ class TestMonkeyOracles:
     def test_frozen_golden_value(self):
         assert monkey_evidence_dp(2, 12, "aba") == MONKEY_12_ABA
 
+    def test_empty_pattern_always_occurs(self):
+        assert monkey_evidence_dp(2, 4, "") == 1.0
+
+    def test_pattern_outside_the_alphabet_never_occurs(self):
+        assert monkey_evidence_dp(2, 4, "ac") == 0.0
+        assert monkey_evidence_bruteforce(2, 4, "ac") == 0.0
+
     def test_pattern_longer_than_string(self):
         assert monkey_evidence_dp(2, 4, "aaaaa") == 0.0
         assert monkey_evidence_bruteforce(2, 4, "aaaaa") == 0.0

@@ -900,29 +900,30 @@ def test_batch_runs_with_extra_choices_build_no_records():
 
 def test_traces_keep_nothing_of_their_runs(monkeypatch):
     """A trace holds its run's columns only: once the batch is done, the
-    guide's bound `propose` that the runs called and the seed block that
-    seeded them are gone."""
-    refs = []
-    hooks = runtime._hooks
+    guide's bound `propose` that the runs called and the uniforms that
+    seeded them (the seed block's rows and each later block) are gone."""
+    refs, rows = [], []
+    hooks, uniforms = runtime._hooks, runtime._uniforms
 
     def recording_hooks(guide):
         propose, begin = hooks(guide)
         refs.append(weakref.ref(propose))
         return propose, begin
 
-    class RecordingSeededRuns(runtime._SeededRuns):  # without __slots__: it takes weak references
-        def __init__(self, seeds):
-            super().__init__(seeds)
-            refs.append(weakref.ref(self))
+    def recording_uniforms(seeds, start, k):
+        block = uniforms(seeds, start, k)
+        refs.append(weakref.ref(block))
+        rows.append((len(seeds), start, k))
+        return block
 
     monkeypatch.setattr(runtime, "_hooks", recording_hooks)
-    monkeypatch.setattr(runtime, "_SeededRuns", RecordingSeededRuns)
+    monkeypatch.setattr(runtime, "_uniforms", recording_uniforms)
     entry = MODELS["monkey"]
     traces = list(run_traces(entry.build(length=20), entry.guides["pattern_insert"](length=20), range(40)))
     gc.collect()
-    assert len(refs) == 2 and [r() for r in refs] == [None, None]
+    assert rows[0] == (40, 0, runtime._FIRST_BLOCK) and len(rows) > 1  # a run read past its row
+    assert [r() for r in refs] == [None] * (1 + len(rows))
     assert all(t.extras[0].log_model_conditional is not None for t in traces if t.completed)
-    assert any(t.n_events + len(t.extras) > runtime._FIRST_BLOCK for t in traces)  # a run read past its row
 
 
 # ---------------------------------------------------------------------------
