@@ -902,7 +902,7 @@ def test_traces_keep_nothing_of_their_runs(monkeypatch):
     """A trace holds its run's columns only: once the batch is done, the
     guide's bound `propose` that the runs called and the uniforms that
     seeded them (the seed block's rows and each later block) are gone."""
-    refs, rows = [], []
+    refs, calls = [], []
     hooks, uniforms = runtime._hooks, runtime._uniforms
 
     def recording_hooks(guide):
@@ -913,7 +913,7 @@ def test_traces_keep_nothing_of_their_runs(monkeypatch):
     def recording_uniforms(seeds, start, k):
         block = uniforms(seeds, start, k)
         refs.append(weakref.ref(block))
-        rows.append((len(seeds), start, k))
+        calls.append((len(seeds), start, k))
         return block
 
     monkeypatch.setattr(runtime, "_hooks", recording_hooks)
@@ -921,8 +921,8 @@ def test_traces_keep_nothing_of_their_runs(monkeypatch):
     entry = MODELS["monkey"]
     traces = list(run_traces(entry.build(length=20), entry.guides["pattern_insert"](length=20), range(40)))
     gc.collect()
-    assert rows[0] == (40, 0, runtime._FIRST_BLOCK) and len(rows) > 1  # a run read past its row
-    assert [r() for r in refs] == [None] * (1 + len(rows))
+    assert calls[0] == (40, 0, runtime._FIRST_BLOCK) and len(calls) > 1  # a run read past its row
+    assert [r() for r in refs] == [None] * (1 + len(calls))
     assert all(t.extras[0].log_model_conditional is not None for t in traces if t.completed)
 
 
