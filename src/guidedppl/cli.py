@@ -230,14 +230,10 @@ def _cmd_bound(args, notes: list) -> dict:
 def _cmd_optimize(args, notes: list) -> dict:
     if args.params is not None:
         raise UsageError("optimize searches from the empty table; --params does not apply")
-    cfg = _guide_config(args)
-    entry, model = build_model(args.model, cfg)
-    if entry.family is None:
-        raise UsageError(f"model {entry.name!r} has no tabular guide family to optimize")
-    family = entry.family(ceiling=args.ceiling)
+    model, table = _build(args, "tabular")
     report = optimize_guide(
         model,
-        family,
+        table.family,
         UtilityConfig(k=args.k),
         budget=args.budget,
         seed=args.seed,

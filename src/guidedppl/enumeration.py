@@ -25,14 +25,14 @@ crash before the forced prefix is replayed), and guide exceptions.
 
 Guides are scored without running the model again: one depth-first walk
 of the tree calls ``guide.begin`` once, then ``guide.propose`` once at
-each site the guide can reach, and carries the values chosen so far,
-log G(x), the running free energy and the ceiling trigger down each edge.
-The values chosen so far are a `HistoryView`, as at sampled sites, of
-the parent's list with the edge's value appended: in place unless a
-sibling's subtree has extended that list (then to a copy of the prefix).
-That yields ground-truth evidence probabilities, conditional expectations,
-free energies, KL divergences, acceptance rates and run costs at desk
-scale.  Guides that insert extra choices are rejected.
+each site the guide can reach, and carries log G(x), the running free
+energy and the ceiling trigger down each edge.  A node refers to the
+choices of the first path below it, that leaf's own tuple; the guide
+sees the values chosen before the node as a `HistoryView` of its prefix,
+as at sampled sites.  That yields ground-truth evidence probabilities,
+conditional expectations, free energies, KL divergences, acceptance
+rates and run costs at desk scale.  Guides that insert extra choices are
+rejected.
 """
 
 from __future__ import annotations
@@ -89,14 +89,16 @@ class _Leaf:
 @dataclass(slots=True, eq=False)
 class _Node:
     """A choice site: the log evidence declared since the parent choice,
-    its label and prior, and one child per positive-mass prior value, in
-    `_value_key` order.  The values chosen before it are the edges above it."""
+    its label and prior, one child per positive-mass prior value, in
+    `_value_key` order, and the choices of the first path below it (that
+    leaf's own tuple), which begin with the values chosen before it."""
 
     log_evidence: tuple[float, ...]
     label: Optional[str]
     prior: Dist
     values: tuple[Value, ...]
     children: list[Union[_Node, _Leaf, None]]
+    path: tuple[Value, ...] = ()
 
 
 @dataclass(slots=True)
@@ -199,6 +201,9 @@ def enumerate_paths(model: ModelProgram, max_paths: int = DEFAULT_MAX_PATHS,
             entries.append(leaf)
         children, i = run.slot
         children[i] = _Leaf(tuple(run.pending), leaf)
+        node = slot[0][slot[1]]  # the run's first new node; the others are first children down to its leaf
+        while type(node) is _Node:
+            node.path, node = leaf.choices, node.children[0]
         if len(entries) + len(crashes) > max_paths:
             raise EnumerationCapError(f"more than {max_paths} paths; model too large for exact treatment")
     return PathEnumeration(tuple(entries), tuple(crashes), top[0])
@@ -258,16 +263,16 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
     acc_mass = 0.0
     acc_fe = 0.0
     mean_events = 0.0
-    total = 0.0
+    free_energy = 0.0
     leaks: list[tuple[float, int]] = []  # (G-mass leaked at a site, events when it leaks or at rejection)
     guide.begin(GuideContext(_no_extra_choice))
     ceiling = math.inf if guide.ceiling is None else guide.ceiling  # as `run_trace` reads it
     # A depth-first walk of the tree under G, skipping the subtrees G never
-    # samples, in choice order: (node, depth, parent's value list, edge value,
-    # log G above it, running fe, events, events at rejection or None).
-    stack: list = [(pe.root, 0, [], None, 0.0, 0.0, 0, None)]
+    # samples, in choice order: (node, depth, log G above it, running fe,
+    # events, events at rejection or None).
+    stack: list = [(pe.root, 0, 0.0, 0.0, 0, None)]
     while stack:
-        node, depth, values, v, log_guide, fe, events, observed = stack.pop()
+        node, depth, log_guide, fe, events, observed = stack.pop()
         for lp in node.log_evidence:
             events += 1
             if observed is None:
@@ -279,7 +284,7 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
             mass = math.exp(log_guide)
             mean_events += mass * (entry.n_events if observed is None else observed)
             if type(entry) is CrashEntry:
-                total = math.inf
+                free_energy = math.inf
                 continue
             if observed is None:
                 acc_mass += mass
@@ -287,16 +292,12 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
                 if fe == math.inf:
                     acc_fe = math.inf
             if entry.log_evidence == NEG_INF:
-                total = math.inf
-            elif total != math.inf:
-                total += mass * (log_guide - entry.log_prior - entry.log_evidence)
+                free_energy = math.inf
+            elif free_energy != math.inf:
+                free_energy += mass * (log_guide - entry.log_prior - entry.log_evidence)
             continue
-        if depth:  # extend the parent's list in place, or a copy of its prefix once a sibling has
-            if len(values) != depth - 1:
-                values = values[:depth - 1]
-            values.append(v)
         prior = node.prior
-        g = guide.propose(ChoiceSite(depth, node.label, prior, HistoryView(values, depth), ()))
+        g = guide.propose(ChoiceSite(depth, node.label, prior, HistoryView(node.path, depth), ()))
         if g is None:
             g = prior
         elif not isinstance(g, Dist):
@@ -306,6 +307,7 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
             leaked = math.fsum(gm for gv, gm in g if prior.prob(gv) == 0.0)
             if leaked > 0.0:
                 leaks.append((math.exp(log_guide) * leaked, events if observed is None else observed))
+                free_energy = math.inf
         for v, child in zip(reversed(node.values), reversed(node.children)):
             lg = g.log_prob(v)
             if lg == NEG_INF:
@@ -315,14 +317,13 @@ def exact_guided_profile(pe: PathEnumeration, guide: Guide) -> GuidedSamplingPro
                 child_fe = fe + (lg - prior.log_prob(v))
                 if child_fe > ceiling:
                     child_observed = events
-            stack.append((child, depth + 1, values, v, log_guide + lg, child_fe, events, child_observed))
+            stack.append((child, depth + 1, log_guide + lg, child_fe, events, child_observed))
     leak_mass = math.fsum(m for m, _ in leaks)
     mean_events += math.fsum(m * ev for m, ev in leaks)
-    free_energy = math.inf if leaks else total
     evidence = exact_evidence(pe)
     kl = math.inf if (not math.isfinite(free_energy) or evidence == 0.0) else free_energy + math.log(evidence)
     # A leaked run has +inf fe, so only a ceiling below +inf rejects it.
-    leaks_complete = guide.ceiling is None or not math.inf > guide.ceiling
+    leaks_complete = not math.inf > ceiling
     acceptance = acc_mass + leak_mass if leaks_complete else acc_mass
     adjusted = math.inf if (leaks and leaks_complete) or not acc_mass else acc_fe / acc_mass - math.log(acc_mass)
     return GuidedSamplingProfile(free_energy, kl, acceptance, adjusted, mean_events)

@@ -19,7 +19,7 @@ lower bound valid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -381,12 +381,4 @@ def hypothesis_estimate_from_stats(
 
 def merge_batch_stats(parts: list[BatchStats]) -> BatchStats:
     """Concatenate per-chunk stats in chunk order (parallel drivers)."""
-    return BatchStats(
-        seeds=np.concatenate([p.seeds for p in parts]),
-        accepted=np.concatenate([p.accepted for p in parts]),
-        fe=np.concatenate([p.fe for p in parts]),
-        events=np.concatenate([p.events for p in parts]),
-        weight_evidence=np.concatenate([p.weight_evidence for p in parts]),
-        weight_hyp_evidence=np.concatenate([p.weight_hyp_evidence for p in parts]),
-        hypothesis=np.concatenate([p.hypothesis for p in parts]),
-    )
+    return BatchStats(**{f.name: np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(BatchStats)})

@@ -163,32 +163,21 @@ class PatternInsertGuide(Guide):
 
 def monkey_evidence_dp(alphabet_size: int, length: int, pattern: str) -> float:
     """Exact P(pattern occurs) by dynamic programming over the states of
-    the pattern-matching automaton, O(length * len(pattern) * alphabet)."""
+    the pattern-matching automaton, O(length * m * alphabet) for a pattern
+    of length m, after O(m³ * alphabet) to tabulate its transitions."""
+    if not 1 <= alphabet_size <= len(_ALPHABET):
+        raise ValueError(f"alphabet size must be 1..{len(_ALPHABET)}")
     m = len(pattern)
     if m == 0:
         return 1.0
-    if m > length:
-        return 0.0
-    alphabet = _ALPHABET[:alphabet_size]
-    if any(c not in alphabet for c in pattern):
-        return 0.0
-    # Failure links: longest proper prefix of the pattern that is a suffix.
-    fail = [0] * m
-    k = 0
-    for i in range(1, m):
-        while k > 0 and pattern[i] != pattern[k]:
-            k = fail[k - 1]
-        if pattern[i] == pattern[k]:
-            k += 1
-        fail[i] = k
-    # State transition table; state m is absorbing.
+    # step[s][ci]: the length of the longest pattern prefix that pattern[:s] + c ends with; m absorbs.
     step = [[0] * alphabet_size for _ in range(m)]
     for s in range(m):
-        for ci, c in enumerate(alphabet):
-            k = s
-            while k > 0 and c != pattern[k]:
-                k = fail[k - 1]
-            step[s][ci] = k + 1 if c == pattern[k] else 0
+        for ci, c in enumerate(_ALPHABET[:alphabet_size]):
+            t = pattern[:s] + c
+            while not pattern.startswith(t):  # the empty string ends the loop
+                t = t[1:]
+            step[s][ci] = len(t)
     p_char = 1.0 / alphabet_size
     state_p = [0.0] * m
     state_p[0] = 1.0

@@ -130,11 +130,11 @@ class HistoryView(Sequence):
     hashes, prints, indexes and slices as the tuple of those values does
     (a slice is a tuple).  ``tuple(view)`` makes a copy.
 
-    A view reads the first n items of a list that only ever grows, so it
-    stays a correct snapshot after the run moves on or ends.  A sampled
-    run shares its own value list among its views; the exact walk extends
-    a parent's list in place, or a copy of its prefix once a sibling has
-    extended it, so a chain of sites costs O(1) per site.
+    A view reads the first n items of a sequence that no longer changes
+    below n, so it stays a correct snapshot after the run moves on or
+    ends.  A sampled run's views share its value list, which only grows;
+    the exact walk's view at a node reads the node's `path`, the choices
+    of the first path below it.
     """
 
     __slots__ = ("_values", "_n")

@@ -119,3 +119,15 @@ def test_record_keeps_each_sides_failed_share(tmp_path, monkeypatch):
     assert (code, record["all_correct"]) == (0, False)
     assert record["failed_share"] == {"parent": {"failed": 0, "attempted": 60, "share": 0.0},
                                       "change": {"failed": 6, "attempted": 60, "share": 0.1}}
+
+
+def test_package_lines_counts_newlines_as_wc_does(tmp_path):
+    pkg = tmp_path / "src" / "guidedppl"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")  # no final newline, so wc -l counts 0
+    (pkg / "c.txt").write_text("not\npython\n")
+    (pkg / "sub" / "d.py").write_text("nested\n")
+    assert bench_pairs.package_lines(tmp_path) == 2
+    assert bench_pairs.git_commit(tmp_path)["package_lines"] == 2
+    assert bench_pairs.package_lines(tmp_path / "nowhere") == 0

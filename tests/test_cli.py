@@ -306,8 +306,9 @@ class TestOptimizeCommand:
         assert doc2["results"]["n_accepted"] > 0
 
     def test_model_without_family_exits_2(self, capsys):
-        code, out = invoke(capsys, "optimize", "--model", "monkey", "--budget", "5")
-        assert code == 2
+        code = main(["optimize", "--model", "monkey", "--budget", "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "model 'monkey' has no tabular guide family\n")
 
 
 class TestErrorsAndDeterminism:

@@ -47,8 +47,9 @@ class TestMonkeyOracles:
 
     @pytest.mark.parametrize("pattern", ["aab", "abab", "aabaa", "abaab"])
     def test_dp_with_failure_link_fallbacks_equals_brute_force(self, pattern):
-        # Building the failure links of "aab" and "aabaa" falls back along
-        # an earlier link, which "aba" never does.
+        # In each of these a mismatch after two or more matched letters
+        # still leaves a nonempty match ("aa" + "a" keeps "aa" in "aab"),
+        # which never happens in "aba".
         for length in range(1, 11):
             assert monkey_evidence_dp(2, length, pattern) == monkey_evidence_bruteforce(2, length, pattern)
 
@@ -65,6 +66,12 @@ class TestMonkeyOracles:
     def test_pattern_longer_than_string(self):
         assert monkey_evidence_dp(2, 4, "aaaaa") == 0.0
         assert monkey_evidence_bruteforce(2, 4, "aaaaa") == 0.0
+
+    @pytest.mark.parametrize("alphabet_size", [0, 27])
+    def test_alphabet_size_outside_1_to_26_raises_as_the_model_does(self, alphabet_size):
+        for build in (make_monkey_model, monkey_evidence_dp):
+            with pytest.raises(ValueError, match=r"^alphabet size must be 1\.\.26$"):
+                build(alphabet_size, 1, "a")
 
     def test_enumeration_agrees_with_dp(self):
         pe = enumerate_paths(make_monkey_model(2, 8, "aba"))

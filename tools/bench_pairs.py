@@ -19,7 +19,9 @@ change's median is worse than the parent's by more than that amount,
 `unresolved` when it is not but either side's quartile spread exceeds
 that amount and some change run does not beat every parent run, and
 `within_bound` otherwise.  It also records
-each side's git commit, the Python and numpy versions, whether the
+each side's git commit and package size (`package_lines`, the newline
+count over ``src/guidedppl/*.py``, as ``wc -l`` counts it), the Python
+and numpy versions, whether the
 first cycle's output digest is the same on both sides, and each side's
 `failed` and `attempted` call counts summed over its runs, with their
 ratio (the share of calls that failed).  It changes no
@@ -55,13 +57,20 @@ def _parse_args(argv=None):
     return args
 
 
+def package_lines(checkout: Path) -> int:
+    """The newline count over the checkout's ``src/guidedppl/*.py``, as ``wc -l`` counts it."""
+    return sum(f.read_bytes().count(b"\n") for f in (checkout / "src" / "guidedppl").glob("*.py"))
+
+
 def git_commit(checkout: Path) -> dict:
-    """The checkout's HEAD commit and whether its tracked files differ from it."""
+    """The checkout's HEAD commit, whether its tracked files differ from
+    it, and its package size."""
     def git(*argv):
         out = subprocess.run(["git", "-C", str(checkout), *argv], capture_output=True, text=True)
         return out.stdout.strip() if out.returncode == 0 else None
 
-    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+    return {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+            "package_lines": package_lines(checkout)}
 
 
 class RunFailed(Exception):
@@ -175,6 +184,8 @@ def main(argv=None) -> int:
               f"ratio {s['median_ratio']:.3f} won {s['pairs_won']}/{s['pairs']} gain {s['gain']} verdict {s['verdict']}")
     for side, f in record.get("failed_share", {}).items():
         print(f"{side} failed {f['failed']} of {f['attempted']} calls")
+    for side in sides:
+        print(f"{side} package lines {record[side]['package_lines']}")
     print(f"wrote {out}")
     return 1 if failed else 0
 
