@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -555,6 +556,35 @@ def test_golden_values_are_bit_identical(name, request):
     assert tuple(map(repr, got)) == GOLDEN[name]
     rep = exact_guided_profile(pe, make_guide())
     assert (repr(rep.free_energy), repr(rep.kl)) == GOLDEN[name][3:]
+
+
+# SHA-256 of the reprs of `entries` then `crashes`, in order, one per line,
+# recorded from the enumeration that kept a `PathEntry` or `CrashEntry`
+# object per path.
+ENTRY_DIGESTS = {
+    "dice": "5a813e9bfa9c87831b903e18c618774ae66eed6b14c15ac56a30b6d60269a6e2",
+    "expr2": "18e0ed80f2757a22cc42a10f84074b2040b1b774f919e37b306f404e50d6c178",
+    "monkey8": "bdb1d524f8e75485381d567b001b001470aa7c3658d65f1d22ffd5cf1bd1c93c",
+    "hashed0_crash": "adf257848d5e8ae10ec10f734a93fc00b3de6523d79b653d653e85c9a92105d7",
+    "hashed1_crash": "1778e8e6722dd144aae7ec9549cfc974bdee8c61137422cc6be0a782710befd9",
+    "hashed2_crash": "bffbac9980d1cfaefa6e6f9fc7b4bb6d46845e4afa7780a2e6315564246adae9",
+    "hashed3_crash": "59fe5702967c0622ce3fd5cba1e09df58cf5efac1ee7a451744b2372ea15afd4",
+    "hashed4_crash": "5233c2a6c436ac15a847db49e6d2141d31b1585f01ab43ca72ed564dde6bd02f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_DIGESTS))
+def test_entries_and_crashes_are_bit_identical(name, request):
+    if name.startswith("hashed"):
+        pe = enumerate_paths(make_hashed_model(int(name[6]), crash=True))
+    elif name == "monkey8":
+        pe = enumerate_paths(make_monkey_model(2, 8, "aba"))
+    else:
+        pe = request.getfixturevalue(f"{name}_pe")
+    digest = hashlib.sha256()
+    for leaf in (*pe.entries, *pe.crashes):
+        digest.update(f"{leaf!r}\n".encode())
+    assert digest.hexdigest() == ENTRY_DIGESTS[name]
 
 
 @settings(max_examples=30, deadline=None)
