@@ -203,7 +203,7 @@ def _cmd_oracle(args, notes: list) -> dict:
     model, guide = _build(args, args.guide)
     pe = enumerate_paths(model, max_paths=args.max_paths, max_events=args.max_events)
     evidence = exact_evidence(pe)
-    results = {"paths": len(pe.entries), "evidence": evidence, "crash_mass": pe.crash_mass(),
+    results = {"paths": len(pe.n_events) - len(pe.crash_reasons), "evidence": evidence, "crash_mass": pe.crash_mass(),
                "conditional_h": exact_conditional_expectation(pe) if evidence > 0.0 else None}
     if args.model == "monkey":
         results["dp_evidence"] = monkey_evidence_dp(args.alphabet, args.length, args.pattern)

@@ -35,8 +35,9 @@ each subclass has its own `choose`, its value policy (`_RunState`
 samples from the guide; `enumeration._ForcedRun` replays a prefix and
 grows the tree).  A run that `run_trace` crash-rejects is a crash leaf of the
 enumeration, with the same reason and event count, and its prior mass
-counts toward `crash_mass`.  Enumeration still raises for the event cap,
-for a model that is not deterministic on replay and for guide errors.
+counts toward `crash_mass`; a guide exception is a crash in both.
+Enumeration still raises for the event cap and for a model that is not
+deterministic on replay.
 
 A run's random stream is random-stream version 2: uniform j (from 0) of
 the run with seed s, an int in [0, 2**64), is a pure function of (s, j)

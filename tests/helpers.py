@@ -12,7 +12,6 @@ from guidedppl import (
     ExtraChoicesUnsupportedError,
     FunctionGuide,
     GuideContext,
-    PathEntry,
     RunStatus,
     dist_from_weights,
     evidence_functional,
@@ -199,9 +198,9 @@ def guided_paths(pe, guide):
         raise ExtraChoicesUnsupportedError("guided_paths does not support extra choices")
 
     def visit(node, history, log_guide):
-        if hasattr(node, "entry"):  # a leaf: a completed path or a crash
-            if type(node.entry) is PathEntry:
-                paths.append((node.entry, log_guide))
+        if type(node) is int:  # a leaf's row: a completed path or a crash
+            if node not in pe.crash_reasons:
+                paths.append((entries[history], log_guide))
             return
         g = guide.propose(ChoiceSite(len(history), node.label, node.prior, history, ()))
         if g is None:
@@ -211,6 +210,7 @@ def guided_paths(pe, guide):
             if lg > -math.inf:
                 visit(child, history + (v,), log_guide + lg)
 
+    entries = {entry.choices: entry for entry in pe.entries}
     paths = []
     guide.begin(GuideContext(no_extra_choice))
     visit(pe.root, (), 0.0)

@@ -76,12 +76,16 @@ def _checkout(root, name, value, fail_at=1000):
 
 
 @pytest.mark.parametrize("fail_at, completed", [(1000, 3), (3, 2), (1, 0)])
-def test_a_failed_run_keeps_the_completed_pairs(tmp_path, monkeypatch, fail_at, completed):
+def test_a_failed_run_keeps_the_completed_pairs(tmp_path, monkeypatch, capsys, fail_at, completed):
     monkeypatch.chdir(tmp_path)
     parent, change = _checkout(tmp_path, "parent", 100), _checkout(tmp_path, "change", 90, fail_at)
     code = bench_pairs.main([parent, change, "--workload", "w", "--pairs", "3", "--seconds", "1"])
     record = json.loads((tmp_path / "BENCH_w.json").read_text())
     assert len(record["runs"]) == completed
+    # Each completed pair prints the ratio of every end-to-end metric.
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("pair ")] == [
+        f"pair {i + 1}/3 ({first} first): change/parent call_p50_ms 0.900, work_per_s 0.900"
+        for i, first in zip(range(completed), ("parent", "change", "parent"))]
     if completed == 3:
         assert code == 0 and "failed_run" not in record
     else:

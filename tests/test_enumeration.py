@@ -29,12 +29,14 @@ from guidedppl import (
     run_trace,
     uniform_range,
 )
+from guidedppl.enumeration import _value_key
 from guidedppl.models import DicePosteriorGuide, expr_tabular_family, make_monkey_model, three_dice
 
 from helpers import (
     DICE_FE_TARGET,
     always_false_model,
     crash_on_three_model,
+    forcing_guide_for,
     guided_paths,
     make_hashed_model,
     no_choice_model,
@@ -284,6 +286,90 @@ def test_same_verdict_per_path_in_sampling_and_enumeration(structure_seed, guide
     assert math.fsum(math.exp(e.log_prior) for e in pe.entries) + pe.crash_mass() == pytest.approx(1.0, abs=1e-12)
     for guide in (PriorGuide(), random_full_support_guide(guide_seed)):
         _assert_same_verdicts(model, pe, guide, seeds=range(200))
+
+
+@settings(max_examples=15, deadline=None)
+@given(structure_seed=st.integers(0, 10_000))
+def test_rebuilt_entries_match_forced_runs(structure_seed):
+    # `entries` and `crashes` are rebuilt from the tree and the per-path
+    # columns; each must be what a run forced down its choices reports.
+    model = make_hashed_model(structure_seed, crash=True)
+    pe = enumerate_paths(model)
+    entries, crashes = pe.entries, pe.crashes
+    for leaf in (*entries, *crashes):
+        t = run_trace(model, forcing_guide_for(leaf.choices), 0)
+        assert tuple(c.chosen for c in t.choices) == leaf.choices
+        assert (t.log_prior_total, t.n_events) == (leaf.log_prior, leaf.n_events)
+        if type(leaf) is CrashEntry:
+            assert (t.status, t.crash_reason) == (RunStatus.REJECTED_CRASH, leaf.reason)
+        else:
+            assert (t.status, t.log_evidence, t.hypothesis) == (RunStatus.COMPLETED, leaf.log_evidence, leaf.hypothesis)
+    for leaves in (entries, crashes):
+        keys = [tuple(map(_value_key, leaf.choices)) for leaf in leaves]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert math.fsum(math.exp(e.log_prior) for e in entries) + pe.crash_mass() == pytest.approx(1.0, abs=1e-12)
+
+
+def _raises_at_site_1_after_2(site):
+    if site.index == 1 and site.history[0] == 2:
+        raise ZeroDivisionError("no guide here")
+    return None
+
+
+class TestGuideExceptions:
+    """An exception from the guide is a crash of the runs that reach it, in
+    sampling and in the exact walk alike."""
+
+    @staticmethod
+    def model(ctx):
+        a = ctx.choose(uniform_range(1, 2), label="a")
+        b = ctx.choose(uniform_range(1, 2), label="b")
+        ctx.evidence(a + b > 2)
+
+    def test_a_raise_in_propose_crashes_the_mass_that_reaches_it(self):
+        guide = FunctionGuide(_raises_at_site_1_after_2)
+        prof = exact_guided_profile(enumerate_paths(self.model), guide)
+        # a = 1 runs three events and is accepted; a = 2 crashes at site 1 after one event.
+        assert (prof.acceptance_rate, prof.mean_events_per_run) == (0.5, 2.0)
+        assert prof.free_energy == prof.kl == prof.adjusted_fe == math.inf
+        stats = batch_stats(self.model, guide, derive_seeds(1, 2000))
+        assert stats.accepted.mean() == pytest.approx(0.5, abs=0.06)  # five standard errors
+        assert stats.events.mean() == pytest.approx(2.0, abs=0.12)
+        t = next(run_trace(self.model, guide, int(s)) for s in derive_seeds(1, 50)
+                 if run_trace(self.model, guide, int(s)).choices[0].chosen == 2)
+        assert (t.status, t.n_events, t.crash_reason) == (
+            RunStatus.REJECTED_CRASH, 1, "ZeroDivisionError: no guide here")
+
+    def test_a_raise_in_begin_crashes_every_run(self):
+        class G(Guide):
+            def begin(self, ctx):
+                raise KeyError("begin")
+
+        prof = exact_guided_profile(enumerate_paths(self.model), G())
+        assert (prof.acceptance_rate, prof.mean_events_per_run) == (0.0, 0.0)
+        assert prof.free_energy == prof.kl == prof.adjusted_fe == math.inf
+        t = run_trace(self.model, G(), 0)
+        assert (t.status, t.n_events) == (RunStatus.REJECTED_CRASH, 0)
+
+    def test_a_raise_below_a_ceiling_rejection_costs_the_rejection(self):
+        def model(ctx):
+            if ctx.choose(uniform_range(1, 2), label="a") == 2:
+                ctx.evidence(0.1)  # ln 10 exceeds the ceiling of 1
+            ctx.choose(uniform_range(1, 2), label="b")
+            ctx.evidence(True)
+
+        guide = FunctionGuide(_raises_at_site_1_after_2, ceiling=1.0)
+        prof = exact_guided_profile(enumerate_paths(model), guide)
+        # Sampling rejects a = 2 at its evidence, event 2, and never asks the guide at site 1.
+        assert (prof.acceptance_rate, prof.mean_events_per_run) == (0.5, 2.5)
+        assert prof.adjusted_fe == pytest.approx(math.log(2), abs=1e-12)
+        assert prof.free_energy == prof.kl == math.inf
+        for seed in derive_seeds(1, 20):
+            t = run_trace(model, guide, int(seed))
+            if t.choices[0].chosen == 2:
+                assert (t.status, t.n_events) == (RunStatus.REJECTED_THRESHOLD, 2)
+            else:
+                assert (t.status, t.n_events) == (RunStatus.COMPLETED, 3)
 
 
 class TestExactFreeEnergy:
@@ -628,6 +714,22 @@ def test_walk_shows_the_sites_that_sampling_shows(structure_seed, crash):
     assert len(walk_sites) == len(walked.sites)  # one visit per node
     assert all(site in walk_sites for site in sampled.sites)
     assert all(site.index == len(site.history) and site.extras == () for site in walked.sites)
+
+
+def test_retained_memory_per_path():
+    # Monkey length 12 has 4,096 paths and 4,095 internal nodes.  A
+    # `PathEntry`, its choices tuple and a leaf object per path kept about
+    # 570 bytes per path; per-path columns keep about 290.
+    model = make_monkey_model(2, 12, "aba")
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        pe = enumerate_paths(model)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(pe.entries) == 4_096
+    assert retained / 4_096 < 400
 
 
 class TestLongPaths:

@@ -5,8 +5,9 @@
 Each pair runs ``python3 perfbench/run.py --workload W --seed SEED
 --seconds S --trace 0`` once in each checkout, one after the other, with
 the same seed; the side that runs first alternates from pair to pair.
-Each checkout runs its own benchmark files on its own source.  The script
-writes ``BENCH_<workload>.json`` in the current directory:
+Each checkout runs its own benchmark files on its own source.  After
+each pair the script prints the change/parent ratio of every end-to-end
+metric.  It writes ``BENCH_<workload>.json`` in the current directory:
 every run's result and `info` line, and for each end-to-end metric of
 CHANGE_DIR's ``BENCHMARK.json`` the median and quartiles of each side,
 the ratio of the medians (change over parent), the number of pairs the
@@ -158,8 +159,10 @@ def main(argv=None) -> int:
                   sep="\n", file=sys.stderr)
             break
         pairs.append(pair)
-        ratio = pair["change"]["metrics"]["work_per_s"]["value"] / pair["parent"]["metrics"]["work_per_s"]["value"]
-        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): work_per_s change/parent {ratio:.3f}", flush=True)
+        change, parent = pair["change"]["metrics"], pair["parent"]["metrics"]
+        ratios = ", ".join(f"{name} {change[name]['value'] / parent[name]['value']:.3f}"
+                           for name in (m["name"] for m in metrics))
+        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): change/parent {ratios}", flush=True)
     record = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
         "command": "python3 perfbench/run.py --trace 0",
