@@ -111,10 +111,10 @@ class PathEnumeration:
     a reason in `crash_reasons`, log evidence -inf and hypothesis 0, so
     sums of P(x) P(e|x) over all rows are sums over completed paths.
     Rows share their trailing log-evidence tuples: a model has few
-    distinct ones.  A row costs about 40 bytes of columns and a 32-byte
-    int in its parent's children; the tree adds one node per site and a
-    `choices` tuple per run that made new nodes (129 bytes per path in
-    all on expr depth cap 3, 289 on monkey length 12).
+    distinct ones.  On 64-bit CPython a row costs about 40 bytes of
+    columns and a 32-byte int in its parent's children; the tree adds one
+    node per site and a `choices` tuple per run that made new nodes: 129
+    bytes per path in all on expr depth cap 3, 289 on monkey length 12.
 
     `entries` and `crashes` are rebuilt from the tree and the columns on
     each read, in O(total path length)."""
